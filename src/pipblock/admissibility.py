@@ -21,10 +21,10 @@ predicate is order-sensitive; the exact search explores orders.
 
 ``quick_admissibility_verdict`` is the fast screen run after the
 assignment bound: it tries to realize the bound as a chain by always
-taking the leftmost longest section per assignment pair and then runs one
-ascending-priority reachability scan.  It is sound (a pass yields a
-verified witness chain) but not complete: picking the leftmost section can
-fail where another section of equal length would have worked.
+taking the leftmost longest section per assignment pair, then checks the
+constructed chain with ``is_admissible_chain``.  It is sound (a pass yields
+a verified witness chain) but not complete: picking the leftmost section
+can fail where another section of equal length would have worked.
 """
 
 from __future__ import annotations
@@ -43,8 +43,6 @@ __all__ = [
     "QuickCheckResult",
     "is_admissible_chain",
     "is_admissible_extension",
-    "is_induction_compatible",
-    "quick_admissibility_check",
     "quick_admissibility_verdict",
 ]
 
@@ -54,9 +52,8 @@ LSM = "LSM"
 FHO = "FHO"
 FLO = "FLO"
 INDUCTION = "induction-compatibility"
-DURATION = "duration-mismatch"
 
-CONDITIONS = (NBJ, NBR, LSM, FHO, FLO, INDUCTION, DURATION)
+CONDITIONS = (NBJ, NBR, LSM, FHO, FLO, INDUCTION)
 
 
 @dataclass(frozen=True)
@@ -110,6 +107,14 @@ def _extension_failure(
     for anc in z.ancestors():
         if anc.resource in in_set:
             return AdmissibilityVerdict(False, LSM, z, (anc, z))
+    return _obstruction(ts, chain, z)
+
+
+def _obstruction(
+    ts: TaskSet, chain: Sequence[CriticalSection], z: CriticalSection
+) -> AdmissibilityVerdict | None:
+    """FHO, then FLO, failure for extending ``chain`` with ``z``, or None
+    when neither obstruction applies."""
     holds = z.held_resources()
     for member in chain:
         if member.job < z.job:
@@ -125,42 +130,6 @@ def _extension_failure(
                 if own[o].resource in held:
                     return AdmissibilityVerdict(False, FLO, z, (own[o], member))
     return None
-
-
-def is_induction_compatible(
-    ts: TaskSet, i: int, chain: Sequence[CriticalSection], z: CriticalSection
-) -> bool:
-    """True iff ``z``'s resource directly blocks job ``i`` or is nested,
-    under some other (itself compatible) chain member's job, in a section
-    on that member's chain.
-
-    The sections of ``chain`` plus ``z`` must belong to all-different jobs
-    and all-different resources.
-    """
-    members = list(dict.fromkeys([*chain, z]))
-    _check_members(ts, i, members)
-    if len({m.job for m in members}) != len(members) or len(
-        {m.resource for m in members}
-    ) != len(members):
-        raise ValueError("chain members must have all-different jobs and resources")
-
-    base = direct_blocking_resources(ts, i)
-    compatible = {m for m in members if m.resource in base}
-    grown = True
-    while grown:
-        grown = False
-        for m in members:
-            if m in compatible:
-                continue
-            for other in compatible:
-                if other.job == m.job:
-                    continue
-                nested = ts.sections_within(other)
-                if any(s.resource == m.resource for s in nested):
-                    compatible.add(m)
-                    grown = True
-                    break
-    return z in compatible
 
 
 def is_admissible_chain(
@@ -207,8 +176,9 @@ class QuickCheckResult:
     equal to the bound.  On failure ``failed_condition`` is
     ``induction-compatibility`` when the assignment pairs could not all be
     woven into one induction-compatible chain (the accumulated duration
-    falls short of the bound), or ``FLO`` when the reachability scan
-    rejected the constructed chain.
+    falls short of the bound); otherwise it is the condition, with
+    ``witness`` the conflicting pair, that :func:`is_admissible_chain`
+    reports for the constructed chain.
     """
 
     passed: bool
@@ -236,9 +206,8 @@ def quick_admissibility_verdict(
     each pair the leftmost section matching the resource at the cell's
     duration is chosen, its nested resources join the scope and the
     consumed resource leaves it.  If the accumulated duration falls short
-    of ``h`` the screen fails; otherwise one descending-job scan checks
-    that no chain section is preceded, within its job, by a resource a
-    lower-priority chain job holds.
+    of ``h`` the screen fails; otherwise the constructed chain passes
+    exactly when :func:`is_admissible_chain` accepts it.
     """
     scope = set(direct_blocking_resources(ts, i))
     chain: list[CriticalSection] = []
@@ -274,31 +243,6 @@ def quick_admissibility_verdict(
             achieved=achieved,
             failed_condition=INDUCTION,
         )
-
-    held: dict[int, CriticalSection] = {}
-    by_job = {z.job: z for z in chain}
-    for j in range(ts.n, i, -1):
-        z = by_job.get(j)
-        if z is None:
-            continue
-        sections = ts.job(j).sections
-        for q in range(z.position):
-            resource = sections[q].resource
-            if resource in held:
-                return QuickCheckResult(
-                    passed=False,
-                    chain=tuple(chain),
-                    achieved=achieved,
-                    failed_condition=FLO,
-                    witness=(sections[q], held[resource]),
-                )
-        for s in (z, *z.ancestors()):
-            held.setdefault(s.resource, z)
-
-    # Safety net: re-validate the constructed witness in full.  The scans
-    # above miss one margin (a chosen section nested under a resource that
-    # is merely in scope, not held by anyone); staying sound matters more
-    # than trusting the construction.
     verdict = is_admissible_chain(ts, i, tuple(chain))
     if not verdict.admissible:
         return QuickCheckResult(
@@ -309,14 +253,3 @@ def quick_admissibility_verdict(
             witness=verdict.witness,
         )
     return QuickCheckResult(passed=True, chain=tuple(chain), achieved=achieved)
-
-
-def quick_admissibility_check(
-    ts: TaskSet,
-    i: int,
-    matrix: BlockingMatrix,
-    assignment: AssignmentSet,
-    h: Fraction,
-) -> bool:
-    """Boolean form of :func:`quick_admissibility_verdict`."""
-    return quick_admissibility_verdict(ts, i, matrix, assignment, h).passed

@@ -4,7 +4,8 @@ For each requested job the report records the blocking scopes, the
 assignment bound with its realizing pairs, the quick-screen verdict and,
 when the screen fails and an exact value was requested, the search result.
 A passing screen already proves the bound exact, so the search is skipped
-and the screen's chain serves as witness.
+and the screen's chain serves as witness.  Jobs are analyzed one after
+another in ascending index order.
 
 The text rendering and the JSON document are produced from the same
 report object and contain identical values; durations are serialized as
@@ -14,7 +15,6 @@ exact rational strings.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -30,7 +30,8 @@ __all__ = ["AnalysisReport", "JobAnalysis", "analyze", "render_report"]
 
 @dataclass(frozen=True)
 class JobAnalysis:
-    """Per-job outcome of the pipeline."""
+    """Per-job outcome of the pipeline; ``search`` is the search result
+    when the job was searched, else None."""
 
     job: int
     scope: BlockingScope
@@ -39,10 +40,12 @@ class JobAnalysis:
     quick: QuickCheckResult
     exact: Fraction | None
     witness: ZChain | None
-    searched: bool
-    nodes_generated: int | None
-    nodes_expanded: int | None
+    search: SearchResult | None
     wall_time: float
+
+    @property
+    def searched(self) -> bool:
+        return self.search is not None
 
 
 @dataclass(frozen=True)
@@ -77,8 +80,12 @@ class AnalysisReport:
                 if a.witness is None
                 else [z.label for z in a.witness],
                 "searched": a.searched,
-                "nodes_generated": a.nodes_generated,
-                "nodes_expanded": a.nodes_expanded,
+                "nodes_generated": None
+                if a.search is None
+                else a.search.nodes_generated,
+                "nodes_expanded": None
+                if a.search is None
+                else a.search.nodes_expanded,
                 "wall_time_s": round(a.wall_time, 6),
             }
             for a in self.jobs
@@ -96,19 +103,14 @@ def _analyze_job(ts: TaskSet, i: int, exact: bool) -> JobAnalysis:
 
     exact_value: Fraction | None = None
     witness: ZChain | None = None
-    searched = False
-    generated: int | None = None
-    expanded: int | None = None
+    search: SearchResult | None = None
     if quick.passed:
         exact_value = bound
         witness = quick.chain
     elif exact:
-        result: SearchResult = blocking_time(ts, i)
-        exact_value = result.blocking_time
-        witness = result.witness
-        searched = True
-        generated = result.nodes_generated
-        expanded = result.nodes_expanded
+        search = blocking_time(ts, i)
+        exact_value = search.blocking_time
+        witness = search.witness
     return JobAnalysis(
         job=i,
         scope=scope,
@@ -117,9 +119,7 @@ def _analyze_job(ts: TaskSet, i: int, exact: bool) -> JobAnalysis:
         quick=quick,
         exact=exact_value,
         witness=witness,
-        searched=searched,
-        nodes_generated=generated,
-        nodes_expanded=expanded,
+        search=search,
         wall_time=time.perf_counter() - started,
     )
 
@@ -136,15 +136,8 @@ def analyze(ts: TaskSet, *, job: int | None = None, exact: bool = True) -> Analy
     targets = [job] if job is not None else list(range(1, ts.n + 1))
     for i in targets:
         ts.job(i)
-    if len(targets) == 1:
-        analyses = [_analyze_job(ts, targets[0], exact)]
-    else:
-        with ThreadPoolExecutor(max_workers=min(8, len(targets))) as pool:
-            analyses = list(
-                pool.map(lambda i: _analyze_job(ts, i, exact), targets)
-            )
-    analyses.sort(key=lambda a: a.job)
-    return AnalysisReport(deadlock=verdict, jobs=tuple(analyses))
+    analyses = tuple(_analyze_job(ts, i, exact) for i in targets)
+    return AnalysisReport(deadlock=verdict, jobs=analyses)
 
 
 def render_report(report: AnalysisReport) -> str:
@@ -176,9 +169,9 @@ def render_report(report: AnalysisReport) -> str:
         if a.exact is None:
             lines.append("  exact:    not computed (bound only)")
         else:
-            how = "quick check" if not a.searched else (
-                f"search ({a.nodes_generated} nodes generated, "
-                f"{a.nodes_expanded} expanded)"
+            how = "quick check" if a.search is None else (
+                f"search ({a.search.nodes_generated} nodes generated, "
+                f"{a.search.nodes_expanded} expanded)"
             )
             lines.append(f"  exact:    {a.exact}  [{how}]")
             if a.witness is not None:

@@ -24,7 +24,7 @@ from fractions import Fraction
 from typing import Iterable
 
 from .deadlock import require_acyclic
-from .relevance import relevant_jobs, relevant_resources
+from .relevance import blocking_scope
 from .taskset import ResourceId, TaskSet
 
 __all__ = [
@@ -268,8 +268,7 @@ def per_job_bounds(ts: TaskSet) -> dict[int, Fraction]:
     require_acyclic(ts)
     out: dict[int, Fraction] = {}
     for i in range(1, ts.n + 1):
-        value, _ = hungarian_bound(
-            ts, relevant_jobs(ts, i), relevant_resources(ts, i)
-        )
+        scope = blocking_scope(ts, i)
+        value, _ = hungarian_bound(ts, scope.relevant_jobs, scope.relevant_resources)
         out[i] = value
     return out

@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import sys
 from pathlib import Path
+from typing import Iterable
 
 import click
 
@@ -27,7 +28,7 @@ from .oracle import (
     random_taskset,
 )
 from .relevance import blocking_scope, fixpoint_trace
-from .search import blocking_time
+from .search import ExpansionRecord, blocking_time
 from .taskset import (
     TaskSet,
     TaskSetError,
@@ -73,23 +74,22 @@ def cmd_analyze(ctx, file, job, bound_only, as_json, trace) -> None:
         click.echo(json.dumps(report.to_dict(), indent=2))
     else:
         click.echo(render_report(report))
-        if trace and report.deadlock.acyclic:
+        if trace:
             for a in report.jobs:
-                if a.searched:
-                    _echo_trace(ts, a.job)
+                if a.search is not None:
+                    click.echo(f"  search trace for J{a.job}:")
+                    _echo_expansions(a.search.expansions, "    ")
     if not report.deadlock.acyclic:
         ctx.exit(2)
 
 
-def _echo_trace(ts: TaskSet, i: int) -> None:
-    result = blocking_time(ts, i)
-    click.echo(f"  search trace for J{i}:")
-    for record in result.expansions:
+def _echo_expansions(records: Iterable[ExpansionRecord], indent: str) -> None:
+    for record in records:
         chain = format_chain(record.chain)
         ext = ", ".join(record.extensions) if record.extensions else "none"
         note = " (re-marked as leaf)" if record.releafed else ""
         click.echo(
-            f"    n{record.seq}: chain={chain} f={record.estimate} "
+            f"{indent}n{record.seq}: chain={chain} f={record.estimate} "
             f"extensions: {ext}{note}"
         )
 
@@ -207,14 +207,7 @@ def cmd_blocking_time(file, job, trace, as_json) -> None:
             f"{res.nodes_expanded} expanded)"
         )
         if trace:
-            for record in res.expansions:
-                chain = format_chain(record.chain)
-                ext = ", ".join(record.extensions) if record.extensions else "none"
-                note = " (re-marked as leaf)" if record.releafed else ""
-                click.echo(
-                    f"  n{record.seq}: chain={chain} f={record.estimate} "
-                    f"extensions: {ext}{note}"
-                )
+            _echo_expansions(res.expansions, "  ")
 
 
 @cli.command("check-chain")

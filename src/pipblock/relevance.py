@@ -15,14 +15,13 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .taskset import CriticalSection, ResourceId, TaskSet
 
 __all__ = [
     "BlockingScope",
     "blocking_scope",
-    "chain_induced_set",
     "direct_blocking_jobs",
     "direct_blocking_resources",
     "fixpoint_trace",
@@ -58,14 +57,18 @@ def direct_blocking_resources(ts: TaskSet, i: int) -> frozenset[ResourceId]:
     return frozenset(upper & lower)
 
 
-def direct_blocking_jobs(ts: TaskSet, i: int) -> frozenset[int]:
-    """Lower-priority jobs using a direct blocking resource of job ``i``."""
-    scope = direct_blocking_resources(ts, i)
+def _jobs_using(ts: TaskSet, i: int, scope: frozenset[ResourceId]) -> frozenset[int]:
+    """Jobs below job ``i`` with a section on a resource in ``scope``."""
     return frozenset(
         job.index
         for job in ts.jobs[i:]
         if any(z.resource in scope for z in job.sections)
     )
+
+
+def direct_blocking_jobs(ts: TaskSet, i: int) -> frozenset[int]:
+    """Lower-priority jobs using a direct blocking resource of job ``i``."""
+    return _jobs_using(ts, i, direct_blocking_resources(ts, i))
 
 
 def is_maximal(z: CriticalSection, scope: Iterable[ResourceId]) -> bool:
@@ -120,21 +123,6 @@ def induced_set(
     return _induced(ts, i, z, scope)
 
 
-def chain_induced_set(
-    ts: TaskSet, i: int, chain: Sequence[CriticalSection]
-) -> frozenset[ResourceId]:
-    """Set induced by a chain: the direct resources of job ``i`` joined with
-    the set each chain element induces from them."""
-    _check_target(ts, i)
-    base = direct_blocking_resources(ts, i)
-    out = set(base)
-    for z in chain:
-        if z.job <= i:
-            raise ValueError(f"{z.label} does not belong to a job below J{i}")
-        out |= _induced(ts, i, z, base)
-    return frozenset(out)
-
-
 def _fixpoint(
     ts: TaskSet, i: int, rng: random.Random | None
 ) -> list[frozenset[ResourceId]]:
@@ -181,25 +169,17 @@ def fixpoint_trace(ts: TaskSet, i: int) -> list[frozenset[ResourceId]]:
 
 def relevant_jobs(ts: TaskSet, i: int) -> frozenset[int]:
     """Lower-priority jobs using any relevant resource of job ``i``."""
-    scope = relevant_resources(ts, i)
-    return frozenset(
-        job.index
-        for job in ts.jobs[i:]
-        if any(z.resource in scope for z in job.sections)
-    )
+    return _jobs_using(ts, i, relevant_resources(ts, i))
 
 
 def blocking_scope(ts: TaskSet, i: int) -> BlockingScope:
     """Bundle all four blocking sets for job ``i``."""
+    direct = direct_blocking_resources(ts, i)
     relevant = relevant_resources(ts, i)
     return BlockingScope(
         target=i,
-        direct_resources=direct_blocking_resources(ts, i),
-        direct_jobs=direct_blocking_jobs(ts, i),
+        direct_resources=direct,
+        direct_jobs=_jobs_using(ts, i, direct),
         relevant_resources=relevant,
-        relevant_jobs=frozenset(
-            job.index
-            for job in ts.jobs[i:]
-            if any(z.resource in relevant for z in job.sections)
-        ),
+        relevant_jobs=_jobs_using(ts, i, relevant),
     )

@@ -12,15 +12,8 @@ nodes, then the newest expansion batch (within a batch, generation
 order).  All generated-but-unexpanded nodes stay in the fringe, and the
 fringe also remembers every chain set ever generated: differently-ordered
 permutations of one section set have equal gain, heuristic and extension
-options, so exploring a set once suffices.
-
-The default duplicate guard discards an extension exactly when its section
-set was generated before.  Two stricter variants are available for
-comparison: ``subset`` discards when any fringe node's chain covers the
-candidate set, ``subsequence`` when one covers it in order.  Both can
-over-prune: a covering chain reached through other sections may be unable
-to finish the way the discarded one could, so they may miss the optimum on
-adversarial inputs.
+options, so exploring a set once suffices.  The duplicate guard therefore
+discards an extension exactly when its section set was generated before.
 """
 
 from __future__ import annotations
@@ -28,8 +21,9 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Literal
+from typing import Iterator
 
+from .admissibility import _obstruction
 from .bound import hungarian_bound
 from .deadlock import require_acyclic
 from .relevance import (
@@ -49,8 +43,6 @@ __all__ = [
     "successors",
 ]
 
-DuplicateGuard = Literal["seen-set", "subset", "subsequence"]
-
 
 @dataclass
 class SearchNode:
@@ -64,7 +56,6 @@ class SearchNode:
 
     chain: ZChain
     chain_resources: frozenset[ResourceId]
-    chain_jobs: frozenset[int]
     remaining_resources: frozenset[ResourceId]
     remaining_jobs: frozenset[int]
     induced: frozenset[ResourceId]
@@ -87,7 +78,7 @@ class Fringe:
     """Generated-but-unexpanded nodes, ordered for Remove-First.
 
     Also keeps a permanent record of every chain set generated so far;
-    the default duplicate guard queries it.
+    the duplicate guard queries it.
     """
 
     def __init__(self) -> None:
@@ -118,21 +109,6 @@ class Fringe:
         """True iff a node with exactly this chain set was ever pushed."""
         return sections in self._generated
 
-    def covers_set(self, sections: frozenset[CriticalSection]) -> bool:
-        """True iff some fringe node's chain contains ``sections`` as a
-        subset (order-insensitive)."""
-        return any(sections <= frozenset(node.chain) for node in self._live.values())
-
-    def covers_sequence(self, chain: ZChain) -> bool:
-        """True iff some fringe node's chain contains ``chain`` as a
-        subsequence (order-preserving)."""
-        return any(_is_subsequence(chain, node.chain) for node in self._live.values())
-
-
-def _is_subsequence(needle: ZChain, haystack: ZChain) -> bool:
-    it = iter(haystack)
-    return all(any(z == w for w in it) for z in needle)
-
 
 @dataclass(frozen=True)
 class ExpansionRecord:
@@ -162,21 +138,16 @@ class SearchResult:
 
 
 def successors(
-    ts: TaskSet,
-    i: int,
-    node: SearchNode,
-    fringe: Fringe,
-    *,
-    duplicate_guard: DuplicateGuard = "seen-set",
+    ts: TaskSet, i: int, node: SearchNode, fringe: Fringe
 ) -> tuple[CriticalSection, ...]:
     """Admissible extensions of ``node``'s chain, in job then section order.
 
     Candidate sections are the ones maximal w.r.t. the node's induced set
     but not already maximal w.r.t. the chain's resources (new job, new
     resource, limited-scope maximality); the duplicate guard discards
-    extensions whose chain was already generated; the two obstruction
-    screens reject sections that would block, or be blocked by, chain
-    members.
+    extensions whose chain was already generated; the FHO/FLO obstruction
+    check shared with :mod:`~pipblock.admissibility` rejects sections that
+    would block, or be blocked by, chain members.
     """
     extensions: list[CriticalSection] = []
     chain = node.chain
@@ -185,50 +156,15 @@ def successors(
         for z in maximal_sequence(ts, j, node.induced):
             if z in taken:
                 continue
-            if duplicate_guard == "seen-set":
-                if fringe.already_generated(frozenset(chain) | {z}):
-                    continue
-            elif duplicate_guard == "subset":
-                if fringe.covers_set(frozenset(chain) | {z}):
-                    continue
-            elif fringe.covers_sequence(chain + (z,)):
+            if fringe.already_generated(frozenset(chain) | {z}):
                 continue
-            holds = z.held_resources()
-            obstructed = False
-            for member in chain:
-                if member.job < j:
-                    earlier = ts.job(member.job).sections
-                    if any(
-                        earlier[q].resource in holds
-                        for q in range(member.position - 1)
-                    ):
-                        obstructed = True
-                        break
-            if obstructed:
-                continue
-            own = ts.job(j).sections
-            for member in chain:
-                if member.job > j:
-                    held = member.held_resources()
-                    if any(
-                        own[o].resource in held for o in range(z.position - 1)
-                    ):
-                        obstructed = True
-                        break
-            if obstructed:
+            if _obstruction(ts, chain, z) is not None:
                 continue
             extensions.append(z)
     return tuple(extensions)
 
 
-def expand(
-    ts: TaskSet,
-    i: int,
-    node: SearchNode,
-    fringe: Fringe,
-    *,
-    duplicate_guard: DuplicateGuard = "seen-set",
-) -> list[SearchNode]:
+def expand(ts: TaskSet, i: int, node: SearchNode, fringe: Fringe) -> list[SearchNode]:
     """Successor nodes of ``node``; ``node`` itself (re-marked as a leaf)
     when it has no admissible extensions.
 
@@ -236,7 +172,7 @@ def expand(
     estimate: that leaf already proves the branch's optimum.
     """
     created: list[SearchNode] = []
-    for z in successors(ts, i, node, fringe, duplicate_guard=duplicate_guard):
+    for z in successors(ts, i, node, fringe):
         remaining_jobs = node.remaining_jobs - {z.job}
         remaining_resources = node.remaining_resources - {z.resource}
         chain_resources = node.chain_resources | {z.resource}
@@ -256,7 +192,6 @@ def expand(
         successor = SearchNode(
             chain=node.chain + (z,),
             chain_resources=chain_resources,
-            chain_jobs=node.chain_jobs | {z.job},
             remaining_resources=remaining_resources,
             remaining_jobs=remaining_jobs,
             induced=induced,
@@ -273,9 +208,7 @@ def expand(
     return created
 
 
-def blocking_time(
-    ts: TaskSet, i: int, *, duplicate_guard: DuplicateGuard = "seen-set"
-) -> SearchResult:
+def blocking_time(ts: TaskSet, i: int) -> SearchResult:
     """Exact maximum blocking time of job ``i`` with a witness chain.
 
     Raises :class:`~pipblock.deadlock.CyclicResourceOrderError` when the
@@ -287,7 +220,6 @@ def blocking_time(
     root = SearchNode(
         chain=(),
         chain_resources=frozenset(),
-        chain_jobs=frozenset(),
         remaining_resources=scope.relevant_resources,
         remaining_jobs=scope.relevant_jobs,
         induced=scope.direct_resources,
@@ -318,7 +250,7 @@ def blocking_time(
         expanded += 1
         batch += 1
         gain, heuristic = node.gain, node.heuristic
-        created = expand(ts, i, node, fringe, duplicate_guard=duplicate_guard)
+        created = expand(ts, i, node, fringe)
         releafed = len(created) == 1 and created[0] is node
         records.append(
             ExpansionRecord(

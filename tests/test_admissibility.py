@@ -13,10 +13,8 @@ from pipblock import (
     direct_blocking_resources,
     is_admissible_chain,
     is_admissible_extension,
-    is_induction_compatible,
     iter_admissible_chains,
     max_assignment,
-    quick_admissibility_check,
     quick_admissibility_verdict,
     random_taskset,
 )
@@ -81,30 +79,6 @@ def _ref_chain_ok(ts: TaskSet, i: int, chain) -> bool:
         if not _ref_extension_ok(ts, i, chain[:k], chain[k]):
             return False
     return True
-
-
-# --- induction compatibility -------------------------------------------------
-
-
-def test_induction_compatibility_goldens(nested_four_jobs):
-    ts = nested_four_jobs
-    impossible = (ts.section(4, 2), ts.section(3, 4), ts.section(2, 1))
-    for z in impossible:
-        assert is_induction_compatible(ts, 1, impossible, z)
-    # a single section whose resource needs help that is not in the chain
-    assert not is_induction_compatible(ts, 1, (ts.section(3, 2),), ts.section(3, 2))
-    # base case: resource directly in the blocking set
-    assert is_induction_compatible(ts, 1, (), ts.section(2, 1))
-
-
-def test_induction_compatibility_precondition(nested_four_jobs):
-    ts = nested_four_jobs
-    with pytest.raises(ValueError):
-        is_induction_compatible(
-            ts, 1, (ts.section(3, 1), ts.section(3, 2)), ts.section(3, 2)
-        )
-    with pytest.raises(ValueError):
-        is_induction_compatible(ts, 3, (ts.section(2, 1),), ts.section(2, 1))
 
 
 # --- chain and extension admissibility ---------------------------------------
@@ -272,9 +246,7 @@ def test_quick_check_passes_and_yields_witness(six_jobs_nested):
     assert [z.label for z in result.chain] == ["z3,1", "z4,1", "z5,1", "z6,1"]
     assert chain_duration(result.chain) == 12
     assert is_admissible_chain(six_jobs_nested, 2, result.chain).admissible
-    assert quick_admissibility_check(
-        six_jobs_nested, 2, matrix, assignment, assignment.value
-    )
+    assert bool(result)
 
 
 def test_quick_check_incomplete_on_equal_length_twin(double_lock):
@@ -292,11 +264,12 @@ def test_quick_check_fails_on_unreachable_allocation(two_resource_cross):
     _, assignment, result = _quick(two_resource_cross, 1)
     assert assignment.value == 6
     assert not result.passed
-    assert result.failed_condition == "FLO"
-    assert result.witness == (
-        two_resource_cross.section(2, 1),
-        two_resource_cross.section(3, 2),
-    )
+    # z3,2 holds R2, which J2 takes in z2,1 before reaching chain member z2,2
+    ts = two_resource_cross
+    assert result.chain == (ts.section(2, 2), ts.section(3, 2))
+    assert result.failed_condition == "FHO"
+    assert result.witness == (ts.section(2, 1), ts.section(2, 2))
+    assert is_admissible_chain(ts, 1, result.chain).section == ts.section(3, 2)
 
 
 def test_quick_check_fails_on_deep_fixture(five_jobs_deep):

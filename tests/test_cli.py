@@ -194,3 +194,18 @@ def test_analyze_trace_dumps_expansions(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "search trace for J1" in out
     assert "f=33" in out
+
+
+def test_analyze_trace_reuses_the_report_search(tmp_path, capsys, monkeypatch):
+    import pipblock.cli
+
+    def no_second_search(*args, **kwargs):
+        raise AssertionError("analyze --trace reran the search")
+
+    monkeypatch.setattr(pipblock.cli, "blocking_time", no_second_search)
+    path = tmp_path / "deep.txt"
+    path.write_text(FIVE_JOBS_DEEP)
+    assert main(["analyze", str(path), "--job", "1", "--trace"]) == 0
+    out = capsys.readouterr().out
+    assert "search trace for J1" in out
+    assert "n0: chain=<> f=33 extensions: z2,1, z3,3, z4,4" in out

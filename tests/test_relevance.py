@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from pipblock import (
     blocking_scope,
-    chain_induced_set,
     direct_blocking_jobs,
     direct_blocking_resources,
     fixpoint_trace,
@@ -86,18 +85,6 @@ def test_fixpoint_trace_golden(nested_four_jobs):
         frozenset({2, 3, 4}),
         frozenset({1, 2, 3, 4}),
     ]
-
-
-def test_chain_induced_set(nested_four_jobs, five_jobs_deep):
-    ts = nested_four_jobs
-    assert chain_induced_set(ts, 1, ()) == {4}
-    assert chain_induced_set(ts, 1, (ts.section(2, 1),)) == {2, 3, 4}
-    assert chain_induced_set(five_jobs_deep, 1, (five_jobs_deep.section(4, 4),)) == {
-        2,
-        4,
-    }
-    with pytest.raises(ValueError):
-        chain_induced_set(ts, 2, (ts.section(2, 1),))
 
 
 def test_scope_bundle(six_jobs_nested):

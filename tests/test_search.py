@@ -103,21 +103,12 @@ def test_no_chain_expanded_twice(five_jobs_deep, nested_four_jobs):
             assert len(seen) == len(set(seen))
 
 
-def test_guard_variants_agree_on_fixtures(five_jobs_deep, nested_four_jobs):
-    for ts in (five_jobs_deep, nested_four_jobs):
-        for i in range(1, ts.n + 1):
-            a = blocking_time(ts, i)
-            b = blocking_time(ts, i, duplicate_guard="subsequence")
-            c = blocking_time(ts, i, duplicate_guard="subset")
-            assert a.blocking_time == b.blocking_time == c.blocking_time
-
-
-def test_covering_guards_can_overprune():
+def test_seen_set_guard_keeps_covered_chains():
     # A covering chain reached through other sections is not a substitute
-    # for the covered one: here {z5,4, z3,2} is discarded by the covering
-    # variants because {z2,1, z5,4, z3,2} sits in the fringe, yet only the
-    # former can still take z4,1 (R4 is free).  The default exact-duplicate
-    # guard keeps the branch and finds the true optimum.
+    # for the covered one: {z5,4, z3,2} is covered by {z2,1, z5,4, z3,2},
+    # yet only the former can still take z4,1 (R4 is free).  A guard that
+    # discarded covered chains would stop at 19; the exact seen-set guard
+    # keeps the branch and finds the true optimum.
     from pipblock import parse_taskset
 
     ts = parse_taskset(
@@ -132,8 +123,6 @@ J5: [R5:2 [R4:2]] [R3:1] [R2:8 [R1:4]]
     oracle = brute_force_blocking_time(ts, 1)
     assert oracle.best_duration == 24
     assert blocking_time(ts, 1).blocking_time == 24
-    assert blocking_time(ts, 1, duplicate_guard="subset").blocking_time == 19
-    assert blocking_time(ts, 1, duplicate_guard="subsequence").blocking_time == 19
 
 
 @settings(max_examples=40, deadline=None)
@@ -149,18 +138,6 @@ def test_search_matches_oracle_random(seed):
         assert chain_duration(result.witness) == result.blocking_time
 
 
-@settings(max_examples=25, deadline=None)
-@given(seed=st.integers(min_value=0, max_value=10**9))
-def test_guard_variants_bounded_by_exact(seed):
-    ts = random_taskset(seed, jobs=4, resources=4)
-    for i in range(1, ts.n + 1):
-        exact = blocking_time(ts, i).blocking_time
-        assert exact == brute_force_blocking_time(ts, i).best_duration
-        # the covering variants prune branches, never invent value
-        for variant in ("subset", "subsequence"):
-            assert blocking_time(ts, i, duplicate_guard=variant).blocking_time <= exact
-
-
 def test_standalone_expand_and_successors(five_jobs_deep):
     from fractions import Fraction
 
@@ -172,7 +149,6 @@ def test_standalone_expand_and_successors(five_jobs_deep):
     root = SearchNode(
         chain=(),
         chain_resources=frozenset(),
-        chain_jobs=frozenset(),
         remaining_resources=scope.relevant_resources,
         remaining_jobs=scope.relevant_jobs,
         induced=scope.direct_resources,
@@ -220,7 +196,6 @@ def test_fringe_ordering_and_duplicate_guard(five_jobs_deep):
         return SearchNode(
             chain=chain,
             chain_resources=frozenset(z.resource for z in chain),
-            chain_jobs=frozenset(z.job for z in chain),
             remaining_resources=frozenset(),
             remaining_jobs=frozenset(),
             induced=frozenset(),
@@ -243,12 +218,6 @@ def test_fringe_ordering_and_duplicate_guard(five_jobs_deep):
     assert fringe.pop() is newer
     assert fringe.pop() is older
 
-    fringe.push(older)
-    covered = frozenset(older.chain)
-    assert fringe.covers_set(covered)
-    assert not fringe.covers_set(covered | {ts.section(5, 3)})
-    assert fringe.covers_sequence(older.chain)
-    assert not fringe.covers_sequence((ts.section(5, 3),))
     # generation memory persists across pops
     assert fringe.already_generated(frozenset(newer.chain))
     assert not fringe.already_generated(frozenset({ts.section(5, 3)}))

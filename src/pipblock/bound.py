@@ -5,27 +5,34 @@ is bounded by picking, for each job, at most one resource (all jobs and
 all resources distinct) and summing the longest section durations: an
 assignment problem solved here in its maximization form.  Cells of the
 blocking-time matrix hold the longest duration each job spends on each
-resource; converting to costs ``D - d`` and running the Hungarian method
-(row/column reduction, zero-matching test, minimum line cover, reweight)
-yields the optimum in polynomial time.
+resource.
+
+One exact integer kernel solves it: the cells, scaled to integers by their
+common denominator and padded square (size ``n``) with zeros, get the cost
+``-d·nⁿ + c·n^(n-1-r)`` (row ``r``, column ``c``), and shortest augmenting
+paths with potentials (Jonker & Volgenant, *Computing* 38, 1987) find the
+minimum-cost permutation in O(n³) integer steps.  A permutation's
+perturbation terms spell its column sequence as a base-n number below
+``nⁿ``, so they never outweigh one unit of duration: the unique optimum
+is the lexicographically smallest of the maximum-duration permutations.
 
 Invoked with the direct blocking sets this reproduces the classic
 single-resource-at-a-time bound; with the relevant (nesting-aware) sets it
 bounds the general case; applied to leftover job/resource subsets it is
-the admissible heuristic of the exact search.
-
-All arithmetic is over ``Fraction``; no floats are involved.
+the admissible heuristic of the exact search.  Values are exact
+``Fraction``; no floats are involved.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
 from .deadlock import require_acyclic
 from .relevance import blocking_scope
-from .taskset import ResourceId, TaskSet
+from .taskset import ResourceId, TaskSet, _compiled
 
 __all__ = [
     "AssignmentSet",
@@ -67,10 +74,10 @@ class AssignmentSet:
     value: Fraction
 
 
-def blocking_time_matrix(
+def _checked_inputs(
     ts: TaskSet, jobs: Iterable[int], resources: Iterable[ResourceId]
-) -> BlockingMatrix:
-    """Build the longest-duration matrix for the given jobs and resources."""
+) -> tuple[tuple[int, ...], tuple[ResourceId, ...]]:
+    """Sorted job and resource ids; raises on ids the task set lacks."""
     job_ids = tuple(sorted(set(jobs)))
     resource_ids = tuple(sorted(set(resources)))
     for j in job_ids:
@@ -78,6 +85,14 @@ def blocking_time_matrix(
     unknown = set(resource_ids) - ts.resources
     if unknown:
         raise ValueError(f"resources not in task set: {sorted(unknown)}")
+    return job_ids, resource_ids
+
+
+def blocking_time_matrix(
+    ts: TaskSet, jobs: Iterable[int], resources: Iterable[ResourceId]
+) -> BlockingMatrix:
+    """Build the longest-duration matrix for the given jobs and resources."""
+    job_ids, resource_ids = _checked_inputs(ts, jobs, resources)
     rows = []
     for j in job_ids:
         sections = ts.job(j).sections
@@ -94,168 +109,105 @@ def blocking_time_matrix(
 
 
 def max_assignment(matrix: BlockingMatrix) -> AssignmentSet:
-    """Hungarian method on the maximization dual of ``matrix``.
+    """Maximum-duration assignment of ``matrix`` by the integer kernel.
 
-    The cost matrix is ``D - d`` padded square with ``D`` (padding acts as
-    a zero-duration cell).  After the row/column reductions, a complete
-    matching on zero cells is sought; while none exists, the matrix is
-    reweighted around a minimum line cover of the zeros.  Among
-    equally-optimal assignments the lexicographically smallest
-    (job, resource) selection is returned.
+    Among equally-optimal assignments it returns the first maximizing
+    permutation of the zero-padded square matrix in
+    ``itertools.permutations`` order (see the module docstring).
     """
-    n_rows = len(matrix.jobs)
-    n_cols = len(matrix.resources)
-    if n_rows == 0 or n_cols == 0:
-        return AssignmentSet(pairs=(), value=Fraction(0))
+    scale = math.lcm(*(cell.denominator for row in matrix.rows for cell in row))
+    weights = [
+        [cell.numerator * (scale // cell.denominator) for cell in row]
+        for row in matrix.rows
+    ]
+    return _assignment_set(weights, matrix.jobs, matrix.resources, scale)
 
-    size = max(n_rows, n_cols)
-    top = matrix.max_cell
 
-    def d_cell(r: int, c: int) -> Fraction:
-        if r < n_rows and c < n_cols:
-            return matrix.rows[r][c]
-        return Fraction(0)
-
-    cost = [[top - d_cell(r, c) for c in range(size)] for r in range(size)]
-    _reduce_rows_and_cols(cost)
-
-    while True:
-        match_of_col = _max_zero_matching(cost)
-        if len(match_of_col) == size:
-            break
-        _reweight_around_cover(cost, match_of_col)
-
-    chosen = _lex_min_perfect_matching(cost)
+def _assignment_set(
+    weights: list[list[int]],
+    jobs: tuple[int, ...],
+    resources: tuple[ResourceId, ...],
+    scale: int,
+) -> AssignmentSet:
+    """Solve ``weights`` (durations times ``scale``) and name the pairs."""
     pairs = []
-    value = Fraction(0)
-    for r, c in sorted(chosen):
-        if r < n_rows and c < n_cols and matrix.rows[r][c] > 0:
-            pairs.append((matrix.jobs[r], matrix.resources[c]))
-            value += matrix.rows[r][c]
-    return AssignmentSet(pairs=tuple(pairs), value=value)
+    total = 0
+    for r, c in _max_weight_permutation(weights, len(resources)):
+        if r < len(jobs) and c < len(resources) and weights[r][c] > 0:
+            pairs.append((jobs[r], resources[c]))
+            total += weights[r][c]
+    return AssignmentSet(pairs=tuple(pairs), value=Fraction(total, scale))
 
 
-def _reduce_rows_and_cols(cost: list[list[Fraction]]) -> None:
-    """Subtract each row's minimum, then each column's minimum, in place.
-    Afterwards every row and column holds a zero and nothing negative."""
-    size = len(cost)
-    for row in cost:
-        low = min(row)
-        if low:
-            for c in range(size):
-                row[c] -= low
-    for c in range(size):
-        low = min(cost[r][c] for r in range(size))
-        if low:
-            for r in range(size):
-                cost[r][c] -= low
+def _max_weight_permutation(
+    weights: list[list[int]], n_cols: int
+) -> list[tuple[int, int]]:
+    """(row, column) cells of the lexicographically smallest maximum-weight
+    permutation of ``weights`` padded square with zeros, padding included.
 
-
-def _max_zero_matching(cost: list[list[Fraction]]) -> dict[int, int]:
-    """Maximum bipartite matching over zero cells (augmenting paths).
-    Returns column -> row."""
-    size = len(cost)
-    match_of_col: dict[int, int] = {}
-
-    def augment(r: int, seen: set[int]) -> bool:
-        for c in range(size):
-            if cost[r][c] == 0 and c not in seen:
-                seen.add(c)
-                if c not in match_of_col or augment(match_of_col[c], seen):
-                    match_of_col[c] = r
-                    return True
-        return False
-
-    for r in range(size):
-        augment(r, set())
-    return match_of_col
-
-
-def _reweight_around_cover(
-    cost: list[list[Fraction]], match_of_col: dict[int, int]
-) -> None:
-    """Subtract the smallest uncovered entry outside a minimum line cover of
-    the zeros and add it at cover intersections (Koenig cover from the
-    matching)."""
-    size = len(cost)
-    match_of_row = {r: c for c, r in match_of_col.items()}
-    marked_rows = {r for r in range(size) if r not in match_of_row}
-    marked_cols: set[int] = set()
-    frontier = list(marked_rows)
-    while frontier:
-        r = frontier.pop()
-        for c in range(size):
-            if cost[r][c] == 0 and c not in marked_cols:
-                marked_cols.add(c)
-                owner = match_of_col.get(c)
-                if owner is not None and owner not in marked_rows:
-                    marked_rows.add(owner)
-                    frontier.append(owner)
-    # cover = unmarked rows + marked columns
-    theta = min(
-        cost[r][c]
-        for r in marked_rows
-        for c in range(size)
-        if c not in marked_cols
-    )
-    for r in range(size):
-        for c in range(size):
-            if r in marked_rows and c not in marked_cols:
-                cost[r][c] -= theta
-            elif r not in marked_rows and c in marked_cols:
-                cost[r][c] += theta
-
-
-def _can_match_rows(
-    zeros: list[list[int]], rows: Iterable[int], banned_cols: set[int]
-) -> bool:
-    """True iff every row in ``rows`` can be matched to a distinct zero
-    column outside ``banned_cols``."""
-    match_of_col: dict[int, int] = {}
-
-    def augment(r: int, seen: set[int]) -> bool:
-        for c in zeros[r]:
-            if c in banned_cols or c in seen:
-                continue
-            seen.add(c)
-            if c not in match_of_col or augment(match_of_col[c], seen):
-                match_of_col[c] = r
-                return True
-        return False
-
-    return all(augment(r, set()) for r in rows)
-
-
-def _lex_min_perfect_matching(cost: list[list[Fraction]]) -> list[tuple[int, int]]:
-    """Row-by-row smallest-column perfect matching on the zero cells.
-
-    Every perfect matching on the final zero cells attains the optimum, so
-    fixing the smallest column per row that keeps the remaining rows
-    matchable yields the lexicographically smallest optimal assignment.
+    Shortest augmenting paths with row and column potentials: each row in
+    turn is matched along a cheapest alternating path, found Dijkstra-style
+    over reduced costs, and the potentials keep every reduced cost
+    non-negative.  Column 0 is the virtual source of each path.
     """
-    size = len(cost)
-    zeros = [[c for c in range(size) if cost[r][c] == 0] for r in range(size)]
-    used: set[int] = set()
-    result: list[tuple[int, int]] = []
-    for r in range(size):
-        for c in zeros[r]:
-            if c in used:
-                continue
-            if _can_match_rows(zeros, range(r + 1, size), used | {c}):
-                used.add(c)
-                result.append((r, c))
-                break
-        else:
-            raise AssertionError("zero matrix lost its perfect matching")
-    return result
+    n = max(len(weights), n_cols)
+    unit = n**n  # exceeds every sum of perturbation terms
+    cost = [[c * n ** (n - 1 - r) for c in range(n)] for r in range(n)]
+    for r, row in enumerate(weights):
+        for c, w in enumerate(row):
+            cost[r][c] -= w * unit
+    row_pot = [0] * (n + 1)
+    col_pot = [0] * (n + 1)
+    owner = [0] * (n + 1)  # owner[j]: the row (1-based) matched to column j
+    for i in range(1, n + 1):
+        owner[0] = i
+        j0 = 0
+        dist = [math.inf] * (n + 1)
+        via = [0] * (n + 1)
+        free = list(range(1, n + 1))
+        visited = [0]
+        while owner[j0]:
+            i0 = owner[j0]
+            row, u = cost[i0 - 1], row_pot[i0]
+            delta, j1 = math.inf, 0
+            for j in free:
+                reduced = row[j - 1] - u - col_pot[j]
+                d = dist[j]
+                if reduced < d:
+                    dist[j] = d = reduced
+                    via[j] = j0
+                if d < delta:
+                    delta, j1 = d, j
+            for j in visited:
+                row_pot[owner[j]] += delta
+                col_pot[j] -= delta
+            for j in free:
+                dist[j] -= delta
+            free.remove(j1)
+            visited.append(j1)
+            j0 = j1
+        while j0:
+            j1 = via[j0]
+            owner[j0] = owner[j1]
+            j0 = j1
+    return sorted((owner[j] - 1, j - 1) for j in range(1, n + 1))
 
 
 def hungarian_bound(
     ts: TaskSet, jobs: Iterable[int], resources: Iterable[ResourceId]
 ) -> tuple[Fraction, AssignmentSet]:
     """Blocking-time bound for the given job/resource sets, with the
-    assignment realizing it.  Empty inputs give (0, empty)."""
-    assignment = max_assignment(blocking_time_matrix(ts, jobs, resources))
+    assignment realizing it.  Empty inputs give (0, empty).
+
+    Equals ``max_assignment(blocking_time_matrix(ts, jobs, resources))``,
+    but reads integer durations from the task set's compiled index.
+    """
+    job_ids, resource_ids = _checked_inputs(ts, jobs, resources)
+    index = _compiled(ts)
+    weights = [
+        [index.longest[j - 1].get(r, 0) for r in resource_ids] for j in job_ids
+    ]
+    assignment = _assignment_set(weights, job_ids, resource_ids, index.scale)
     return assignment.value, assignment
 
 

@@ -10,6 +10,7 @@ since with a reachable deadlock the blocking time is unbounded.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 
 from .taskset import ResourceId, TaskSet
@@ -147,38 +148,34 @@ def _witness_cycle(
     adjacency: dict[int, list[int]], cyclic_vertices: set[int]
 ) -> tuple[int, ...]:
     """Deterministic witness: the shortest cycle through the smallest cyclic
-    resource, choosing lexicographically smallest successors."""
+    resource, choosing lexicographically smallest successors.
+
+    A minimal closed walk through the start is simple, so, given each
+    vertex's distance to the start (reverse BFS), the walk greedily takes
+    the smallest successor exactly one step closer: O(V + E), no recursion.
+    """
     start = min(cyclic_vertices)
     restricted = {
         v: [w for w in adjacency[v] if w in cyclic_vertices]
         for v in cyclic_vertices
     }
-    # Shortest return distance to the start vertex, then the first
-    # (lexicographically smallest) closed walk of that length.
-    from collections import deque
-
-    distance = {start: 0}
+    predecessors: dict[int, list[int]] = {v: [] for v in cyclic_vertices}
+    for v, children in restricted.items():
+        for w in children:
+            predecessors[w].append(v)
+    to_start = {start: 0}
     queue = deque([start])
     while queue:
         vertex = queue.popleft()
-        for child in restricted[vertex]:
-            if child not in distance:
-                distance[child] = distance[vertex] + 1
-                queue.append(child)
-    best = min(
-        distance[v] + 1 for v in cyclic_vertices if start in restricted[v] and v in distance
-    )
-
-    def walk(vertex: int, remaining: int, path: list[int]) -> list[int] | None:
-        for child in restricted[vertex]:
-            if child == start and remaining == 1:
-                return path + [start]
-            if remaining > 1 and child not in path and child in distance:
-                found = walk(child, remaining - 1, path + [child])
-                if found:
-                    return found
-        return None
-
-    cycle = walk(start, best, [start])
-    assert cycle is not None
+        for parent in predecessors[vertex]:
+            if parent not in to_start:
+                to_start[parent] = to_start[vertex] + 1
+                queue.append(parent)
+    remaining = 1 + min(to_start[w] for w in restricted[start] if w in to_start)
+    cycle = [start]
+    vertex = start
+    while remaining:
+        vertex = next(w for w in restricted[vertex] if to_start.get(w) == remaining - 1)
+        cycle.append(vertex)
+        remaining -= 1
     return tuple(cycle)

@@ -26,12 +26,8 @@ from typing import Iterator
 from .admissibility import _obstruction
 from .bound import hungarian_bound
 from .deadlock import require_acyclic
-from .relevance import (
-    _induced,
-    blocking_scope,
-    maximal_sequence,
-)
-from .taskset import CriticalSection, ResourceId, TaskSet, ZChain
+from .relevance import _induced, blocking_scope
+from .taskset import CriticalSection, ResourceId, TaskSet, ZChain, _compiled, _Index
 
 __all__ = [
     "ExpansionRecord",
@@ -137,6 +133,18 @@ class SearchResult:
     expansions: tuple[ExpansionRecord, ...] = ()
 
 
+def _fresh_sections(
+    index: _Index, job: int, induced: int, taken: int
+) -> Iterator[CriticalSection]:
+    """``job``'s sections, in position order, that are maximal w.r.t. the
+    ``induced`` resource mask but not w.r.t. the ``taken`` mask (the
+    chain's resources); masks come from ``index.mask``."""
+    for z, bit, enclosing in index.sections[job - 1]:
+        if bit & induced and not enclosing & induced:
+            if not (bit & taken and not enclosing & taken):
+                yield z
+
+
 def successors(
     ts: TaskSet, i: int, node: SearchNode, fringe: Fringe
 ) -> tuple[CriticalSection, ...]:
@@ -151,11 +159,11 @@ def successors(
     """
     extensions: list[CriticalSection] = []
     chain = node.chain
+    index = _compiled(ts)
+    induced = index.mask(node.induced)
+    taken = index.mask(node.chain_resources)
     for j in sorted(node.candidate_jobs):
-        taken = set(maximal_sequence(ts, j, node.chain_resources))
-        for z in maximal_sequence(ts, j, node.induced):
-            if z in taken:
-                continue
+        for z in _fresh_sections(index, j, induced, taken):
             if fringe.already_generated(frozenset(chain) | {z}):
                 continue
             if _obstruction(ts, chain, z) is not None:
@@ -172,18 +180,18 @@ def expand(ts: TaskSet, i: int, node: SearchNode, fringe: Fringe) -> list[Search
     estimate: that leaf already proves the branch's optimum.
     """
     created: list[SearchNode] = []
+    index = _compiled(ts)
     for z in successors(ts, i, node, fringe):
         remaining_jobs = node.remaining_jobs - {z.job}
         remaining_resources = node.remaining_resources - {z.resource}
         chain_resources = node.chain_resources | {z.resource}
         induced = node.induced | _induced(ts, i, z, node.induced)
+        induced_mask = index.mask(induced)
+        taken_mask = index.mask(chain_resources)
         candidate_jobs = frozenset(
             k
             for k in remaining_jobs
-            if any(
-                sec not in set(maximal_sequence(ts, k, chain_resources))
-                for sec in maximal_sequence(ts, k, induced)
-            )
+            if next(_fresh_sections(index, k, induced_mask, taken_mask), None)
         )
         if candidate_jobs:
             heuristic, _ = hungarian_bound(ts, remaining_jobs, remaining_resources)

@@ -25,6 +25,7 @@ are accepted as an extension.
 
 from __future__ import annotations
 
+import math
 import re
 import warnings
 from dataclasses import dataclass
@@ -163,7 +164,7 @@ class TaskSet:
     are pure functions of a ``TaskSet``.
     """
 
-    __slots__ = ("jobs", "resources")
+    __slots__ = ("jobs", "resources", "_index")
 
     def __init__(self, jobs: Sequence[Job]) -> None:
         self.jobs: tuple[Job, ...] = tuple(jobs)
@@ -256,6 +257,47 @@ class TaskSet:
 
     def __repr__(self) -> str:
         return f"<TaskSet n={len(self.jobs)} resources={sorted(self.resources)}>"
+
+
+class _Index:
+    """Integer view of a task set for the assignment kernel and the search.
+
+    ``longest[j-1]`` maps each resource job j uses to its longest section
+    duration times ``scale``, the common denominator of all durations.
+    ``sections[j-1]`` holds ``(z, bit, enclosing)`` per section of job j in
+    position order: z's resource bit and the mask of its ancestors' ones.
+    """
+
+    __slots__ = ("scale", "longest", "bits", "sections")
+
+    def __init__(self, ts: TaskSet) -> None:
+        self.scale = math.lcm(*(z.duration.denominator for z in ts.iter_sections()))
+        self.bits = {r: 1 << k for k, r in enumerate(sorted(ts.resources))}
+        self.longest: list[dict[ResourceId, int]] = []
+        self.sections: list[list[tuple[CriticalSection, int, int]]] = []
+        for job in ts.jobs:
+            longest: dict[ResourceId, int] = {}
+            sections = []
+            for z in job.sections:
+                scaled = z.duration.numerator * (self.scale // z.duration.denominator)
+                longest[z.resource] = max(scaled, longest.get(z.resource, 0))
+                enclosing = self.mask(a.resource for a in z.ancestors())
+                sections.append((z, self.bits[z.resource], enclosing))
+            self.longest.append(longest)
+            self.sections.append(sections)
+
+    def mask(self, resources: Iterable[ResourceId]) -> int:
+        """Bit mask of a set of the task set's resources."""
+        return sum(self.bits[r] for r in resources)
+
+
+def _compiled(ts: TaskSet) -> _Index:
+    """The index of ``ts``, compiled on first use and kept on the set
+    (it depends only on the immutable set)."""
+    index = getattr(ts, "_index", None)
+    if index is None:
+        index = ts._index = _Index(ts)
+    return index
 
 
 def contains(a: CriticalSection, b: CriticalSection) -> bool:
@@ -354,29 +396,29 @@ def _parse_sections(body: str, job: int, lineno: int) -> tuple[CriticalSection, 
     return tuple(sections)
 
 
-def _format_duration(duration: Fraction) -> str:
-    return str(duration)
-
-
-def _format_section(ts: TaskSet, z: CriticalSection) -> str:
-    inner = [
-        _format_section(ts, child)
-        for child in ts.job(z.job).sections
-        if child.parent is z
-    ]
-    head = f"[R{z.resource}: {_format_duration(z.duration)}"
-    return head + ("" if not inner else " " + " ".join(inner)) + "]"
+def _format_job(job: Job) -> str:
+    """One line of the text format, from an explicit stack of child
+    iterators (nesting depth costs no recursion)."""
+    children: list[list[CriticalSection]] = [[] for _ in range(len(job.sections) + 1)]
+    for z in job.sections:
+        children[z.parent.position if z.parent else 0].append(z)
+    parts = [f"J{job.index}:"]
+    stack = [iter(children[0])]
+    while stack:
+        z = next(stack[-1], None)
+        if z is None:
+            stack.pop()
+            if stack:
+                parts.append("]")
+        else:
+            parts.append(f" [R{z.resource}: {z.duration!s}")
+            stack.append(iter(children[z.position]))
+    return "".join(parts)
 
 
 def serialize_taskset(ts: TaskSet) -> str:
     """Render a task set in the canonical text format (one job per line)."""
-    lines = []
-    for job in ts.jobs:
-        groups = " ".join(
-            _format_section(ts, z) for z in job.sections if z.parent is None
-        )
-        lines.append(f"J{job.index}:" + (f" {groups}" if groups else ""))
-    return "\n".join(lines) + "\n"
+    return "".join(_format_job(job) + "\n" for job in ts.jobs)
 
 
 _CHAIN_TOKEN = re.compile(r"z?(\d+)\s*,\s*(\d+)")

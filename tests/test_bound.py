@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -12,12 +13,14 @@ from pipblock import (
     brute_force_blocking_time,
     hungarian_bound,
     max_assignment,
+    parse_taskset,
     per_job_bounds,
     random_taskset,
     relevant_jobs,
     relevant_resources,
+    serialize_taskset,
 )
-from pipblock.bound import BlockingMatrix, _reduce_rows_and_cols
+from pipblock.bound import BlockingMatrix
 
 
 def brute_force_assignment_value(matrix: BlockingMatrix) -> Fraction:
@@ -123,20 +126,6 @@ def test_per_job_bounds_refuses_cyclic(cross_nesting):
         per_job_bounds(cross_nesting)
 
 
-def test_reduction_leaves_zero_per_line():
-    rng = random.Random(5)
-    for _ in range(25):
-        size = rng.randint(1, 6)
-        cost = [
-            [Fraction(rng.randint(0, 12), rng.choice([1, 1, 2])) for _ in range(size)]
-            for _ in range(size)
-        ]
-        _reduce_rows_and_cols(cost)
-        assert all(min(row) == 0 for row in cost)
-        assert all(min(row[c] for row in cost) == 0 for c in range(size))
-        assert all(cell >= 0 for row in cost for cell in row)
-
-
 def _random_matrix(rng: random.Random) -> BlockingMatrix:
     n_rows = rng.randint(1, 6)
     n_cols = rng.randint(1, 6)
@@ -169,6 +158,79 @@ def test_hungarian_matches_permutation_brute_force():
             sum((matrix.cell(j, r) for j, r in assignment.pairs), Fraction(0))
             == assignment.value
         )
+
+
+def first_best_permutation_pairs(matrix: BlockingMatrix):
+    """Reference tie-break: the first maximum-value permutation of the
+    zero-padded square matrix in ``itertools.permutations`` order, with
+    padding and zero cells dropped."""
+    n_rows, n_cols = len(matrix.jobs), len(matrix.resources)
+
+    def cell(r: int, c: int) -> Fraction:
+        return matrix.rows[r][c] if r < n_rows and c < n_cols else Fraction(0)
+
+    size = max(n_rows, n_cols)
+    best_value, best_cols = None, None
+    for cols in itertools.permutations(range(size)):
+        value = sum((cell(r, c) for r, c in enumerate(cols)), Fraction(0))
+        if best_value is None or value > best_value:
+            best_value, best_cols = value, cols
+    return tuple(
+        (matrix.jobs[r], matrix.resources[c])
+        for r, c in enumerate(best_cols)
+        if cell(r, c) > 0
+    )
+
+
+def test_tie_break_is_first_best_permutation():
+    rng = random.Random(2024)
+    shapes = [(1, 1), (1, 4), (4, 1), (2, 5), (5, 2), (3, 3), (5, 5)]
+    for k in range(200):
+        n_rows, n_cols = shapes[k % len(shapes)] if k < 21 else (
+            rng.randint(1, 5),
+            rng.randint(1, 5),
+        )
+        matrix = BlockingMatrix(
+            jobs=tuple(range(1, n_rows + 1)),
+            resources=tuple(range(1, n_cols + 1)),
+            rows=tuple(
+                tuple(
+                    Fraction(rng.choice([0, 1, 2]), rng.choice([1, 2, 3]))
+                    for _ in range(n_cols)
+                )
+                for _ in range(n_rows)
+            ),
+        )
+        assignment = max_assignment(matrix)
+        assert assignment.pairs == first_best_permutation_pairs(matrix)
+        assert assignment.value == brute_force_assignment_value(matrix)
+
+
+def with_fractional_durations(ts, rng: random.Random):
+    """``ts`` with every duration divided by a random small integer."""
+    return parse_taskset(
+        re.sub(
+            r"(R\d+: )(\d+)",
+            lambda m: f"{m.group(1)}{m.group(2)}/{rng.choice([1, 2, 3, 6, 7])}",
+            serialize_taskset(ts),
+        )
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10**9))
+def test_index_bound_matches_matrix_path(seed):
+    rng = random.Random(seed)
+    ts = random_taskset(seed, jobs=7, resources=7, sections_per_job=4, nesting_depth=3)
+    if rng.random() < 0.5:
+        ts = with_fractional_durations(ts, rng)
+    for _ in range(6):
+        jobs = {j for j in range(1, ts.n + 1) if rng.random() < 0.6}
+        resources = {r for r in ts.resources if rng.random() < 0.6}
+        value, assignment = hungarian_bound(ts, jobs, resources)
+        reference = max_assignment(blocking_time_matrix(ts, jobs, resources))
+        assert value == reference.value == assignment.value
+        assert assignment.pairs == reference.pairs
 
 
 @settings(max_examples=30, deadline=None)

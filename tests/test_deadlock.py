@@ -1,6 +1,7 @@
 import pytest
 
 from pipblock import (
+    analyze,
     CyclicResourceOrderError,
     build_order_graph,
     check_deadlock_free,
@@ -40,6 +41,18 @@ def test_three_resource_cycle_witness():
     verdict = check_deadlock_free(ts)
     assert not verdict.acyclic
     assert verdict.cycle == (1, 2, 3, 1)
+
+
+def test_long_cycle_witness_without_recursion():
+    # J_k: [R_k: 1 [R_{k mod L + 1}: 1]] closes one cycle through all L
+    # resources, longer than the interpreter's recursion limit.
+    length = 1200
+    text = "\n".join(
+        f"J{k}: [R{k}: 1 [R{k % length + 1}: 1]]" for k in range(1, length + 1)
+    )
+    report = analyze(parse_taskset(text))
+    assert not report.deadlock.acyclic
+    assert report.deadlock.cycle == (*range(1, length + 1), 1)
 
 
 def test_require_acyclic_raises(cross_nesting, nested_four_jobs):

@@ -221,3 +221,28 @@ def test_fringe_ordering_and_duplicate_guard(five_jobs_deep):
     # generation memory persists across pops
     assert fringe.already_generated(frozenset(newer.chain))
     assert not fringe.already_generated(frozenset({ts.section(5, 3)}))
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10**9))
+def test_index_maximality_matches_is_maximal(seed):
+    import random
+
+    from pipblock import is_maximal
+    from pipblock.search import _fresh_sections
+    from pipblock.taskset import _compiled
+
+    rng = random.Random(seed)
+    ts = random_taskset(seed, jobs=6, resources=7, sections_per_job=5, nesting_depth=3)
+    index = _compiled(ts)
+    for _ in range(6):
+        induced = {r for r in ts.resources if rng.random() < 0.5}
+        taken = {r for r in ts.resources if rng.random() < 0.3}
+        for j in range(1, ts.n + 1):
+            expected = [
+                z
+                for z in ts.job(j).sections
+                if is_maximal(z, induced) and not is_maximal(z, taken)
+            ]
+            fresh = _fresh_sections(index, j, index.mask(induced), index.mask(taken))
+            assert list(fresh) == expected

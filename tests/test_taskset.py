@@ -153,6 +153,31 @@ def test_serialize_round_trip_random(seed):
     assert parse_taskset(serialize_taskset(ts)) == ts
 
 
+def test_serialize_round_trip_deep_nesting():
+    depth = 1000
+    text = (
+        "J1: " + "".join(f"[R{k}: 1 " for k in range(1, depth + 1)) + "]" * depth
+        + "\nJ2: [R1: 2]\n"
+    )
+    ts = parse_taskset(text)
+    assert parse_taskset(serialize_taskset(ts)) == ts
+
+
+def test_serialize_round_trip_deep_and_wide():
+    # A 600-deep spine with a leaf sibling before and after every nested
+    # level, plus wide top-level runs in two more jobs.
+    depth = 600
+    spine = "".join(
+        f"[R{k}: 3 [R{depth + 2 * k - 1}: 1/2] " for k in range(1, depth + 1)
+    )
+    closing = "".join(f" [R{depth + 2 * k}: 1]]" for k in range(depth, 0, -1))
+    wide = " ".join(f"[R{k}: {k} [R{k + depth}: 1]]" for k in range(1, 300))
+    text = f"J1: {wide}\nJ2: {spine}{closing}\nJ3: {wide} [R1: 7]\nJ4:\n"
+    ts = parse_taskset(text)
+    assert max(len(list(z.ancestors())) for z in ts.iter_sections()) == depth
+    assert parse_taskset(serialize_taskset(ts)) == ts
+
+
 def test_parse_chain_and_format(nested_four_jobs):
     chain = parse_chain(nested_four_jobs, "z4,1 z3,2 z2,1")
     assert [z.label for z in chain] == ["z4,1", "z3,2", "z2,1"]

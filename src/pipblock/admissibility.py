@@ -35,14 +35,13 @@ from typing import Sequence
 
 from .bound import AssignmentSet, BlockingMatrix
 from .relevance import _induced, direct_blocking_resources
-from .taskset import CriticalSection, TaskSet, ZChain
+from .taskset import CriticalSection, TaskSet, ZChain, _compiled, _Index, _maximal, _Section
 
 __all__ = [
     "AdmissibilityVerdict",
     "CONDITIONS",
     "QuickCheckResult",
     "is_admissible_chain",
-    "is_admissible_extension",
     "quick_admissibility_verdict",
 ]
 
@@ -83,52 +82,50 @@ def _check_members(ts: TaskSet, i: int, chain: Sequence[CriticalSection]) -> Non
             raise ValueError(
                 f"{z.label} belongs to J{z.job}, not below the target J{i}"
             )
-        if ts.section(z.job, z.position) != z:
+        # identity, not equality: sections compare by (job, position) only
+        if ts.section(z.job, z.position) is not z:
             raise ValueError(f"{z.label} is not a section of this task set")
 
 
 def _extension_failure(
-    ts: TaskSet,
-    i: int,
-    chain: Sequence[CriticalSection],
-    in_set: frozenset[int],
-    z: CriticalSection,
+    index: _Index, chain: Sequence[CriticalSection], in_set: int, z: CriticalSection
 ) -> AdmissibilityVerdict | None:
     """First violated condition when extending ``chain`` (whose induced set
-    is ``in_set``) with ``z``, or None if ``z`` is an admissible extension."""
+    has the mask ``in_set``) with ``z``, or None if ``z`` is an admissible
+    extension."""
     for member in chain:
         if member.job == z.job:
             return AdmissibilityVerdict(False, NBJ, z, (member, z))
     for member in chain:
         if member.resource == z.resource:
             return AdmissibilityVerdict(False, NBR, z, (member, z))
-    if z.resource not in in_set:
+    s = index.entry(z)
+    if not s.bit & in_set:
         return AdmissibilityVerdict(False, LSM, z, None)
-    for anc in z.ancestors():
-        if anc.resource in in_set:
-            return AdmissibilityVerdict(False, LSM, z, (anc, z))
-    return _obstruction(ts, chain, z)
+    if not _maximal(s, in_set):
+        anc = next(a for a in z.ancestors() if index.bits[a.resource] & in_set)
+        return AdmissibilityVerdict(False, LSM, z, (anc, z))
+    return _obstruction(index, chain, s)
 
 
 def _obstruction(
-    ts: TaskSet, chain: Sequence[CriticalSection], z: CriticalSection
+    index: _Index, chain: Sequence[CriticalSection], s: _Section
 ) -> AdmissibilityVerdict | None:
-    """FHO, then FLO, failure for extending ``chain`` with ``z``, or None
-    when neither obstruction applies."""
-    holds = z.held_resources()
+    """FHO, then FLO, failure for extending ``chain`` with the section of
+    row ``s``, or None when neither obstruction applies.  The masks decide;
+    the conflicting earlier section (the job's first one on a resource in
+    the mask) is looked up only on failure."""
+    z = s.z
     for member in chain:
-        if member.job < z.job:
-            earlier = ts.job(member.job).sections
-            for q in range(member.position - 1):
-                if earlier[q].resource in holds:
-                    return AdmissibilityVerdict(False, FHO, z, (earlier[q], member))
-    own = ts.job(z.job).sections
+        if member.job < z.job and index.entry(member).earlier & s.held:
+            q = next(e.z for e in index.sections[member.job - 1] if e.bit & s.held)
+            return AdmissibilityVerdict(False, FHO, z, (q, member))
     for member in chain:
         if member.job > z.job:
-            held = member.held_resources()
-            for o in range(z.position - 1):
-                if own[o].resource in held:
-                    return AdmissibilityVerdict(False, FLO, z, (own[o], member))
+            held = index.entry(member).held
+            if s.earlier & held:
+                o = next(e.z for e in index.sections[z.job - 1] if e.bit & held)
+                return AdmissibilityVerdict(False, FLO, z, (o, member))
     return None
 
 
@@ -137,35 +134,16 @@ def is_admissible_chain(
 ) -> AdmissibilityVerdict:
     """Check a whole chain: every prefix extension, in the stated order."""
     _check_members(ts, i, chain)
-    in_set = direct_blocking_resources(ts, i)
+    index = _compiled(ts)
+    in_set = index.mask(direct_blocking_resources(ts, i))
     prefix: list[CriticalSection] = []
     for z in chain:
-        failure = _extension_failure(ts, i, prefix, in_set, z)
+        failure = _extension_failure(index, prefix, in_set, z)
         if failure is not None:
             return failure
         prefix.append(z)
-        in_set = in_set | _induced(ts, i, z, in_set)
+        in_set |= _induced(index, i, index.entry(z), in_set)
     return _OK
-
-
-def is_admissible_extension(
-    ts: TaskSet, i: int, chain: Sequence[CriticalSection], z: CriticalSection
-) -> AdmissibilityVerdict:
-    """Verdict for extending an admissible ``chain`` with ``z``.
-
-    Raises ``ValueError`` when ``chain`` itself is not admissible.
-    """
-    base = is_admissible_chain(ts, i, chain)
-    if not base.admissible:
-        raise ValueError(
-            f"chain is not admissible (fails {base.failed_condition})"
-        )
-    _check_members(ts, i, [z])
-    in_set = direct_blocking_resources(ts, i)
-    for member in chain:
-        in_set = in_set | _induced(ts, i, member, in_set)
-    failure = _extension_failure(ts, i, tuple(chain), in_set, z)
-    return failure if failure is not None else _OK
 
 
 @dataclass(frozen=True)
@@ -192,24 +170,21 @@ class QuickCheckResult:
 
 
 def quick_admissibility_verdict(
-    ts: TaskSet,
-    i: int,
-    matrix: BlockingMatrix,
-    assignment: AssignmentSet,
-    h: Fraction,
+    ts: TaskSet, i: int, matrix: BlockingMatrix, assignment: AssignmentSet
 ) -> QuickCheckResult:
-    """Try to realize bound ``h`` as an admissible chain built from the
-    assignment pairs.
+    """Try to realize the bound ``assignment.value`` as an admissible chain
+    built from the assignment pairs.
 
     Pairs are consumed in ascending job order whenever their resource has
     entered the induction scope (seeded with the direct blocking set); for
     each pair the leftmost section matching the resource at the cell's
     duration is chosen, its nested resources join the scope and the
     consumed resource leaves it.  If the accumulated duration falls short
-    of ``h`` the screen fails; otherwise the constructed chain passes
+    of the bound the screen fails; otherwise the constructed chain passes
     exactly when :func:`is_admissible_chain` accepts it.
     """
-    scope = set(direct_blocking_resources(ts, i))
+    index = _compiled(ts)
+    scope = index.mask(direct_blocking_resources(ts, i))
     chain: list[CriticalSection] = []
     achieved = Fraction(0)
     remaining = sorted(assignment.pairs)
@@ -218,7 +193,7 @@ def quick_admissibility_verdict(
             (
                 (job, resource)
                 for (job, resource) in remaining
-                if resource in scope and matrix.cell(job, resource) > 0
+                if index.bits[resource] & scope and matrix.cell(job, resource) > 0
             ),
             None,
         )
@@ -234,9 +209,8 @@ def quick_admissibility_verdict(
         )
         chain.append(section)
         achieved += target
-        scope |= {s.resource for s in ts.sections_within(section)}
-        scope -= {resource}
-    if achieved < h:
+        scope = (scope | index.entry(section).nested) & ~index.bits[resource]
+    if achieved < assignment.value:
         return QuickCheckResult(
             passed=False,
             chain=tuple(chain),

@@ -56,10 +56,6 @@ class BlockingMatrix:
     def cell(self, job: int, resource: ResourceId) -> Fraction:
         return self.rows[self.jobs.index(job)][self.resources.index(resource)]
 
-    @property
-    def max_cell(self) -> Fraction:
-        return max((c for row in self.rows for c in row), default=Fraction(0))
-
 
 @dataclass(frozen=True)
 class AssignmentSet:
@@ -91,21 +87,15 @@ def _checked_inputs(
 def blocking_time_matrix(
     ts: TaskSet, jobs: Iterable[int], resources: Iterable[ResourceId]
 ) -> BlockingMatrix:
-    """Build the longest-duration matrix for the given jobs and resources."""
+    """Build the longest-duration matrix for the given jobs and resources
+    from the task set's compiled index."""
     job_ids, resource_ids = _checked_inputs(ts, jobs, resources)
-    rows = []
-    for j in job_ids:
-        sections = ts.job(j).sections
-        rows.append(
-            tuple(
-                max(
-                    (z.duration for z in sections if z.resource == r),
-                    default=Fraction(0),
-                )
-                for r in resource_ids
-            )
-        )
-    return BlockingMatrix(jobs=job_ids, resources=resource_ids, rows=tuple(rows))
+    index = _compiled(ts)
+    rows = tuple(
+        tuple(Fraction(index.longest[j - 1].get(r, 0), index.scale) for r in resource_ids)
+        for j in job_ids
+    )
+    return BlockingMatrix(jobs=job_ids, resources=resource_ids, rows=rows)
 
 
 def max_assignment(matrix: BlockingMatrix) -> AssignmentSet:

@@ -18,7 +18,7 @@ from typing import Iterable
 import click
 
 from .admissibility import is_admissible_chain
-from .analysis import analyze, render_report
+from .analysis import _fmt_jobs, _fmt_resources, analyze, render_report
 from .bound import blocking_time_matrix, max_assignment
 from .deadlock import CyclicResourceOrderError, check_deadlock_free, require_acyclic
 from .oracle import (
@@ -44,14 +44,6 @@ __all__ = ["cli", "main"]
 
 def _load(path: str) -> TaskSet:
     return parse_taskset(Path(path).read_text(encoding="utf-8"))
-
-
-def _resources(values) -> str:
-    return "{" + ", ".join(f"R{r}" for r in sorted(values)) + "}"
-
-
-def _jobs(values) -> str:
-    return "{" + ", ".join(f"J{j}" for j in sorted(values)) + "}"
 
 
 @click.group()
@@ -116,13 +108,13 @@ def cmd_scope(file, job) -> None:
     """Print the direct and relevant blocking sets with the fixpoint trace."""
     ts = _load(file)
     scope = blocking_scope(ts, job)
-    click.echo(f"direct resources:   {_resources(scope.direct_resources)}")
-    click.echo(f"direct jobs:        {_jobs(scope.direct_jobs)}")
-    click.echo(f"relevant resources: {_resources(scope.relevant_resources)}")
-    click.echo(f"relevant jobs:      {_jobs(scope.relevant_jobs)}")
+    click.echo(f"direct resources:   {_fmt_resources(scope.direct_resources)}")
+    click.echo(f"direct jobs:        {_fmt_jobs(scope.direct_jobs)}")
+    click.echo(f"relevant resources: {_fmt_resources(scope.relevant_resources)}")
+    click.echo(f"relevant jobs:      {_fmt_jobs(scope.relevant_jobs)}")
     click.echo("fixpoint trace:")
     for step, iterate in enumerate(fixpoint_trace(ts, job)):
-        click.echo(f"  step {step}: {_resources(iterate)}")
+        click.echo(f"  step {step}: {_fmt_resources(iterate)}")
 
 
 @cli.command("bound")
@@ -296,9 +288,6 @@ def main(argv: list[str] | None = None) -> int:
             return rv
     except click.exceptions.Exit as exc:
         return exc.exit_code
-    except click.UsageError as exc:
-        exc.show()
-        return 1
     except click.ClickException as exc:
         exc.show()
         return 1

@@ -33,9 +33,6 @@ class ResourceOrderGraph:
     vertices: frozenset[ResourceId]
     edges: frozenset[tuple[ResourceId, ResourceId]]
 
-    def successors(self, vertex: ResourceId) -> list[ResourceId]:
-        return sorted(b for (a, b) in self.edges if a == vertex)
-
 
 @dataclass(frozen=True)
 class DeadlockVerdict:

@@ -29,6 +29,7 @@ from .taskset import (
     DurationLike,
     TaskSet,
     ZChain,
+    _compiled,
     as_duration,
     chain_duration,
     parse_taskset,
@@ -69,9 +70,11 @@ def iter_admissible_chains(ts: TaskSet, i: int) -> Iterator[ZChain]:
     """Depth-first enumeration of every admissible chain for job ``i``,
     starting from the empty chain."""
 
+    index = _compiled(ts)
+
     def walk(
         chain: ZChain,
-        in_set: frozenset[int],
+        in_set: int,
         used_jobs: frozenset[int],
         used_resources: frozenset[int],
     ) -> Iterator[ZChain]:
@@ -82,15 +85,15 @@ def iter_admissible_chains(ts: TaskSet, i: int) -> Iterator[ZChain]:
             for z in job.sections:
                 if z.resource in used_resources:
                     continue
-                if _extension_failure(ts, i, chain, in_set, z) is None:
+                if _extension_failure(index, chain, in_set, z) is None:
                     yield from walk(
                         chain + (z,),
-                        in_set | _induced(ts, i, z, in_set),
+                        in_set | _induced(index, i, index.entry(z), in_set),
                         used_jobs | {job.index},
                         used_resources | {z.resource},
                     )
 
-    yield from walk((), direct_blocking_resources(ts, i), frozenset(), frozenset())
+    yield from walk((), index.mask(direct_blocking_resources(ts, i)), frozenset(), frozenset())
 
 
 def brute_force_blocking_time(

@@ -17,7 +17,7 @@ import random
 from dataclasses import dataclass
 from typing import Iterable
 
-from .taskset import CriticalSection, ResourceId, TaskSet
+from .taskset import CriticalSection, ResourceId, TaskSet, _compiled, _Index, _maximal, _Section
 
 __all__ = [
     "BlockingScope",
@@ -88,22 +88,19 @@ def maximal_sequence(
     return tuple(z for z in ts.job(job).sections if is_maximal(z, scope))
 
 
-def _induced(
-    ts: TaskSet, i: int, z: CriticalSection, scope: frozenset[ResourceId]
-) -> frozenset[ResourceId]:
-    """Resources nested in ``z`` that gain blocking potential toward job i:
-    outside ``scope`` and shared with some other lower-priority job."""
-    out: set[ResourceId] = set()
-    for nested in ts.sections_within(z):
-        if nested.resource in scope or nested.resource in out:
-            continue
-        for other in ts.jobs[i:]:
-            if other.index == z.job:
-                continue
-            if any(w.resource == nested.resource for w in other.sections):
-                out.add(nested.resource)
-                break
-    return frozenset(out)
+def _induced(index: _Index, i: int, s: _Section, scope: int) -> int:
+    """Mask of the resources nested in section ``s`` that gain blocking
+    potential toward job i: outside the ``scope`` mask and used by some
+    other job below i."""
+    others = ~(1 << s.z.job)
+    out = 0
+    fresh = s.nested & ~scope
+    while fresh:
+        bit = fresh & -fresh
+        if (index.users[bit] & others) >> (i + 1):
+            out |= bit
+        fresh ^= bit
+    return out
 
 
 def induced_set(
@@ -120,7 +117,8 @@ def induced_set(
         raise ValueError(f"{z.label} does not belong to a job below J{i}")
     if not is_maximal(z, scope):
         raise ValueError(f"{z.label} is not maximal w.r.t. {sorted(scope)}")
-    return _induced(ts, i, z, scope)
+    index = _compiled(ts)
+    return index.resources_of(_induced(index, i, index.entry(z), index.mask(scope)))
 
 
 def _fixpoint(
@@ -133,25 +131,28 @@ def _fixpoint(
     section order; passing ``rng`` picks uniformly among all candidates
     (the least fixpoint is the same either way).
     """
-    scope = direct_blocking_resources(ts, i)
+    index = _compiled(ts)
+    everything = index.mask(ts.resources)
+    scope = index.mask(direct_blocking_resources(ts, i))
     trace = [scope]
-    while scope != ts.resources:
-        candidates: list[frozenset[ResourceId]] = []
-        for job in ts.jobs[i:]:
-            for z in maximal_sequence(ts, job.index, scope):
-                induced = _induced(ts, i, z, scope)
-                if induced:
-                    candidates.append(induced)
-                    if rng is None:
-                        break
+    while scope != everything:
+        candidates: list[int] = []
+        for rows in index.sections[i:]:
+            for s in rows:
+                if _maximal(s, scope):
+                    induced = _induced(index, i, s, scope)
+                    if induced:
+                        candidates.append(induced)
+                        if rng is None:
+                            break
             if candidates and rng is None:
                 break
         if not candidates:
             break
         pick = candidates[0] if rng is None else rng.choice(candidates)
-        scope = scope | pick
+        scope |= pick
         trace.append(scope)
-    return trace
+    return [index.resources_of(mask) for mask in trace]
 
 
 def relevant_resources(

@@ -14,6 +14,11 @@ fringe also remembers every chain set ever generated: differently-ordered
 permutations of one section set have equal gain, heuristic and extension
 options, so exploring a set once suffices.  The duplicate guard therefore
 discards an extension exactly when its section set was generated before.
+
+Nodes live on the task set's compiled index: the chain's resources and
+induced set are bit masks, and gain and heuristic are integers in units
+of ``1/index.scale``, so the fringe orders by exact integer keys.  Only
+the returned result and the expansion records hold ``Fraction`` values.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ from .admissibility import _obstruction
 from .bound import hungarian_bound
 from .deadlock import require_acyclic
 from .relevance import _induced, blocking_scope
-from .taskset import CriticalSection, ResourceId, TaskSet, ZChain, _compiled, _Index
+from .taskset import CriticalSection, ResourceId, TaskSet, ZChain, _compiled, _Index, _maximal
 
 __all__ = [
     "ExpansionRecord",
@@ -44,25 +49,25 @@ __all__ = [
 class SearchNode:
     """One search-tree node: a partial chain and its derived sets.
 
-    ``remaining_*`` are the relevant sets minus what the chain used;
-    ``induced`` is the chain's induced resource set; ``candidate_jobs``
-    are the remaining jobs that still own an eligible section.  ``seq``
-    and ``batch`` are bookkeeping for deterministic tie-breaking.
+    ``taken`` and ``induced`` are resource masks of the task set's index:
+    the chain's resources and its induced set.  ``remaining_*`` are the
+    relevant sets minus what the chain used.  ``gain`` (the chain's
+    duration) and ``heuristic`` are integers in units of ``1/index.scale``.
+    ``seq`` and ``batch`` are bookkeeping for deterministic tie-breaking.
     """
 
     chain: ZChain
-    chain_resources: frozenset[ResourceId]
+    taken: int
+    induced: int
     remaining_resources: frozenset[ResourceId]
     remaining_jobs: frozenset[int]
-    induced: frozenset[ResourceId]
-    candidate_jobs: frozenset[int]
-    gain: Fraction
-    heuristic: Fraction
+    gain: int
+    heuristic: int
     seq: int = -1
     batch: int = -1
 
     @property
-    def estimate(self) -> Fraction:
+    def estimate(self) -> int:
         return self.gain + self.heuristic
 
     @property
@@ -79,26 +84,20 @@ class Fringe:
 
     def __init__(self) -> None:
         self._heap: list[tuple[tuple, SearchNode]] = []
-        self._live: dict[int, SearchNode] = {}
+        self._live: set[int] = set()
         self._generated: set[frozenset[CriticalSection]] = set()
-
-    def __len__(self) -> int:
-        return len(self._heap)
-
-    def __iter__(self) -> Iterator[SearchNode]:
-        return iter(self._live.values())
 
     def push(self, node: SearchNode) -> None:
         if node.seq < 0 or node.seq in self._live:
             raise ValueError("nodes need a fresh non-negative seq before insertion")
         key = (-node.estimate, 0 if node.is_leaf else 1, -node.batch, node.seq)
         heapq.heappush(self._heap, (key, node))
-        self._live[node.seq] = node
+        self._live.add(node.seq)
         self._generated.add(frozenset(node.chain))
 
     def pop(self) -> SearchNode:
         _, node = heapq.heappop(self._heap)
-        del self._live[node.seq]
+        self._live.remove(node.seq)
         return node
 
     def already_generated(self, sections: frozenset[CriticalSection]) -> bool:
@@ -138,11 +137,10 @@ def _fresh_sections(
 ) -> Iterator[CriticalSection]:
     """``job``'s sections, in position order, that are maximal w.r.t. the
     ``induced`` resource mask but not w.r.t. the ``taken`` mask (the
-    chain's resources); masks come from ``index.mask``."""
-    for z, bit, enclosing in index.sections[job - 1]:
-        if bit & induced and not enclosing & induced:
-            if not (bit & taken and not enclosing & taken):
-                yield z
+    chain's resources)."""
+    for s in index.sections[job - 1]:
+        if _maximal(s, induced) and not _maximal(s, taken):
+            yield s.z
 
 
 def successors(
@@ -159,14 +157,13 @@ def successors(
     """
     extensions: list[CriticalSection] = []
     chain = node.chain
+    members = frozenset(chain)
     index = _compiled(ts)
-    induced = index.mask(node.induced)
-    taken = index.mask(node.chain_resources)
-    for j in sorted(node.candidate_jobs):
-        for z in _fresh_sections(index, j, induced, taken):
-            if fringe.already_generated(frozenset(chain) | {z}):
+    for j in sorted(node.remaining_jobs):
+        for z in _fresh_sections(index, j, node.induced, node.taken):
+            if fringe.already_generated(members | {z}):
                 continue
-            if _obstruction(ts, chain, z) is not None:
+            if _obstruction(index, chain, index.entry(z)) is not None:
                 continue
             extensions.append(z)
     return tuple(extensions)
@@ -176,42 +173,37 @@ def expand(ts: TaskSet, i: int, node: SearchNode, fringe: Fringe) -> list[Search
     """Successor nodes of ``node``; ``node`` itself (re-marked as a leaf)
     when it has no admissible extensions.
 
-    Creation stops early when a successor is a leaf matching the parent's
+    A successor gets the assignment heuristic only when some remaining
+    job still owns an eligible section; otherwise it is a leaf.  Creation
+    stops early when a successor is a leaf matching the parent's
     estimate: that leaf already proves the branch's optimum.
     """
     created: list[SearchNode] = []
     index = _compiled(ts)
     for z in successors(ts, i, node, fringe):
+        s = index.entry(z)
         remaining_jobs = node.remaining_jobs - {z.job}
         remaining_resources = node.remaining_resources - {z.resource}
-        chain_resources = node.chain_resources | {z.resource}
-        induced = node.induced | _induced(ts, i, z, node.induced)
-        induced_mask = index.mask(induced)
-        taken_mask = index.mask(chain_resources)
-        candidate_jobs = frozenset(
-            k
-            for k in remaining_jobs
-            if next(_fresh_sections(index, k, induced_mask, taken_mask), None)
-        )
-        if candidate_jobs:
-            heuristic, _ = hungarian_bound(ts, remaining_jobs, remaining_resources)
-        else:
-            heuristic = Fraction(0)
+        taken = node.taken | s.bit
+        induced = node.induced | _induced(index, i, s, node.induced)
+        heuristic = 0
+        if any(next(_fresh_sections(index, k, induced, taken), None) for k in remaining_jobs):
+            h, _ = hungarian_bound(ts, remaining_jobs, remaining_resources)
+            heuristic = index.scaled(h)
         successor = SearchNode(
             chain=node.chain + (z,),
-            chain_resources=chain_resources,
+            taken=taken,
+            induced=induced,
             remaining_resources=remaining_resources,
             remaining_jobs=remaining_jobs,
-            induced=induced,
-            candidate_jobs=candidate_jobs,
-            gain=node.gain + z.duration,
+            gain=node.gain + s.duration,
             heuristic=heuristic,
         )
         created.append(successor)
         if successor.is_leaf and successor.estimate == node.estimate:
             return created
     if not created:
-        node.heuristic = Fraction(0)
+        node.heuristic = 0
         created.append(node)
     return created
 
@@ -224,16 +216,16 @@ def blocking_time(ts: TaskSet, i: int) -> SearchResult:
     """
     require_acyclic(ts)
     scope = blocking_scope(ts, i)
+    index = _compiled(ts)
     h0, _ = hungarian_bound(ts, scope.relevant_jobs, scope.relevant_resources)
     root = SearchNode(
         chain=(),
-        chain_resources=frozenset(),
+        taken=0,
+        induced=index.mask(scope.direct_resources),
         remaining_resources=scope.relevant_resources,
         remaining_jobs=scope.relevant_jobs,
-        induced=scope.direct_resources,
-        candidate_jobs=scope.direct_jobs,
-        gain=Fraction(0),
-        heuristic=h0,
+        gain=0,
+        heuristic=index.scaled(h0),
         seq=0,
         batch=0,
     )
@@ -249,7 +241,7 @@ def blocking_time(ts: TaskSet, i: int) -> SearchResult:
         node = fringe.pop()
         if node.is_leaf:
             return SearchResult(
-                blocking_time=node.gain,
+                blocking_time=Fraction(node.gain, index.scale),
                 witness=node.chain,
                 nodes_generated=generated,
                 nodes_expanded=expanded,
@@ -264,8 +256,8 @@ def blocking_time(ts: TaskSet, i: int) -> SearchResult:
             ExpansionRecord(
                 seq=node.seq,
                 chain=node.chain,
-                gain=gain,
-                heuristic=heuristic,
+                gain=Fraction(gain, index.scale),
+                heuristic=Fraction(heuristic, index.scale),
                 extensions=tuple(
                     s.chain[-1].label for s in created if s is not node
                 ),

@@ -21,6 +21,9 @@ describes job 1 holding R2 for 3 time units with a nested section on R1,
 and job 2 with two disjoint sections on R1.  Lines starting with ``#`` are
 comments.  Durations are decimal literals; exact fractions such as ``1/3``
 are accepted as an extension.
+
+The analyses read a task set through its compiled index (``_Index``):
+integer durations and resource bit masks, built once on first use.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ import re
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Iterable, Iterator, NamedTuple, Sequence, Union
 
 __all__ = [
     "CriticalSection",
@@ -135,14 +138,6 @@ class CriticalSection:
             yield node
             node = node.parent
 
-    def held_resources(self) -> frozenset[ResourceId]:
-        """Resources held while executing inside this section.
-
-        That is the section's own resource plus the resources of every
-        containing section.
-        """
-        return frozenset({self.resource, *(a.resource for a in self.ancestors())})
-
 
 #: An ordered sequence of critical sections (a candidate blocking scenario).
 ZChain = tuple[CriticalSection, ...]
@@ -226,10 +221,6 @@ class TaskSet:
         for job in self.jobs:
             yield from job.sections
 
-    def sections_within(self, z: CriticalSection) -> tuple[CriticalSection, ...]:
-        """Sections strictly contained in ``z``, in position order."""
-        return tuple(s for s in self.job(z.job).sections if contains(z, s))
-
     def _canonical(self) -> tuple:
         return tuple(
             (
@@ -259,36 +250,80 @@ class TaskSet:
         return f"<TaskSet n={len(self.jobs)} resources={sorted(self.resources)}>"
 
 
-class _Index:
-    """Integer view of a task set for the assignment kernel and the search.
+class _Section(NamedTuple):
+    """One section's row of the index.  Masks hold resource bits: ``held``
+    is the section's own resource and its enclosing sections' ones,
+    ``earlier`` the resources of the job's earlier sections and ``nested``
+    those of the sections it contains; ``duration`` is scaled."""
 
-    ``longest[j-1]`` maps each resource job j uses to its longest section
-    duration times ``scale``, the common denominator of all durations.
-    ``sections[j-1]`` holds ``(z, bit, enclosing)`` per section of job j in
-    position order: z's resource bit and the mask of its ancestors' ones.
+    z: CriticalSection
+    bit: int
+    held: int
+    earlier: int
+    nested: int
+    duration: int
+
+
+class _Index:
+    """Integer view of a task set: the one representation the engine reads.
+
+    Durations are integers in units of ``1/scale``, the common denominator
+    of all durations, and resource sets are bit masks (``bits`` gives each
+    resource its bit).  ``longest[j-1]`` maps each resource job j uses to
+    its longest section duration, ``sections[j-1]`` holds job j's section
+    rows in position order, and ``users`` maps each resource bit to the
+    mask of the jobs using it (bit ``j`` for job j).
     """
 
-    __slots__ = ("scale", "longest", "bits", "sections")
+    __slots__ = ("scale", "bits", "longest", "sections", "users")
 
     def __init__(self, ts: TaskSet) -> None:
         self.scale = math.lcm(*(z.duration.denominator for z in ts.iter_sections()))
         self.bits = {r: 1 << k for k, r in enumerate(sorted(ts.resources))}
+        self.users = dict.fromkeys(self.bits.values(), 0)
         self.longest: list[dict[ResourceId, int]] = []
-        self.sections: list[list[tuple[CriticalSection, int, int]]] = []
+        self.sections: list[list[_Section]] = []
         for job in ts.jobs:
+            nested = [0] * len(job.sections)
+            for z in reversed(job.sections):
+                if z.parent is not None:
+                    inner = self.bits[z.resource] | nested[z.position - 1]
+                    nested[z.parent.position - 1] |= inner
             longest: dict[ResourceId, int] = {}
-            sections = []
-            for z in job.sections:
-                scaled = z.duration.numerator * (self.scale // z.duration.denominator)
-                longest[z.resource] = max(scaled, longest.get(z.resource, 0))
-                enclosing = self.mask(a.resource for a in z.ancestors())
-                sections.append((z, self.bits[z.resource], enclosing))
+            rows: list[_Section] = []
+            earlier = 0
+            for z, inner in zip(job.sections, nested):
+                bit = self.bits[z.resource]
+                held = bit | (rows[z.parent.position - 1].held if z.parent else 0)
+                duration = self.scaled(z.duration)
+                rows.append(_Section(z, bit, held, earlier, inner, duration))
+                longest[z.resource] = max(duration, longest.get(z.resource, 0))
+                self.users[bit] |= 1 << job.index
+                earlier |= bit
             self.longest.append(longest)
-            self.sections.append(sections)
+            self.sections.append(rows)
+
+    def scaled(self, duration: Fraction) -> int:
+        """``duration`` in units of ``1/scale`` (exact for the set's durations)."""
+        return duration.numerator * (self.scale // duration.denominator)
+
+    def entry(self, z: CriticalSection) -> _Section:
+        """The row of the section at ``z``'s job and position."""
+        return self.sections[z.job - 1][z.position - 1]
 
     def mask(self, resources: Iterable[ResourceId]) -> int:
-        """Bit mask of a set of the task set's resources."""
-        return sum(self.bits[r] for r in resources)
+        """Bit mask of the task set's resources among ``resources``."""
+        return sum(self.bits.get(r, 0) for r in set(resources))
+
+    def resources_of(self, mask: int) -> frozenset[ResourceId]:
+        """The resources whose bits are set in ``mask``."""
+        return frozenset(r for r, bit in self.bits.items() if bit & mask)
+
+
+def _maximal(s: _Section, mask: int) -> bool:
+    """True iff the section's resource is in ``mask`` and no enclosing
+    section's resource is (maximality w.r.t. a resource set)."""
+    return s.held & mask == s.bit
 
 
 def _compiled(ts: TaskSet) -> _Index:

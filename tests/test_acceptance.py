@@ -119,7 +119,7 @@ def test_criterion_4_bound_gap_fixture():
     scope = blocking_scope(ts, 1)
     matrix = blocking_time_matrix(ts, scope.relevant_jobs, scope.relevant_resources)
     assignment = max_assignment(matrix)
-    quick = quick_admissibility_verdict(ts, 1, matrix, assignment, assignment.value)
+    quick = quick_admissibility_verdict(ts, 1, matrix, assignment)
     result = blocking_time(ts, 1)
     oracle = brute_force_blocking_time(ts, 1)
     ok = (
@@ -141,7 +141,7 @@ def test_criterion_5_quick_check_incompleteness():
     scope = blocking_scope(ts, 1)
     matrix = blocking_time_matrix(ts, scope.relevant_jobs, scope.relevant_resources)
     assignment = max_assignment(matrix)
-    quick = quick_admissibility_verdict(ts, 1, matrix, assignment, assignment.value)
+    quick = quick_admissibility_verdict(ts, 1, matrix, assignment)
     result = blocking_time(ts, 1)
     ok = (
         assignment.value == 4

@@ -12,9 +12,9 @@ from pipblock import (
     chain_duration,
     direct_blocking_resources,
     is_admissible_chain,
-    is_admissible_extension,
     iter_admissible_chains,
     max_assignment,
+    parse_taskset,
     quick_admissibility_verdict,
     random_taskset,
 )
@@ -74,6 +74,46 @@ def _ref_extension_ok(ts: TaskSet, i: int, chain, z: CriticalSection) -> bool:
     return True
 
 
+def _ref_verdict(ts: TaskSet, i: int, chain):
+    """(condition, section, witness pair) of the first failing extension,
+    or None, with the witnesses the definitions name: the first clashing
+    member, the innermost in-scope ancestor, and the first earlier section
+    (by position) on a resource the other side holds."""
+
+    def held(z):
+        out, node = set(), z
+        while node is not None:
+            out.add(node.resource)
+            node = node.parent
+        return out
+
+    for k, z in enumerate(chain):
+        prefix = chain[:k]
+        for cond, clash in (("NBJ", "job"), ("NBR", "resource")):
+            for member in prefix:
+                if getattr(member, clash) == getattr(z, clash):
+                    return cond, z, (member, z)
+        scope = _ref_chain_scope(ts, i, prefix)
+        if z.resource not in scope:
+            return "LSM", z, None
+        anc = z.parent
+        while anc is not None:
+            if anc.resource in scope:
+                return "LSM", z, (anc, z)
+            anc = anc.parent
+        for member in prefix:
+            if member.job < z.job:
+                for q in ts.job(member.job).sections[: member.position - 1]:
+                    if q.resource in held(z):
+                        return "FHO", z, (q, member)
+        for member in prefix:
+            if member.job > z.job:
+                for o in ts.job(z.job).sections[: z.position - 1]:
+                    if o.resource in held(member):
+                        return "FLO", z, (o, member)
+    return None
+
+
 def _ref_chain_ok(ts: TaskSet, i: int, chain) -> bool:
     for k in range(len(chain)):
         if not _ref_extension_ok(ts, i, chain[:k], chain[k]):
@@ -111,36 +151,38 @@ def test_admissible_chain_goldens(nested_four_jobs, double_lock):
 
 
 def test_extension_goldens(five_jobs_deep, two_resource_cross):
+    # each chain's last element extends an admissible one-section chain
     ts = five_jobs_deep
-    verdict = is_admissible_extension(ts, 1, (ts.section(4, 4),), ts.section(5, 3))
+    verdict = is_admissible_chain(ts, 1, (ts.section(4, 4), ts.section(5, 3)))
     assert not verdict.admissible and verdict.failed_condition == "FHO"
     # the obstruction: z4,3 uses R5, which J5 holds around z5,3
     assert verdict.witness is not None
     obstructing, member = verdict.witness
     assert obstructing == ts.section(4, 3) and member == ts.section(4, 4)
 
-    assert is_admissible_extension(
-        ts, 1, (ts.section(2, 1),), ts.section(4, 1)
-    ).admissible
-    assert is_admissible_extension(
-        ts, 1, (ts.section(2, 1),), ts.section(5, 3)
-    ).admissible
+    assert is_admissible_chain(ts, 1, (ts.section(2, 1), ts.section(4, 1))).admissible
+    assert is_admissible_chain(ts, 1, (ts.section(2, 1), ts.section(5, 3))).admissible
 
     tc = two_resource_cross
-    verdict = is_admissible_extension(tc, 1, (tc.section(3, 2),), tc.section(2, 2))
+    verdict = is_admissible_chain(tc, 1, (tc.section(3, 2), tc.section(2, 2)))
     assert not verdict.admissible and verdict.failed_condition == "FLO"
     assert verdict.witness == (tc.section(2, 1), tc.section(3, 2))
-
-
-def test_extension_rejects_inadmissible_base(nested_four_jobs):
-    ts = nested_four_jobs
-    with pytest.raises(ValueError):
-        is_admissible_extension(ts, 1, (ts.section(4, 1),), ts.section(2, 1))
 
 
 def test_chain_rejects_foreign_sections(nested_four_jobs):
     with pytest.raises(ValueError):
         is_admissible_chain(nested_four_jobs, 2, (nested_four_jobs.section(2, 1),))
+
+
+def test_chain_rejects_sections_of_an_equal_looking_set():
+    # sections compare equal by (job, position), so membership must be
+    # identity: b's z2,1 lasts 50 where a's lasts 5
+    a = parse_taskset("J1: [R1: 1]\nJ2: [R1: 5]")
+    b = parse_taskset("J1: [R1: 1]\nJ2: [R1: 50]")
+    assert b.section(2, 1) == a.section(2, 1)
+    with pytest.raises(ValueError):
+        is_admissible_chain(a, 1, (b.section(2, 1),))
+    assert is_admissible_chain(a, 1, (a.section(2, 1),)).admissible
 
 
 def test_prefix_closure_on_fixtures(nested_four_jobs, five_jobs_deep):
@@ -211,6 +253,35 @@ def test_agreement_with_reference_random(seed):
         )
 
 
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10**9))
+def test_verdicts_and_witnesses_match_definitions(seed):
+    import random
+
+    rng = random.Random(seed)
+    ts = random_taskset(seed, jobs=7, resources=6, sections_per_job=6, nesting_depth=4)
+    i = rng.randint(1, 3)
+    lower = [z for job in ts.jobs[i:] for z in job.sections]
+    # all pairs, and every section after admissible prefixes (where
+    # FHO/FLO can decide)
+    combos = list(itertools.permutations(lower, 2))
+    prefixes = itertools.islice(iter_admissible_chains(ts, i), 150)
+    combos += [prefix + (z,) for prefix in prefixes for z in lower]
+    for combo in combos:
+        verdict = is_admissible_chain(ts, i, combo)
+        got = (
+            None
+            if verdict.admissible
+            else (verdict.failed_condition, verdict.section, verdict.witness)
+        )
+        expected = _ref_verdict(ts, i, combo)
+        assert got == expected, [z.label for z in combo]
+        if expected is not None:
+            # equality of sections is by (job, position); identity pins
+            # them to this task set
+            assert all(a is b for a, b in zip(got[2] or (), expected[2] or ()))
+
+
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=10**9))
 def test_first_only_chains_never_fail_reachability(seed):
@@ -235,7 +306,7 @@ def _quick(ts: TaskSet, i: int):
     return (
         matrix,
         assignment,
-        quick_admissibility_verdict(ts, i, matrix, assignment, assignment.value),
+        quick_admissibility_verdict(ts, i, matrix, assignment),
     )
 
 

@@ -233,6 +233,26 @@ def test_index_bound_matches_matrix_path(seed):
         assert assignment.pairs == reference.pairs
 
 
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10**9))
+def test_matrix_cells_are_longest_sections(seed):
+    # reference from the definition: a cell is the longest duration the
+    # job spends on the resource, 0 where it never locks it
+    rng = random.Random(seed)
+    ts = random_taskset(seed, jobs=7, resources=7, sections_per_job=4, nesting_depth=3)
+    if rng.random() < 0.5:
+        ts = with_fractional_durations(ts, rng)
+    jobs = {j for j in range(1, ts.n + 1) if rng.random() < 0.7}
+    resources = {r for r in ts.resources if rng.random() < 0.7}
+    matrix = blocking_time_matrix(ts, jobs, resources)
+    assert matrix.jobs == tuple(sorted(jobs))
+    assert matrix.resources == tuple(sorted(resources))
+    for j, row in zip(matrix.jobs, matrix.rows):
+        for r, cell in zip(matrix.resources, row):
+            durations = [z.duration for z in ts.job(j).sections if z.resource == r]
+            assert cell == max(durations, default=0)
+
+
 @settings(max_examples=30, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=10**9))
 def test_shrinking_inputs_never_increases_bound(seed):

@@ -138,23 +138,46 @@ def test_search_matches_oracle_random(seed):
         assert chain_duration(result.witness) == result.blocking_time
 
 
-def test_standalone_expand_and_successors(five_jobs_deep):
-    from fractions import Fraction
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10**9), k=st.integers(min_value=2, max_value=9))
+def test_fractional_durations_scale_the_result(seed, k):
+    # the engine counts in units of 1/scale; dividing every duration by k
+    # must divide each exact value by k and change nothing else
+    import re
 
+    from pipblock import parse_taskset, serialize_taskset
+
+    ts = random_taskset(seed)
+    text = re.sub(r"(R\d+: )(\d+)", rf"\g<1>\g<2>/{k}", serialize_taskset(ts))
+    scaled = parse_taskset(text)
+    for i in range(1, ts.n + 1):
+        whole = blocking_time(ts, i)
+        part = blocking_time(scaled, i)
+        assert part.blocking_time == brute_force_blocking_time(scaled, i).best_duration
+        assert part.blocking_time == whole.blocking_time / k
+        assert [z.label for z in part.witness] == [z.label for z in whole.witness]
+        assert part.nodes_generated == whole.nodes_generated
+        assert part.nodes_expanded == whole.nodes_expanded
+
+
+def test_standalone_expand_and_successors(five_jobs_deep):
     from pipblock import Fringe, SearchNode, blocking_scope, expand, successors
+    from pipblock.search import _fresh_sections
+    from pipblock.taskset import _compiled
 
     ts = five_jobs_deep
+    index = _compiled(ts)
+    assert index.scale == 1  # node gains and heuristics read as durations
     scope = blocking_scope(ts, 1)
     h0, _ = hungarian_bound(ts, scope.relevant_jobs, scope.relevant_resources)
     root = SearchNode(
         chain=(),
-        chain_resources=frozenset(),
+        taken=0,
+        induced=index.mask(scope.direct_resources),
         remaining_resources=scope.relevant_resources,
         remaining_jobs=scope.relevant_jobs,
-        induced=scope.direct_resources,
-        candidate_jobs=scope.direct_jobs,
-        gain=Fraction(0),
-        heuristic=h0,
+        gain=0,
+        heuristic=index.scaled(h0),
         seq=0,
         batch=0,
     )
@@ -170,10 +193,16 @@ def test_standalone_expand_and_successors(five_jobs_deep):
     assert by_label["z2,1"].estimate == 26
     assert by_label["z3,3"].estimate == 10 and by_label["z3,3"].is_leaf
     assert by_label["z4,4"].estimate == 33
-    assert by_label["z4,4"].candidate_jobs == {5}
-    assert by_label["z2,1"].induced == {2, 3, 4}
+    # only J5 still owns a section eligible after z4,4
+    z44 = by_label["z4,4"]
+    assert {
+        k
+        for k in z44.remaining_jobs
+        if next(_fresh_sections(index, k, z44.induced, z44.taken), None)
+    } == {5}
+    assert by_label["z2,1"].induced == index.mask({2, 3, 4})
 
-    # a node whose candidate set is empty has no extensions and is
+    # a node without eligible sections has no extensions and is
     # re-marked as a leaf by expand
     leafish = by_label["z3,3"]
     leafish.seq, leafish.batch = 1, 1
@@ -183,11 +212,11 @@ def test_standalone_expand_and_successors(five_jobs_deep):
 
 
 def test_fringe_ordering_and_duplicate_guard(five_jobs_deep):
-    from fractions import Fraction
-
     from pipblock import Fringe, SearchNode
+    from pipblock.taskset import _compiled
 
     ts = five_jobs_deep
+    index = _compiled(ts)
 
     def node(label_chain, gain, heuristic, seq, batch):
         chain = tuple(
@@ -195,13 +224,12 @@ def test_fringe_ordering_and_duplicate_guard(five_jobs_deep):
         )
         return SearchNode(
             chain=chain,
-            chain_resources=frozenset(z.resource for z in chain),
+            taken=index.mask(z.resource for z in chain),
+            induced=0,
             remaining_resources=frozenset(),
             remaining_jobs=frozenset(),
-            induced=frozenset(),
-            candidate_jobs=frozenset(),
-            gain=Fraction(gain),
-            heuristic=Fraction(heuristic),
+            gain=gain,
+            heuristic=heuristic,
             seq=seq,
             batch=batch,
         )

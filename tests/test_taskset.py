@@ -128,19 +128,6 @@ def test_chain_duration(nested_four_jobs):
     assert chain_duration(()) == 0
 
 
-def test_held_resources(five_jobs_deep):
-    z23 = five_jobs_deep.section(2, 3)
-    assert z23.held_resources() == {2, 3, 4}
-    assert five_jobs_deep.section(2, 1).held_resources() == {4}
-
-
-def test_sections_within(nested_four_jobs):
-    ts = nested_four_jobs
-    inner = ts.sections_within(ts.section(2, 1))
-    assert [z.label for z in inner] == ["z2,2", "z2,3"]
-    assert ts.sections_within(ts.section(4, 1)) == ()
-
-
 def test_serialize_round_trip_fixture(five_jobs_deep):
     text = serialize_taskset(five_jobs_deep)
     assert parse_taskset(text) == five_jobs_deep

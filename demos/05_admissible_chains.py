@@ -43,6 +43,6 @@ print("chain", [z.label for z in bad], "->",
 scope = blocking_scope(ts, 1)
 matrix = blocking_time_matrix(ts, scope.relevant_jobs, scope.relevant_resources)
 assignment = max_assignment(matrix)
-screen = quick_admissibility_verdict(ts, 1, matrix, assignment)
+screen = quick_admissibility_verdict(ts, 1, assignment)
 print(f"\nbound {assignment.value}: screen", "passed" if screen.passed else
       f"failed ({screen.failed_condition})")

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .bound import AssignmentSet, BlockingMatrix
+from .bound import AssignmentSet
 from .relevance import _induced, direct_blocking_resources
 from .taskset import CriticalSection, TaskSet, ZChain, _compiled, _Index, _maximal, _Section
 
@@ -170,15 +170,15 @@ class QuickCheckResult:
 
 
 def quick_admissibility_verdict(
-    ts: TaskSet, i: int, matrix: BlockingMatrix, assignment: AssignmentSet
+    ts: TaskSet, i: int, assignment: AssignmentSet
 ) -> QuickCheckResult:
     """Try to realize the bound ``assignment.value`` as an admissible chain
     built from the assignment pairs.
 
     Pairs are consumed in ascending job order whenever their resource has
     entered the induction scope (seeded with the direct blocking set); for
-    each pair the leftmost section matching the resource at the cell's
-    duration is chosen, its nested resources join the scope and the
+    each pair the leftmost section of the job's longest duration on the
+    resource is chosen, its nested resources join the scope and the
     consumed resource leaves it.  If the accumulated duration falls short
     of the bound the screen fails; otherwise the constructed chain passes
     exactly when :func:`is_admissible_chain` accepts it.
@@ -186,14 +186,14 @@ def quick_admissibility_verdict(
     index = _compiled(ts)
     scope = index.mask(direct_blocking_resources(ts, i))
     chain: list[CriticalSection] = []
-    achieved = Fraction(0)
+    total = 0
     remaining = sorted(assignment.pairs)
     while True:
         pick = next(
             (
                 (job, resource)
                 for (job, resource) in remaining
-                if index.bits[resource] & scope and matrix.cell(job, resource) > 0
+                if index.bits[resource] & scope and index.longest[job - 1].get(resource, 0)
             ),
             None,
         )
@@ -201,15 +201,12 @@ def quick_admissibility_verdict(
             break
         remaining.remove(pick)
         job, resource = pick
-        target = matrix.cell(job, resource)
-        section = next(
-            z
-            for z in ts.job(job).sections
-            if z.resource == resource and z.duration == target
-        )
-        chain.append(section)
-        achieved += target
-        scope = (scope | index.entry(section).nested) & ~index.bits[resource]
+        bit, longest = index.bits[resource], index.longest[job - 1][resource]
+        s = next(e for e in index.sections[job - 1] if e.bit == bit and e.duration == longest)
+        chain.append(s.z)
+        total += longest
+        scope = (scope | s.nested) & ~bit
+    achieved = Fraction(total, index.scale)
     if achieved < assignment.value:
         return QuickCheckResult(
             passed=False,

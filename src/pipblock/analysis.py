@@ -99,7 +99,7 @@ def _analyze_job(ts: TaskSet, i: int, exact: bool) -> JobAnalysis:
     matrix = blocking_time_matrix(ts, scope.relevant_jobs, scope.relevant_resources)
     assignment = max_assignment(matrix)
     bound = assignment.value
-    quick = quick_admissibility_verdict(ts, i, matrix, assignment)
+    quick = quick_admissibility_verdict(ts, i, assignment)
 
     exact_value: Fraction | None = None
     witness: ZChain | None = None

@@ -5,10 +5,11 @@ is bounded by picking, for each job, at most one resource (all jobs and
 all resources distinct) and summing the longest section durations: an
 assignment problem solved here in its maximization form.  Cells of the
 blocking-time matrix hold the longest duration each job spends on each
-resource.
+resource, as the integers of the task set's compiled index: units of
+``1/scale``, the common denominator of the set's durations.
 
-One exact integer kernel solves it: the cells, scaled to integers by their
-common denominator and padded square (size ``n``) with zeros, get the cost
+One exact integer kernel solves it: the cells, padded square (size ``n``)
+with zeros, get the cost
 ``-d·nⁿ + c·n^(n-1-r)`` (row ``r``, column ``c``), and shortest augmenting
 paths with potentials (Jonker & Volgenant, *Computing* 38, 1987) find the
 minimum-cost permutation in O(n³) integer steps.  A permutation's
@@ -19,7 +20,7 @@ is the lexicographically smallest of the maximum-duration permutations.
 Invoked with the direct blocking sets this reproduces the classic
 single-resource-at-a-time bound; with the relevant (nesting-aware) sets it
 bounds the general case; applied to leftover job/resource subsets it is
-the admissible heuristic of the exact search.  Values are exact
+the admissible heuristic of the exact search.  Reported values are exact
 ``Fraction``; no floats are involved.
 """
 
@@ -47,14 +48,18 @@ __all__ = [
 @dataclass(frozen=True)
 class BlockingMatrix:
     """Longest-section durations, rows = jobs ascending, cols = resources
-    ascending; 0 where a job does not use a resource."""
+    ascending; 0 where a job does not use a resource.  ``weights`` holds
+    them as integers in units of ``1/scale``."""
 
     jobs: tuple[int, ...]
     resources: tuple[ResourceId, ...]
-    rows: tuple[tuple[Fraction, ...], ...]
+    weights: list[list[int]]
+    scale: int
 
-    def cell(self, job: int, resource: ResourceId) -> Fraction:
-        return self.rows[self.jobs.index(job)][self.resources.index(resource)]
+    @property
+    def rows(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The cells as exact durations."""
+        return tuple(tuple(Fraction(w, self.scale) for w in row) for row in self.weights)
 
 
 @dataclass(frozen=True)
@@ -91,11 +96,8 @@ def blocking_time_matrix(
     from the task set's compiled index."""
     job_ids, resource_ids = _checked_inputs(ts, jobs, resources)
     index = _compiled(ts)
-    rows = tuple(
-        tuple(Fraction(index.longest[j - 1].get(r, 0), index.scale) for r in resource_ids)
-        for j in job_ids
-    )
-    return BlockingMatrix(jobs=job_ids, resources=resource_ids, rows=rows)
+    weights = [[index.longest[j - 1].get(r, 0) for r in resource_ids] for j in job_ids]
+    return BlockingMatrix(job_ids, resource_ids, weights, index.scale)
 
 
 def max_assignment(matrix: BlockingMatrix) -> AssignmentSet:
@@ -105,28 +107,14 @@ def max_assignment(matrix: BlockingMatrix) -> AssignmentSet:
     permutation of the zero-padded square matrix in
     ``itertools.permutations`` order (see the module docstring).
     """
-    scale = math.lcm(*(cell.denominator for row in matrix.rows for cell in row))
-    weights = [
-        [cell.numerator * (scale // cell.denominator) for cell in row]
-        for row in matrix.rows
-    ]
-    return _assignment_set(weights, matrix.jobs, matrix.resources, scale)
-
-
-def _assignment_set(
-    weights: list[list[int]],
-    jobs: tuple[int, ...],
-    resources: tuple[ResourceId, ...],
-    scale: int,
-) -> AssignmentSet:
-    """Solve ``weights`` (durations times ``scale``) and name the pairs."""
+    jobs, resources, weights = matrix.jobs, matrix.resources, matrix.weights
     pairs = []
     total = 0
     for r, c in _max_weight_permutation(weights, len(resources)):
         if r < len(jobs) and c < len(resources) and weights[r][c] > 0:
             pairs.append((jobs[r], resources[c]))
             total += weights[r][c]
-    return AssignmentSet(pairs=tuple(pairs), value=Fraction(total, scale))
+    return AssignmentSet(pairs=tuple(pairs), value=Fraction(total, matrix.scale))
 
 
 def _max_weight_permutation(
@@ -187,17 +175,8 @@ def hungarian_bound(
     ts: TaskSet, jobs: Iterable[int], resources: Iterable[ResourceId]
 ) -> tuple[Fraction, AssignmentSet]:
     """Blocking-time bound for the given job/resource sets, with the
-    assignment realizing it.  Empty inputs give (0, empty).
-
-    Equals ``max_assignment(blocking_time_matrix(ts, jobs, resources))``,
-    but reads integer durations from the task set's compiled index.
-    """
-    job_ids, resource_ids = _checked_inputs(ts, jobs, resources)
-    index = _compiled(ts)
-    weights = [
-        [index.longest[j - 1].get(r, 0) for r in resource_ids] for j in job_ids
-    ]
-    assignment = _assignment_set(weights, job_ids, resource_ids, index.scale)
+    assignment realizing it.  Empty inputs give (0, empty)."""
+    assignment = max_assignment(blocking_time_matrix(ts, jobs, resources))
     return assignment.value, assignment
 
 

@@ -68,17 +68,20 @@ def uninformed_space_size(ts: TaskSet, i: int) -> int:
 
 def iter_admissible_chains(ts: TaskSet, i: int) -> Iterator[ZChain]:
     """Depth-first enumeration of every admissible chain for job ``i``,
-    starting from the empty chain."""
+    starting from the empty chain.
 
+    The walk keeps one generator of extensions per chain on the current
+    path in an explicit stack, so chain length is not limited by the
+    interpreter's recursion depth.
+    """
     index = _compiled(ts)
 
-    def walk(
+    def extensions(
         chain: ZChain,
         in_set: int,
         used_jobs: frozenset[int],
         used_resources: frozenset[int],
-    ) -> Iterator[ZChain]:
-        yield chain
+    ) -> Iterator[tuple[ZChain, int, frozenset[int], frozenset[int]]]:
         for job in ts.jobs[i:]:
             if job.index in used_jobs:
                 continue
@@ -86,14 +89,23 @@ def iter_admissible_chains(ts: TaskSet, i: int) -> Iterator[ZChain]:
                 if z.resource in used_resources:
                     continue
                 if _extension_failure(index, chain, in_set, z) is None:
-                    yield from walk(
+                    yield (
                         chain + (z,),
                         in_set | _induced(index, i, index.entry(z), in_set),
                         used_jobs | {job.index},
                         used_resources | {z.resource},
                     )
 
-    yield from walk((), index.mask(direct_blocking_resources(ts, i)), frozenset(), frozenset())
+    yield ()
+    direct = index.mask(direct_blocking_resources(ts, i))
+    stack = [extensions((), direct, frozenset(), frozenset())]
+    while stack:
+        step = next(stack[-1], None)
+        if step is None:
+            stack.pop()
+        else:
+            yield step[0]
+            stack.append(extensions(*step))
 
 
 def brute_force_blocking_time(

@@ -122,18 +122,16 @@ def induced_set(
 
 
 def _fixpoint(
-    ts: TaskSet, i: int, rng: random.Random | None
-) -> list[frozenset[ResourceId]]:
-    """Iterates of the relevant-resource fixpoint, starting from the direct
-    set and adding one non-empty induced set per step.
+    index: _Index, i: int, scope: int, rng: random.Random | None
+) -> list[int]:
+    """Mask iterates of the relevant-resource fixpoint, starting from the
+    direct-set mask ``scope`` and adding one non-empty induced set per step.
 
     The deterministic scan picks the first candidate in ascending job and
     section order; passing ``rng`` picks uniformly among all candidates
     (the least fixpoint is the same either way).
     """
-    index = _compiled(ts)
-    everything = index.mask(ts.resources)
-    scope = index.mask(direct_blocking_resources(ts, i))
+    everything = (1 << len(index.bits)) - 1
     trace = [scope]
     while scope != everything:
         candidates: list[int] = []
@@ -152,7 +150,7 @@ def _fixpoint(
         pick = candidates[0] if rng is None else rng.choice(candidates)
         scope |= pick
         trace.append(scope)
-    return [index.resources_of(mask) for mask in trace]
+    return trace
 
 
 def relevant_resources(
@@ -160,12 +158,16 @@ def relevant_resources(
 ) -> frozenset[ResourceId]:
     """All resources that can block job ``i`` once nesting and transitive
     inheritance are accounted for (least fixpoint of the induced sets)."""
-    return _fixpoint(ts, i, rng)[-1]
+    index = _compiled(ts)
+    direct = index.mask(direct_blocking_resources(ts, i))
+    return index.resources_of(_fixpoint(index, i, direct, rng)[-1])
 
 
 def fixpoint_trace(ts: TaskSet, i: int) -> list[frozenset[ResourceId]]:
     """The deterministic iterate sequence of :func:`relevant_resources`."""
-    return _fixpoint(ts, i, None)
+    index = _compiled(ts)
+    direct = index.mask(direct_blocking_resources(ts, i))
+    return [index.resources_of(mask) for mask in _fixpoint(index, i, direct, None)]
 
 
 def relevant_jobs(ts: TaskSet, i: int) -> frozenset[int]:
@@ -176,7 +178,8 @@ def relevant_jobs(ts: TaskSet, i: int) -> frozenset[int]:
 def blocking_scope(ts: TaskSet, i: int) -> BlockingScope:
     """Bundle all four blocking sets for job ``i``."""
     direct = direct_blocking_resources(ts, i)
-    relevant = relevant_resources(ts, i)
+    index = _compiled(ts)
+    relevant = index.resources_of(_fixpoint(index, i, index.mask(direct), None)[-1])
     return BlockingScope(
         target=i,
         direct_resources=direct,

@@ -119,7 +119,7 @@ def test_criterion_4_bound_gap_fixture():
     scope = blocking_scope(ts, 1)
     matrix = blocking_time_matrix(ts, scope.relevant_jobs, scope.relevant_resources)
     assignment = max_assignment(matrix)
-    quick = quick_admissibility_verdict(ts, 1, matrix, assignment)
+    quick = quick_admissibility_verdict(ts, 1, assignment)
     result = blocking_time(ts, 1)
     oracle = brute_force_blocking_time(ts, 1)
     ok = (
@@ -141,7 +141,7 @@ def test_criterion_5_quick_check_incompleteness():
     scope = blocking_scope(ts, 1)
     matrix = blocking_time_matrix(ts, scope.relevant_jobs, scope.relevant_resources)
     assignment = max_assignment(matrix)
-    quick = quick_admissibility_verdict(ts, 1, matrix, assignment)
+    quick = quick_admissibility_verdict(ts, 1, assignment)
     result = blocking_time(ts, 1)
     ok = (
         assignment.value == 4
@@ -208,13 +208,14 @@ def _assignment_brute_force(matrix) -> Fraction:
     n_rows, n_cols = len(matrix.jobs), len(matrix.resources)
     if n_rows == 0 or n_cols == 0:
         return Fraction(0)
+    cells = matrix.rows
     best = Fraction(0)
     if n_rows <= n_cols:
         for cols in itertools.permutations(range(n_cols), n_rows):
-            best = max(best, sum(matrix.rows[r][c] for r, c in enumerate(cols)))
+            best = max(best, sum(cells[r][c] for r, c in enumerate(cols)))
     else:
         for rows in itertools.permutations(range(n_rows), n_cols):
-            best = max(best, sum(matrix.rows[r][c] for c, r in enumerate(rows)))
+            best = max(best, sum(cells[r][c] for c, r in enumerate(rows)))
     return best
 
 

@@ -303,15 +303,11 @@ def _quick(ts: TaskSet, i: int):
     scope = blocking_scope(ts, i)
     matrix = blocking_time_matrix(ts, scope.relevant_jobs, scope.relevant_resources)
     assignment = max_assignment(matrix)
-    return (
-        matrix,
-        assignment,
-        quick_admissibility_verdict(ts, i, matrix, assignment),
-    )
+    return assignment, quick_admissibility_verdict(ts, i, assignment)
 
 
 def test_quick_check_passes_and_yields_witness(six_jobs_nested):
-    matrix, assignment, result = _quick(six_jobs_nested, 2)
+    assignment, result = _quick(six_jobs_nested, 2)
     assert assignment.value == 12
     assert result.passed
     assert [z.label for z in result.chain] == ["z3,1", "z4,1", "z5,1", "z6,1"]
@@ -323,7 +319,7 @@ def test_quick_check_passes_and_yields_witness(six_jobs_nested):
 def test_quick_check_incomplete_on_equal_length_twin(double_lock):
     # the bound 4 is attainable, but the leftmost-section rule picks z2,1
     # and the remaining pair never becomes reachable
-    _, assignment, result = _quick(double_lock, 1)
+    assignment, result = _quick(double_lock, 1)
     assert assignment.value == 4
     assert not result.passed
     assert result.failed_condition == "induction-compatibility"
@@ -332,7 +328,7 @@ def test_quick_check_incomplete_on_equal_length_twin(double_lock):
 
 
 def test_quick_check_fails_on_unreachable_allocation(two_resource_cross):
-    _, assignment, result = _quick(two_resource_cross, 1)
+    assignment, result = _quick(two_resource_cross, 1)
     assert assignment.value == 6
     assert not result.passed
     # z3,2 holds R2, which J2 takes in z2,1 before reaching chain member z2,2
@@ -344,13 +340,13 @@ def test_quick_check_fails_on_unreachable_allocation(two_resource_cross):
 
 
 def test_quick_check_fails_on_deep_fixture(five_jobs_deep):
-    _, assignment, result = _quick(five_jobs_deep, 1)
+    assignment, result = _quick(five_jobs_deep, 1)
     assert assignment.value == 33
     assert not result.passed
 
 
 def test_quick_check_trivial_for_lowest_job(six_jobs_disjoint):
-    _, assignment, result = _quick(six_jobs_disjoint, 6)
+    assignment, result = _quick(six_jobs_disjoint, 6)
     assert assignment.value == 0
     assert result.passed and result.chain == ()
 
@@ -360,7 +356,7 @@ def test_quick_check_trivial_for_lowest_job(six_jobs_disjoint):
 def test_quick_check_soundness_random(seed):
     ts = random_taskset(seed)
     for i in range(1, ts.n + 1):
-        matrix, assignment, result = _quick(ts, i)
+        assignment, result = _quick(ts, i)
         if result.passed:
             assert chain_duration(result.chain) == assignment.value
             assert is_admissible_chain(ts, i, result.chain).admissible

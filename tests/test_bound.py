@@ -28,13 +28,14 @@ def brute_force_assignment_value(matrix: BlockingMatrix) -> Fraction:
     n_rows, n_cols = len(matrix.jobs), len(matrix.resources)
     if n_rows == 0 or n_cols == 0:
         return Fraction(0)
+    cells = matrix.rows
     best = Fraction(0)
     if n_rows <= n_cols:
         for cols in itertools.permutations(range(n_cols), n_rows):
-            best = max(best, sum(matrix.rows[r][c] for r, c in enumerate(cols)))
+            best = max(best, sum(cells[r][c] for r, c in enumerate(cols)))
     else:
         for rows in itertools.permutations(range(n_rows), n_cols):
-            best = max(best, sum(matrix.rows[r][c] for c, r in enumerate(rows)))
+            best = max(best, sum(cells[r][c] for c, r in enumerate(rows)))
     return best
 
 
@@ -126,27 +127,24 @@ def test_per_job_bounds_refuses_cyclic(cross_nesting):
         per_job_bounds(cross_nesting)
 
 
-def _random_matrix(rng: random.Random) -> BlockingMatrix:
-    n_rows = rng.randint(1, 6)
-    n_cols = rng.randint(1, 6)
-    rows = tuple(
-        tuple(
-            Fraction(rng.randint(0, 10), rng.choice([1, 1, 1, 2, 4]))
-            for _ in range(n_cols)
-        )
-        for _ in range(n_rows)
-    )
+def _random_matrix(
+    rng: random.Random, n_rows: int, n_cols: int, values: list[int]
+) -> BlockingMatrix:
+    """Jobs 1..n_rows, resources 1..n_cols, integer weights drawn from
+    ``values`` and a random scale."""
     return BlockingMatrix(
         jobs=tuple(range(1, n_rows + 1)),
         resources=tuple(range(1, n_cols + 1)),
-        rows=rows,
+        weights=[[rng.choice(values) for _ in range(n_cols)] for _ in range(n_rows)],
+        scale=rng.choice([1, 1, 2, 3, 4]),
     )
 
 
 def test_hungarian_matches_permutation_brute_force():
     rng = random.Random(99)
     for _ in range(120):
-        matrix = _random_matrix(rng)
+        n_rows, n_cols = rng.randint(1, 6), rng.randint(1, 6)
+        matrix = _random_matrix(rng, n_rows, n_cols, list(range(41)))
         assignment = max_assignment(matrix)
         assert assignment.value == brute_force_assignment_value(matrix)
         # the assignment really uses all-distinct jobs and resources
@@ -154,8 +152,9 @@ def test_hungarian_matches_permutation_brute_force():
         resources = [r for _, r in assignment.pairs]
         assert len(set(jobs)) == len(jobs)
         assert len(set(resources)) == len(resources)
+        cells = matrix.rows
         assert (
-            sum((matrix.cell(j, r) for j, r in assignment.pairs), Fraction(0))
+            sum((cells[j - 1][r - 1] for j, r in assignment.pairs), Fraction(0))
             == assignment.value
         )
 
@@ -165,9 +164,10 @@ def first_best_permutation_pairs(matrix: BlockingMatrix):
     zero-padded square matrix in ``itertools.permutations`` order, with
     padding and zero cells dropped."""
     n_rows, n_cols = len(matrix.jobs), len(matrix.resources)
+    cells = matrix.rows
 
     def cell(r: int, c: int) -> Fraction:
-        return matrix.rows[r][c] if r < n_rows and c < n_cols else Fraction(0)
+        return cells[r][c] if r < n_rows and c < n_cols else Fraction(0)
 
     size = max(n_rows, n_cols)
     best_value, best_cols = None, None
@@ -190,17 +190,7 @@ def test_tie_break_is_first_best_permutation():
             rng.randint(1, 5),
             rng.randint(1, 5),
         )
-        matrix = BlockingMatrix(
-            jobs=tuple(range(1, n_rows + 1)),
-            resources=tuple(range(1, n_cols + 1)),
-            rows=tuple(
-                tuple(
-                    Fraction(rng.choice([0, 1, 2]), rng.choice([1, 2, 3]))
-                    for _ in range(n_cols)
-                )
-                for _ in range(n_rows)
-            ),
-        )
+        matrix = _random_matrix(rng, n_rows, n_cols, [0, 1, 2, 3])
         assignment = max_assignment(matrix)
         assert assignment.pairs == first_best_permutation_pairs(matrix)
         assert assignment.value == brute_force_assignment_value(matrix)
@@ -215,22 +205,6 @@ def with_fractional_durations(ts, rng: random.Random):
             serialize_taskset(ts),
         )
     )
-
-
-@settings(max_examples=40, deadline=None)
-@given(seed=st.integers(min_value=0, max_value=10**9))
-def test_index_bound_matches_matrix_path(seed):
-    rng = random.Random(seed)
-    ts = random_taskset(seed, jobs=7, resources=7, sections_per_job=4, nesting_depth=3)
-    if rng.random() < 0.5:
-        ts = with_fractional_durations(ts, rng)
-    for _ in range(6):
-        jobs = {j for j in range(1, ts.n + 1) if rng.random() < 0.6}
-        resources = {r for r in ts.resources if rng.random() < 0.6}
-        value, assignment = hungarian_bound(ts, jobs, resources)
-        reference = max_assignment(blocking_time_matrix(ts, jobs, resources))
-        assert value == reference.value == assignment.value
-        assert assignment.pairs == reference.pairs
 
 
 @settings(max_examples=40, deadline=None)

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from pipblock import (
@@ -47,6 +49,18 @@ def test_lowest_job_oracle(six_jobs_disjoint):
 def test_every_enumerated_chain_is_admissible(nested_four_jobs):
     for chain in iter_admissible_chains(nested_four_jobs, 1):
         assert is_admissible_chain(nested_four_jobs, 1, chain).admissible
+
+
+def test_chains_longer_than_the_recursion_limit():
+    # J1 locks R1..R1199 and J_k holds R_{k-1}: depth-first, the first
+    # chains grow by one section each, to 1199 sections.
+    length = 1200
+    lines = ["J1: " + " ".join(f"[R{k}: 1]" for k in range(1, length))]
+    lines += [f"J{k}: [R{k - 1}: 1]" for k in range(2, length + 1)]
+    ts = parse_taskset("\n".join(lines))
+    chains = list(itertools.islice(iter_admissible_chains(ts, 1), length))
+    assert [len(chain) for chain in chains] == list(range(length))
+    assert [z.job for z in chains[-1]] == list(range(2, length + 1))
 
 
 def test_limit_enforced(six_jobs_disjoint):

@@ -88,18 +88,25 @@ def _check_members(ts: TaskSet, i: int, chain: Sequence[CriticalSection]) -> Non
 
 
 def _extension_failure(
-    index: _Index, chain: Sequence[CriticalSection], in_set: int, z: CriticalSection
+    index: _Index,
+    chain: Sequence[CriticalSection],
+    jobs: int,
+    resources: int,
+    in_set: int,
+    z: CriticalSection,
 ) -> AdmissibilityVerdict | None:
-    """First violated condition when extending ``chain`` (whose induced set
-    has the mask ``in_set``) with ``z``, or None if ``z`` is an admissible
-    extension."""
-    for member in chain:
-        if member.job == z.job:
-            return AdmissibilityVerdict(False, NBJ, z, (member, z))
-    for member in chain:
-        if member.resource == z.resource:
-            return AdmissibilityVerdict(False, NBR, z, (member, z))
+    """First violated condition when extending ``chain`` with ``z``, or
+    None if ``z`` is an admissible extension.  ``jobs`` (bit j for job j),
+    ``resources`` and ``in_set`` are the masks of the chain's jobs, its
+    resources and its induced set; the chain is walked only to name the
+    member an NBJ or NBR failure conflicts with."""
+    if jobs >> z.job & 1:
+        member = next(m for m in chain if m.job == z.job)
+        return AdmissibilityVerdict(False, NBJ, z, (member, z))
     s = index.entry(z)
+    if resources & s.bit:
+        member = next(m for m in chain if m.resource == z.resource)
+        return AdmissibilityVerdict(False, NBR, z, (member, z))
     if not s.bit & in_set:
         return AdmissibilityVerdict(False, LSM, z, None)
     if not _maximal(s, in_set):
@@ -137,12 +144,16 @@ def is_admissible_chain(
     index = _compiled(ts)
     in_set = index.mask(direct_blocking_resources(ts, i))
     prefix: list[CriticalSection] = []
+    jobs = resources = 0
     for z in chain:
-        failure = _extension_failure(index, prefix, in_set, z)
+        failure = _extension_failure(index, prefix, jobs, resources, in_set, z)
         if failure is not None:
             return failure
         prefix.append(z)
-        in_set |= _induced(index, i, index.entry(z), in_set)
+        s = index.entry(z)
+        jobs |= 1 << z.job
+        resources |= s.bit
+        in_set |= _induced(index, i, s, in_set)
     return _OK
 
 

@@ -19,9 +19,11 @@ is the lexicographically smallest of the maximum-duration permutations.
 
 Invoked with the direct blocking sets this reproduces the classic
 single-resource-at-a-time bound; with the relevant (nesting-aware) sets it
-bounds the general case; applied to leftover job/resource subsets it is
-the admissible heuristic of the exact search.  Reported values are exact
-``Fraction``; no floats are involved.
+bounds the general case; over leftover job/resource subsets it is the
+admissible heuristic of the exact search, which solves only its root this
+way and repairs each child's assignment from its parent's with one
+:func:`_augment` step (see :mod:`~pipblock.search`).  Reported values are
+exact ``Fraction``; no floats are involved.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from typing import Callable, Iterable
 
 from .deadlock import require_acyclic
 from .relevance import blocking_scope
@@ -121,54 +123,81 @@ def _max_weight_permutation(
     weights: list[list[int]], n_cols: int
 ) -> list[tuple[int, int]]:
     """(row, column) cells of the lexicographically smallest maximum-weight
-    permutation of ``weights`` padded square with zeros, padding included.
-
-    Shortest augmenting paths with row and column potentials: each row in
-    turn is matched along a cheapest alternating path, found Dijkstra-style
-    over reduced costs, and the potentials keep every reduced cost
-    non-negative.  Column 0 is the virtual source of each path.
-    """
+    permutation of ``weights`` padded square with zeros, padding included."""
     n = max(len(weights), n_cols)
     unit = n**n  # exceeds every sum of perturbation terms
     cost = [[c * n ** (n - 1 - r) for c in range(n)] for r in range(n)]
     for r, row in enumerate(weights):
         for c, w in enumerate(row):
             cost[r][c] -= w * unit
+    _, _, owner = _solve(n, lambda r: cost[r - 1])
+    return sorted((owner[j] - 1, j - 1) for j in range(1, n + 1))
+
+
+def _solve(
+    n: int, cost_row: Callable[[int], list[int]]
+) -> tuple[list[int], list[int], list[int]]:
+    """Minimum-cost perfect matching of an ``n``×``n`` cost matrix, row
+    ``r`` (1-based) given by ``cost_row(r)``: each row in turn is matched
+    by :func:`_augment`.  Returns the row and column potentials and
+    ``owner``, all 1-based: ``owner[j]`` is the row matched to column j."""
     row_pot = [0] * (n + 1)
     col_pot = [0] * (n + 1)
-    owner = [0] * (n + 1)  # owner[j]: the row (1-based) matched to column j
+    owner = [0] * (n + 1)
     for i in range(1, n + 1):
-        owner[0] = i
-        j0 = 0
-        dist = [math.inf] * (n + 1)
-        via = [0] * (n + 1)
-        free = list(range(1, n + 1))
-        visited = [0]
-        while owner[j0]:
-            i0 = owner[j0]
-            row, u = cost[i0 - 1], row_pot[i0]
-            delta, j1 = math.inf, 0
-            for j in free:
-                reduced = row[j - 1] - u - col_pot[j]
-                d = dist[j]
-                if reduced < d:
-                    dist[j] = d = reduced
-                    via[j] = j0
-                if d < delta:
-                    delta, j1 = d, j
-            for j in visited:
-                row_pot[owner[j]] += delta
-                col_pot[j] -= delta
-            for j in free:
-                dist[j] -= delta
-            free.remove(j1)
-            visited.append(j1)
-            j0 = j1
-        while j0:
-            j1 = via[j0]
-            owner[j0] = owner[j1]
-            j0 = j1
-    return sorted((owner[j] - 1, j - 1) for j in range(1, n + 1))
+        _augment(cost_row, row_pot, col_pot, owner, i, list(range(1, n + 1)))
+    return row_pot, col_pot, owner
+
+
+def _augment(
+    cost_row: Callable[[int], list[int]],
+    row_pot: list[int],
+    col_pot: list[int],
+    owner: list[int],
+    i: int,
+    free: list[int],
+) -> None:
+    """Match the unmatched row ``i`` along a cheapest alternating path.
+
+    The path is found Dijkstra-style over the reduced costs
+    ``cost - row_pot - col_pot``, which the potentials keep non-negative,
+    and it is zero on every matched cell; the potentials are updated so
+    that this still holds afterwards, which makes the enlarged matching a
+    minimum-cost one.  ``cost_row(r)`` gives row r's costs (column j at
+    index j - 1) and is called only for rows the search visits; ``free``
+    lists the columns the path may use, some of them unmatched
+    (``owner[j] == 0``), and is consumed.  Column 0 is the virtual source
+    of the path.
+    """
+    owner[0] = i
+    j0 = 0
+    dist = [math.inf] * len(owner)
+    via = [0] * len(owner)
+    visited = [0]
+    while owner[j0]:
+        i0 = owner[j0]
+        row, u = cost_row(i0), row_pot[i0]
+        delta, j1 = math.inf, 0
+        for j in free:
+            reduced = row[j - 1] - u - col_pot[j]
+            d = dist[j]
+            if reduced < d:
+                dist[j] = d = reduced
+                via[j] = j0
+            if d < delta:
+                delta, j1 = d, j
+        for j in visited:
+            row_pot[owner[j]] += delta
+            col_pot[j] -= delta
+        for j in free:
+            dist[j] -= delta
+        free.remove(j1)
+        visited.append(j1)
+        j0 = j1
+    while j0:
+        j1 = via[j0]
+        owner[j0] = owner[j1]
+        j0 = j1
 
 
 def hungarian_bound(

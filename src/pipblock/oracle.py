@@ -77,28 +77,25 @@ def iter_admissible_chains(ts: TaskSet, i: int) -> Iterator[ZChain]:
     index = _compiled(ts)
 
     def extensions(
-        chain: ZChain,
-        in_set: int,
-        used_jobs: frozenset[int],
-        used_resources: frozenset[int],
-    ) -> Iterator[tuple[ZChain, int, frozenset[int], frozenset[int]]]:
+        chain: ZChain, jobs: int, resources: int, in_set: int
+    ) -> Iterator[tuple[ZChain, int, int, int]]:
         for job in ts.jobs[i:]:
-            if job.index in used_jobs:
+            if jobs >> job.index & 1:
                 continue
-            for z in job.sections:
-                if z.resource in used_resources:
+            for s in index.sections[job.index - 1]:
+                if resources & s.bit:
                     continue
-                if _extension_failure(index, chain, in_set, z) is None:
+                if _extension_failure(index, chain, jobs, resources, in_set, s.z) is None:
                     yield (
-                        chain + (z,),
-                        in_set | _induced(index, i, index.entry(z), in_set),
-                        used_jobs | {job.index},
-                        used_resources | {z.resource},
+                        chain + (s.z,),
+                        jobs | 1 << job.index,
+                        resources | s.bit,
+                        in_set | _induced(index, i, s, in_set),
                     )
 
     yield ()
     direct = index.mask(direct_blocking_resources(ts, i))
-    stack = [extensions((), direct, frozenset(), frozenset())]
+    stack = [extensions((), 0, 0, direct)]
     while stack:
         step = next(stack[-1], None)
         if step is None:

@@ -15,10 +15,28 @@ permutations of one section set have equal gain, heuristic and extension
 options, so exploring a set once suffices.  The duplicate guard therefore
 discards an extension exactly when its section set was generated before.
 
-Nodes live on the task set's compiled index: the chain's resources and
-induced set are bit masks, and gain and heuristic are integers in units
-of ``1/index.scale``, so the fringe orders by exact integer keys.  Only
-the returned result and the expansion records hold ``Fraction`` values.
+Nodes live on the task set's compiled index: the chain's resources, its
+induced set and the remaining jobs and resources are bit masks, and gain
+and heuristic are integers in units of ``1/index.scale``, so the fringe
+orders by exact integer keys.  Only the returned result (and the
+expansion records, on reading) hold ``Fraction`` values.
+
+Heuristics are inherited, not solved afresh.  A child's problem is its
+parent's minus the row of the added section's job and the column of its
+resource.  Deleting a row and a column from an optimal assignment leaves
+its dual potentials feasible, and at most one row unmatched; one
+augmenting path (:func:`~pipblock.bound._augment`) re-matches it and
+restores optimality in O(n²) (the dynamic Hungarian update of
+Mills-Tettey, Stentz & Dias, CMU-RI-TR-07-27, 2007).  The maximum
+assignment value is unique, so the repaired value equals a fresh
+``hungarian_bound`` over the child's sets, and with it every fringe key,
+node count and witness.  Only the root's estimate comes from
+``hungarian_bound``; the root's own duals are solved on its first
+expansion.  The deletion is well defined because ``z.job`` is a remaining
+job (extensions are drawn from them) and ``z.resource`` a remaining
+resource: ``z`` is maximal w.r.t. the induced set but not w.r.t. the
+chain's resources, and taken ⊆ induced ⊆ relevant, so its resource is
+relevant and not yet taken.
 """
 
 from __future__ import annotations
@@ -29,10 +47,19 @@ from fractions import Fraction
 from typing import Iterator
 
 from .admissibility import _obstruction
-from .bound import hungarian_bound
+from .bound import _augment, _solve, hungarian_bound
 from .deadlock import require_acyclic
 from .relevance import _induced, blocking_scope
-from .taskset import CriticalSection, ResourceId, TaskSet, ZChain, _compiled, _Index, _maximal
+from .taskset import (
+    CriticalSection,
+    ResourceId,
+    TaskSet,
+    ZChain,
+    _compiled,
+    _Index,
+    _maximal,
+    _positions,
+)
 
 __all__ = [
     "ExpansionRecord",
@@ -44,27 +71,35 @@ __all__ = [
     "successors",
 ]
 
+# A node's solved assignment: row potentials and matched columns (see _Assignment).
+_Dual = tuple[tuple[int, ...], tuple[int, ...]]
+
 
 @dataclass
 class SearchNode:
     """One search-tree node: a partial chain and its derived sets.
 
     ``taken`` and ``induced`` are resource masks of the task set's index:
-    the chain's resources and its induced set.  ``remaining_*`` are the
+    the chain's resources and its induced set.  ``remaining_resources``
+    (a resource mask) and ``remaining_jobs`` (bit ``j`` for job j) are the
     relevant sets minus what the chain used.  ``gain`` (the chain's
     duration) and ``heuristic`` are integers in units of ``1/index.scale``.
     ``seq`` and ``batch`` are bookkeeping for deterministic tie-breaking.
+    ``dual`` is the solved assignment behind ``heuristic`` in the compact
+    form :class:`_Assignment` reads, or None until the node solves its own
+    on first expansion.
     """
 
     chain: ZChain
     taken: int
     induced: int
-    remaining_resources: frozenset[ResourceId]
-    remaining_jobs: frozenset[int]
+    remaining_resources: int
+    remaining_jobs: int
     gain: int
     heuristic: int
     seq: int = -1
     batch: int = -1
+    dual: _Dual | None = None
 
     @property
     def estimate(self) -> int:
@@ -107,18 +142,29 @@ class Fringe:
 
 @dataclass(frozen=True)
 class ExpansionRecord:
-    """One Remove-First step, for traces and instrumentation."""
+    """One Remove-First step, for traces and instrumentation.  The expanded
+    node's gain and heuristic are kept as integers in units of
+    ``1/scale`` and read as exact durations."""
 
     seq: int
     chain: ZChain
-    gain: Fraction
-    heuristic: Fraction
+    gain_units: int
+    heuristic_units: int
+    scale: int
     extensions: tuple[str, ...]
     releafed: bool
 
     @property
+    def gain(self) -> Fraction:
+        return Fraction(self.gain_units, self.scale)
+
+    @property
+    def heuristic(self) -> Fraction:
+        return Fraction(self.heuristic_units, self.scale)
+
+    @property
     def estimate(self) -> Fraction:
-        return self.gain + self.heuristic
+        return Fraction(self.gain_units + self.heuristic_units, self.scale)
 
 
 @dataclass(frozen=True)
@@ -159,7 +205,7 @@ def successors(
     chain = node.chain
     members = frozenset(chain)
     index = _compiled(ts)
-    for j in sorted(node.remaining_jobs):
+    for j in _positions(node.remaining_jobs):
         for z in _fresh_sections(index, j, node.induced, node.taken):
             if fringe.already_generated(members | {z}):
                 continue
@@ -169,27 +215,109 @@ def successors(
     return tuple(extensions)
 
 
+class _Assignment:
+    """A node's optimal assignment, decoded once for its children to repair.
+
+    Rows are the node's remaining jobs ascending, then padding rows;
+    columns its remaining resources ascending, then padding columns; the
+    padding makes the problem square (size ``n``).  A cell costs minus its
+    weight (the job's longest duration on the resource, 0 for padding),
+    with no tie-break perturbation: the search needs only the value.  A
+    node stores the solution as ``dual = (potentials, matched)``, row r's
+    potential and its matched column for r = 1..n; the column potentials
+    follow from tightness, ``v_c = cost(r, c) - u_r`` for the row r
+    matched to c, because the matching is perfect.
+    """
+
+    def __init__(self, index: _Index, node: SearchNode) -> None:
+        self.longest = index.longest
+        self.jobs = _positions(node.remaining_jobs)
+        self.resources = [index.ids[k] for k in _positions(node.remaining_resources)]
+        self.n = n = max(len(self.jobs), len(self.resources))
+        self.pad = [0] * (n - len(self.resources))
+        if node.dual is None:
+            u, v, owner = _solve(n, self.row)
+            match = [0] * (n + 1)
+            for c in range(1, n + 1):
+                match[owner[c]] = c
+        else:
+            potentials, matched = node.dual
+            u, match = [0, *potentials], [0, *matched]
+            v, owner = [0] * (n + 1), [0] * (n + 1)
+            for r in range(1, n + 1):
+                c = match[r]
+                owner[c] = r
+                v[c] = self.cost(r, c) - u[r]
+        self.u, self.v, self.owner, self.match = u, v, owner, match
+
+    def row(self, r: int) -> list[int]:
+        """Row ``r``'s costs, column c at index c - 1."""
+        if r > len(self.jobs):
+            return [0] * self.n
+        longest = self.longest[self.jobs[r - 1] - 1]
+        return [-longest.get(res, 0) for res in self.resources] + self.pad
+
+    def cost(self, r: int, c: int) -> int:
+        """The cost of cell (r, c)."""
+        if r > len(self.jobs) or c > len(self.resources):
+            return 0
+        return -self.longest[self.jobs[r - 1] - 1].get(self.resources[c - 1], 0)
+
+    def without(self, job: int, resource: ResourceId) -> tuple[int, _Dual]:
+        """Value and dual of the optimal assignment once ``job``'s row and
+        ``resource``'s column are deleted.
+
+        The deletion leaves the potentials feasible and the matching
+        tight; the row that lost its column (if not ``job``'s own) is
+        re-matched by one augmenting path to the column ``job`` freed.
+        The value, the maximum total weight, is minus the dual objective:
+        the summed potentials of the remaining rows and columns.
+        """
+        rs = self.jobs.index(job) + 1
+        cs = self.resources.index(resource) + 1
+        u, v, owner, match = self.u, self.v, self.owner, self.match
+        if match[rs] != cs:
+            u, v, owner = u[:], v[:], owner[:]
+            owner[match[rs]] = 0
+            columns = [c for c in range(1, self.n + 1) if c != cs]
+            _augment(self.row, u, v, owner, owner[cs], columns[:])
+            match = [0] * (self.n + 1)
+            for c in columns:
+                match[owner[c]] = c
+        # u[0] stays 0; v[0] belongs to the paths' virtual source column
+        value = u[rs] + v[0] + v[cs] - sum(u) - sum(v)
+        potentials = tuple(u[1:rs] + u[rs + 1 :])
+        matched = tuple(c - (c > cs) for c in match[1:rs] + match[rs + 1 :])
+        return value, (potentials, matched)
+
+
 def expand(ts: TaskSet, i: int, node: SearchNode, fringe: Fringe) -> list[SearchNode]:
     """Successor nodes of ``node``; ``node`` itself (re-marked as a leaf)
     when it has no admissible extensions.
 
-    A successor gets the assignment heuristic only when some remaining
-    job still owns an eligible section; otherwise it is a leaf.  Creation
-    stops early when a successor is a leaf matching the parent's
-    estimate: that leaf already proves the branch's optimum.
+    A successor gets the assignment heuristic, repaired from ``node``'s
+    assignment, only when some remaining job still owns an eligible
+    section; otherwise it is a leaf.  Creation stops early when a
+    successor is a leaf matching the parent's estimate: that leaf already
+    proves the branch's optimum.
     """
     created: list[SearchNode] = []
     index = _compiled(ts)
+    assignment = None
     for z in successors(ts, i, node, fringe):
         s = index.entry(z)
-        remaining_jobs = node.remaining_jobs - {z.job}
-        remaining_resources = node.remaining_resources - {z.resource}
+        remaining_jobs = node.remaining_jobs & ~(1 << z.job)
+        remaining_resources = node.remaining_resources & ~s.bit
         taken = node.taken | s.bit
         induced = node.induced | _induced(index, i, s, node.induced)
-        heuristic = 0
-        if any(next(_fresh_sections(index, k, induced, taken), None) for k in remaining_jobs):
-            h, _ = hungarian_bound(ts, remaining_jobs, remaining_resources)
-            heuristic = index.scaled(h)
+        heuristic, dual = 0, None
+        if any(
+            next(_fresh_sections(index, k, induced, taken), None)
+            for k in _positions(remaining_jobs)
+        ):
+            if assignment is None:
+                assignment = _Assignment(index, node)
+            heuristic, dual = assignment.without(z.job, z.resource)
         successor = SearchNode(
             chain=node.chain + (z,),
             taken=taken,
@@ -198,6 +326,7 @@ def expand(ts: TaskSet, i: int, node: SearchNode, fringe: Fringe) -> list[Search
             remaining_jobs=remaining_jobs,
             gain=node.gain + s.duration,
             heuristic=heuristic,
+            dual=dual,
         )
         created.append(successor)
         if successor.is_leaf and successor.estimate == node.estimate:
@@ -222,8 +351,8 @@ def blocking_time(ts: TaskSet, i: int) -> SearchResult:
         chain=(),
         taken=0,
         induced=index.mask(scope.direct_resources),
-        remaining_resources=scope.relevant_resources,
-        remaining_jobs=scope.relevant_jobs,
+        remaining_resources=index.mask(scope.relevant_resources),
+        remaining_jobs=sum(1 << j for j in scope.relevant_jobs),
         gain=0,
         heuristic=index.scaled(h0),
         seq=0,
@@ -256,8 +385,9 @@ def blocking_time(ts: TaskSet, i: int) -> SearchResult:
             ExpansionRecord(
                 seq=node.seq,
                 chain=node.chain,
-                gain=Fraction(gain, index.scale),
-                heuristic=Fraction(heuristic, index.scale),
+                gain_units=gain,
+                heuristic_units=heuristic,
+                scale=index.scale,
                 extensions=tuple(
                     s.chain[-1].label for s in created if s is not node
                 ),

@@ -269,17 +269,19 @@ class _Index:
 
     Durations are integers in units of ``1/scale``, the common denominator
     of all durations, and resource sets are bit masks (``bits`` gives each
-    resource its bit).  ``longest[j-1]`` maps each resource job j uses to
-    its longest section duration, ``sections[j-1]`` holds job j's section
-    rows in position order, and ``users`` maps each resource bit to the
-    mask of the jobs using it (bit ``j`` for job j).
+    resource its bit, ``ids[k]`` is the resource of bit ``1 << k``).
+    ``longest[j-1]`` maps each resource job j uses to its longest section
+    duration, ``sections[j-1]`` holds job j's section rows in position
+    order, and ``users`` maps each resource bit to the mask of the jobs
+    using it (bit ``j`` for job j).
     """
 
-    __slots__ = ("scale", "bits", "longest", "sections", "users")
+    __slots__ = ("scale", "bits", "ids", "longest", "sections", "users")
 
     def __init__(self, ts: TaskSet) -> None:
         self.scale = math.lcm(*(z.duration.denominator for z in ts.iter_sections()))
-        self.bits = {r: 1 << k for k, r in enumerate(sorted(ts.resources))}
+        self.ids = sorted(ts.resources)
+        self.bits = {r: 1 << k for k, r in enumerate(self.ids)}
         self.users = dict.fromkeys(self.bits.values(), 0)
         self.longest: list[dict[ResourceId, int]] = []
         self.sections: list[list[_Section]] = []
@@ -318,6 +320,11 @@ class _Index:
     def resources_of(self, mask: int) -> frozenset[ResourceId]:
         """The resources whose bits are set in ``mask``."""
         return frozenset(r for r, bit in self.bits.items() if bit & mask)
+
+
+def _positions(mask: int) -> list[int]:
+    """The positions of the bits set in ``mask``, ascending."""
+    return [k for k in range(mask.bit_length()) if mask >> k & 1]
 
 
 def _maximal(s: _Section, mask: int) -> bool:

@@ -160,10 +160,71 @@ def test_fractional_durations_scale_the_result(seed, k):
         assert part.nodes_expanded == whole.nodes_expanded
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=10**9),
+    shape=st.sampled_from([(7, 4), (4, 7), (6, 6)]),
+    fractional=st.booleans(),
+)
+def test_repaired_assignment_matches_fresh_bound(seed, shape, fractional):
+    # A child's heuristic repairs its parent's optimal assignment after
+    # deleting one job row and one resource column.  Delete random pairs,
+    # and sometimes a row with its own matched column (no augmenting path),
+    # down to an empty side: every repaired value must equal a fresh
+    # hungarian_bound over the remaining sets.
+    import random
+    import re
+
+    from pipblock import SearchNode, parse_taskset, serialize_taskset
+    from pipblock.search import _Assignment
+    from pipblock.taskset import _compiled, _positions
+
+    rng = random.Random(seed)
+    ts = random_taskset(seed, jobs=8, resources=8, sections_per_job=4, nesting_depth=3)
+    if fractional:
+        k = rng.randint(2, 9)
+        ts = parse_taskset(re.sub(r"(R\d+: )(\d+)", rf"\g<1>\g<2>/{k}", serialize_taskset(ts)))
+    index = _compiled(ts)
+    jobs = rng.sample(range(1, ts.n + 1), shape[0])
+    resources = rng.sample(sorted(ts.resources), min(shape[1], len(ts.resources)))
+    node = SearchNode(
+        chain=(),
+        taken=0,
+        induced=0,
+        remaining_resources=index.mask(resources),
+        remaining_jobs=sum(1 << j for j in jobs),
+        gain=0,
+        heuristic=0,
+    )
+    while node.remaining_jobs and node.remaining_resources:
+        assignment = _Assignment(index, node)
+        job = rng.choice(assignment.jobs)
+        column = assignment.match[assignment.jobs.index(job) + 1]
+        if column <= len(assignment.resources) and rng.random() < 0.4:
+            resource = assignment.resources[column - 1]
+        else:
+            resource = rng.choice(assignment.resources)
+        value, dual = assignment.without(job, resource)
+        node = SearchNode(
+            chain=(),
+            taken=0,
+            induced=0,
+            remaining_resources=node.remaining_resources & ~index.bits[resource],
+            remaining_jobs=node.remaining_jobs & ~(1 << job),
+            gain=0,
+            heuristic=value,
+            dual=dual,
+        )
+        fresh, _ = hungarian_bound(
+            ts, _positions(node.remaining_jobs), index.resources_of(node.remaining_resources)
+        )
+        assert value == index.scaled(fresh)
+
+
 def test_standalone_expand_and_successors(five_jobs_deep):
     from pipblock import Fringe, SearchNode, blocking_scope, expand, successors
     from pipblock.search import _fresh_sections
-    from pipblock.taskset import _compiled
+    from pipblock.taskset import _compiled, _positions
 
     ts = five_jobs_deep
     index = _compiled(ts)
@@ -174,8 +235,8 @@ def test_standalone_expand_and_successors(five_jobs_deep):
         chain=(),
         taken=0,
         induced=index.mask(scope.direct_resources),
-        remaining_resources=scope.relevant_resources,
-        remaining_jobs=scope.relevant_jobs,
+        remaining_resources=index.mask(scope.relevant_resources),
+        remaining_jobs=sum(1 << j for j in scope.relevant_jobs),
         gain=0,
         heuristic=index.scaled(h0),
         seq=0,
@@ -197,7 +258,7 @@ def test_standalone_expand_and_successors(five_jobs_deep):
     z44 = by_label["z4,4"]
     assert {
         k
-        for k in z44.remaining_jobs
+        for k in _positions(z44.remaining_jobs)
         if next(_fresh_sections(index, k, z44.induced, z44.taken), None)
     } == {5}
     assert by_label["z2,1"].induced == index.mask({2, 3, 4})
@@ -226,8 +287,8 @@ def test_fringe_ordering_and_duplicate_guard(five_jobs_deep):
             chain=chain,
             taken=index.mask(z.resource for z in chain),
             induced=0,
-            remaining_resources=frozenset(),
-            remaining_jobs=frozenset(),
+            remaining_resources=0,
+            remaining_jobs=0,
             gain=gain,
             heuristic=heuristic,
             seq=seq,

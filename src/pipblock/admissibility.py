@@ -19,6 +19,15 @@ The empty chain is admissible; admissibility of a longer chain means every
 prefix extension passed.  The chain order is construction order, so the
 predicate is order-sensitive; the exact search explores orders.
 
+Every condition is a test on the compiled index's masks.  FHO and FLO
+are one predicate, :func:`_obstructed`, over the extension's row and two
+masks of the chain: ``above``, the OR of ``earlier`` over the members of
+higher priority than the extension's job, and ``below``, the OR of
+``held`` over those of lower priority (:func:`_priority_masks`).  Only a
+failure that has to be reported walks the chain, to name the witness
+pair; the exact search drops rejected extensions and calls the
+predicate alone.
+
 ``quick_admissibility_verdict`` is the fast screen run after the
 assignment bound: it tries to realize the bound as a chain by always
 taking the leftmost longest section per assignment pair, then checks the
@@ -112,28 +121,58 @@ def _extension_failure(
     if not _maximal(s, in_set):
         anc = next(a for a in z.ancestors() if index.bits[a.resource] & in_set)
         return AdmissibilityVerdict(False, LSM, z, (anc, z))
-    return _obstruction(index, chain, s)
+    above, below = _priority_masks(index, chain, z.job)
+    return _obstruction(index, chain, s, above, below)
+
+
+def _priority_masks(
+    index: _Index, chain: Sequence[CriticalSection], job: int
+) -> tuple[int, int]:
+    """``(above, below)`` for a section of ``job``: the OR of ``earlier``
+    over the chain members of higher priority (smaller job index) and the
+    OR of ``held`` over those of lower priority."""
+    above = below = 0
+    for member in chain:
+        if member.job < job:
+            above |= index.entry(member).earlier
+        elif member.job > job:
+            below |= index.entry(member).held
+    return above, below
+
+
+def _obstructed(s: _Section, above: int, below: int) -> bool:
+    """True iff FHO or FLO rejects the section of row ``s``: a resource it
+    holds is used by an earlier section of a higher-priority member (in
+    ``above``), or one of its job's earlier sections uses a resource a
+    lower-priority member holds (in ``below``)."""
+    return above & s.held != 0 or s.earlier & below != 0
 
 
 def _obstruction(
-    index: _Index, chain: Sequence[CriticalSection], s: _Section
+    index: _Index,
+    chain: Sequence[CriticalSection],
+    s: _Section,
+    above: int,
+    below: int,
 ) -> AdmissibilityVerdict | None:
     """FHO, then FLO, failure for extending ``chain`` with the section of
-    row ``s``, or None when neither obstruction applies.  The masks decide;
-    the conflicting earlier section (the job's first one on a resource in
-    the mask) is looked up only on failure."""
+    row ``s``, or None when neither obstruction applies; ``above`` and
+    ``below`` are the chain's priority masks for ``s``'s job (see
+    :func:`_priority_masks`).  The masks decide; only on failure is the
+    chain walked to name the witness pair: the first member, in chain
+    order, that obstructs on its own, with the job's first earlier
+    section on a resource of the conflict."""
+    if not _obstructed(s, above, below):
+        return None
     z = s.z
-    for member in chain:
-        if member.job < z.job and index.entry(member).earlier & s.held:
-            q = next(e.z for e in index.sections[member.job - 1] if e.bit & s.held)
-            return AdmissibilityVerdict(False, FHO, z, (q, member))
-    for member in chain:
-        if member.job > z.job:
-            held = index.entry(member).held
-            if s.earlier & held:
-                o = next(e.z for e in index.sections[z.job - 1] if e.bit & held)
-                return AdmissibilityVerdict(False, FLO, z, (o, member))
-    return None
+    rows = [index.entry(member) for member in chain]
+    for m in rows:
+        if m.z.job < z.job and _obstructed(s, m.earlier, 0):
+            q = next(e.z for e in index.sections[m.z.job - 1] if e.bit & s.held)
+            return AdmissibilityVerdict(False, FHO, z, (q, m.z))
+    m = next(m for m in rows if m.z.job > z.job and _obstructed(s, 0, m.held))
+    o = next(e.z for e in index.sections[z.job - 1] if e.bit & m.held)
+    return AdmissibilityVerdict(False, FLO, z, (o, m.z))
 
 
 def is_admissible_chain(

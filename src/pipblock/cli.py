@@ -4,6 +4,10 @@ Subcommands follow the analysis pipeline: ``check-deadlock``, ``scope``,
 ``bound``, ``blocking-time``, ``check-chain``, ``oracle``, the fixture
 generators under ``gen``, and the all-in-one ``analyze``.
 
+``--trace`` appends the search's expansion log to the text output of
+``analyze`` and ``blocking-time``; the JSON documents have no place for
+it, so ``--json --trace`` is a usage error rather than a silent drop.
+
 Exit codes: 0 ok, 1 usage or parse problem, 2 cyclic resource order,
 3 oracle limit exceeded.
 """
@@ -60,6 +64,7 @@ def cli() -> None:
 @click.pass_context
 def cmd_analyze(ctx, file, job, bound_only, as_json, trace) -> None:
     """Deadlock check, bound, quick screen and (by default) exact search."""
+    _refuse_json_trace(as_json, trace)
     ts = _load(file)
     report = analyze(ts, job=job, exact=not bound_only)
     if as_json:
@@ -73,6 +78,11 @@ def cmd_analyze(ctx, file, job, bound_only, as_json, trace) -> None:
                     _echo_expansions(a.search.expansions, "    ")
     if not report.deadlock.acyclic:
         ctx.exit(2)
+
+
+def _refuse_json_trace(as_json: bool, trace: bool) -> None:
+    if as_json and trace:
+        raise click.UsageError("--json and --trace cannot be combined")
 
 
 def _echo_expansions(records: Iterable[ExpansionRecord], indent: str) -> None:
@@ -171,6 +181,7 @@ def cmd_bound(file, job, as_json) -> None:
 @click.option("--json", "as_json", is_flag=True)
 def cmd_blocking_time(file, job, trace, as_json) -> None:
     """Exact worst-case blocking time with witness chain."""
+    _refuse_json_trace(as_json, trace)
     ts = _load(file)
     targets = [job] if job is not None else list(range(1, ts.n + 1))
     results = [(i, blocking_time(ts, i)) for i in targets]

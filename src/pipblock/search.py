@@ -14,6 +14,23 @@ fringe also remembers every chain set ever generated: differently-ordered
 permutations of one section set have equal gain, heuristic and extension
 options, so exploring a set once suffices.  The duplicate guard therefore
 discards an extension exactly when its section set was generated before.
+A section set is one integer: every section of the index has its own
+bit (``1 << _Section.key``), a node's ``members`` is the OR of its
+chain's bits, and the guard is a set of those integers, so a query is
+one OR and one hash of an int.
+
+Successor generation is mask arithmetic.  A candidate is fresh when
+maximal w.r.t. the induced set but not w.r.t. the chain's resources
+(:func:`_fresh`).  FHO and FLO are one test of the candidate's row
+against two masks of the chain (:func:`~pipblock.admissibility._obstructed`):
+``above``, the earlier-section resources of the members of higher
+priority than the candidate's job, and ``below``, the held resources of
+the members of lower priority.  Both depend only on the job, so
+``successors`` builds them once per remaining job, from prefix and suffix
+ORs over the chain sorted by job.  A rejected candidate is simply
+dropped: the search never names the conflicting pair, so it never walks
+the chain for a witness (:func:`~pipblock.admissibility._obstruction`
+does that for reports).
 
 Nodes live on the task set's compiled index: the chain's resources, its
 induced set and the remaining jobs and resources are bit masks, and gain
@@ -44,9 +61,8 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator
 
-from .admissibility import _obstruction
+from .admissibility import _obstructed
 from .bound import _augment, _solve, hungarian_bound
 from .deadlock import require_acyclic
 from .relevance import _induced, blocking_scope
@@ -59,6 +75,7 @@ from .taskset import (
     _Index,
     _maximal,
     _positions,
+    _Section,
 )
 
 __all__ = [
@@ -79,18 +96,20 @@ _Dual = tuple[tuple[int, ...], tuple[int, ...]]
 class SearchNode:
     """One search-tree node: a partial chain and its derived sets.
 
-    ``taken`` and ``induced`` are resource masks of the task set's index:
-    the chain's resources and its induced set.  ``remaining_resources``
-    (a resource mask) and ``remaining_jobs`` (bit ``j`` for job j) are the
-    relevant sets minus what the chain used.  ``gain`` (the chain's
-    duration) and ``heuristic`` are integers in units of ``1/index.scale``.
-    ``seq`` and ``batch`` are bookkeeping for deterministic tie-breaking.
-    ``dual`` is the solved assignment behind ``heuristic`` in the compact
-    form :class:`_Assignment` reads, or None until the node solves its own
-    on first expansion.
+    ``members`` is the chain's section set, the OR of ``1 << key`` over
+    its sections' index rows.  ``taken`` and ``induced`` are resource
+    masks of the task set's index: the chain's resources and its induced
+    set.  ``remaining_resources`` (a resource mask) and ``remaining_jobs``
+    (bit ``j`` for job j) are the relevant sets minus what the chain used.
+    ``gain`` (the chain's duration) and ``heuristic`` are integers in
+    units of ``1/index.scale``.  ``seq`` and ``batch`` are bookkeeping for
+    deterministic tie-breaking.  ``dual`` is the solved assignment behind
+    ``heuristic`` in the compact form :class:`_Assignment` reads, or None
+    until the node solves its own on first expansion.
     """
 
     chain: ZChain
+    members: int
     taken: int
     induced: int
     remaining_resources: int
@@ -113,14 +132,15 @@ class SearchNode:
 class Fringe:
     """Generated-but-unexpanded nodes, ordered for Remove-First.
 
-    Also keeps a permanent record of every chain set generated so far;
-    the duplicate guard queries it.
+    Also keeps a permanent record of every chain set generated so far, as
+    the ``members`` masks of the pushed nodes; the duplicate guard queries
+    it.
     """
 
     def __init__(self) -> None:
         self._heap: list[tuple[tuple, SearchNode]] = []
         self._live: set[int] = set()
-        self._generated: set[frozenset[CriticalSection]] = set()
+        self._generated: set[int] = set()
 
     def push(self, node: SearchNode) -> None:
         if node.seq < 0 or node.seq in self._live:
@@ -128,15 +148,16 @@ class Fringe:
         key = (-node.estimate, 0 if node.is_leaf else 1, -node.batch, node.seq)
         heapq.heappush(self._heap, (key, node))
         self._live.add(node.seq)
-        self._generated.add(frozenset(node.chain))
+        self._generated.add(node.members)
 
     def pop(self) -> SearchNode:
         _, node = heapq.heappop(self._heap)
         self._live.remove(node.seq)
         return node
 
-    def already_generated(self, sections: frozenset[CriticalSection]) -> bool:
-        """True iff a node with exactly this chain set was ever pushed."""
+    def already_generated(self, sections: int) -> bool:
+        """True iff a node with exactly this chain set (a ``members`` mask)
+        was ever pushed."""
         return sections in self._generated
 
 
@@ -178,15 +199,11 @@ class SearchResult:
     expansions: tuple[ExpansionRecord, ...] = ()
 
 
-def _fresh_sections(
-    index: _Index, job: int, induced: int, taken: int
-) -> Iterator[CriticalSection]:
-    """``job``'s sections, in position order, that are maximal w.r.t. the
-    ``induced`` resource mask but not w.r.t. the ``taken`` mask (the
-    chain's resources)."""
-    for s in index.sections[job - 1]:
-        if _maximal(s, induced) and not _maximal(s, taken):
-            yield s.z
+def _fresh(s: _Section, induced: int, taken: int) -> bool:
+    """True iff the section of row ``s`` is maximal w.r.t. the ``induced``
+    resource mask but not w.r.t. the ``taken`` mask (the chain's
+    resources): a candidate extension."""
+    return _maximal(s, induced) and not _maximal(s, taken)
 
 
 def successors(
@@ -194,24 +211,36 @@ def successors(
 ) -> tuple[CriticalSection, ...]:
     """Admissible extensions of ``node``'s chain, in job then section order.
 
-    Candidate sections are the ones maximal w.r.t. the node's induced set
-    but not already maximal w.r.t. the chain's resources (new job, new
+    Candidate sections are the remaining jobs' fresh ones (new job, new
     resource, limited-scope maximality); the duplicate guard discards
-    extensions whose chain was already generated; the FHO/FLO obstruction
-    check shared with :mod:`~pipblock.admissibility` rejects sections that
-    would block, or be blocked by, chain members.
+    extensions whose section set was already generated; the FHO/FLO
+    predicate shared with :mod:`~pipblock.admissibility` rejects sections
+    that would block, or be blocked by, chain members.  The chain's
+    priority masks for each remaining job come from prefix ORs of
+    ``earlier`` and suffix ORs of ``held`` over the chain sorted by job.
     """
-    extensions: list[CriticalSection] = []
-    chain = node.chain
-    members = frozenset(chain)
     index = _compiled(ts)
+    induced, taken, members = node.induced, node.taken, node.members
+    rows = sorted((index.entry(z) for z in node.chain), key=lambda m: m.z.job)
+    above = [0]
+    for m in rows:
+        above.append(above[-1] | m.earlier)
+    below = [0]
+    for m in reversed(rows):
+        below.append(below[-1] | m.held)
+    below.reverse()
+    extensions: list[CriticalSection] = []
+    k = 0
     for j in _positions(node.remaining_jobs):
-        for z in _fresh_sections(index, j, node.induced, node.taken):
-            if fringe.already_generated(members | {z}):
-                continue
-            if _obstruction(index, chain, index.entry(z)) is not None:
-                continue
-            extensions.append(z)
+        while k < len(rows) and rows[k].z.job < j:
+            k += 1
+        for s in index.sections[j - 1]:
+            if (
+                _fresh(s, induced, taken)
+                and not fringe.already_generated(members | 1 << s.key)
+                and not _obstructed(s, above[k], below[k])
+            ):
+                extensions.append(s.z)
     return tuple(extensions)
 
 
@@ -291,6 +320,26 @@ class _Assignment:
         return value, (potentials, matched)
 
 
+def _any_fresh(index: _Index, jobs: int, induced: int, taken: int) -> bool:
+    """True iff one of ``jobs`` (bit j for job j) owns a section fresh
+    w.r.t. ``induced`` and ``taken``.
+
+    Only the users of ``induced & ~taken`` are scanned, because a fresh
+    section's resource is in that set.  It is in ``induced``, as the
+    section is maximal w.r.t. it, and not in ``taken``: with
+    taken ⊆ induced, a section maximal w.r.t. ``induced`` whose resource
+    is taken is maximal w.r.t. ``taken`` too.
+    """
+    users = 0
+    for k in _positions(induced & ~taken):
+        users |= index.users[1 << k]
+    return any(
+        _fresh(s, induced, taken)
+        for j in _positions(jobs & users)
+        for s in index.sections[j - 1]
+    )
+
+
 def expand(ts: TaskSet, i: int, node: SearchNode, fringe: Fringe) -> list[SearchNode]:
     """Successor nodes of ``node``; ``node`` itself (re-marked as a leaf)
     when it has no admissible extensions.
@@ -311,15 +360,13 @@ def expand(ts: TaskSet, i: int, node: SearchNode, fringe: Fringe) -> list[Search
         taken = node.taken | s.bit
         induced = node.induced | _induced(index, i, s, node.induced)
         heuristic, dual = 0, None
-        if any(
-            next(_fresh_sections(index, k, induced, taken), None)
-            for k in _positions(remaining_jobs)
-        ):
+        if _any_fresh(index, remaining_jobs, induced, taken):
             if assignment is None:
                 assignment = _Assignment(index, node)
             heuristic, dual = assignment.without(z.job, z.resource)
         successor = SearchNode(
             chain=node.chain + (z,),
+            members=node.members | 1 << s.key,
             taken=taken,
             induced=induced,
             remaining_resources=remaining_resources,
@@ -349,6 +396,7 @@ def blocking_time(ts: TaskSet, i: int) -> SearchResult:
     h0, _ = hungarian_bound(ts, scope.relevant_jobs, scope.relevant_resources)
     root = SearchNode(
         chain=(),
+        members=0,
         taken=0,
         induced=index.mask(scope.direct_resources),
         remaining_resources=index.mask(scope.relevant_resources),

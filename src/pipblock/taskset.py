@@ -254,7 +254,11 @@ class _Section(NamedTuple):
     """One section's row of the index.  Masks hold resource bits: ``held``
     is the section's own resource and its enclosing sections' ones,
     ``earlier`` the resources of the job's earlier sections and ``nested``
-    those of the sections it contains; ``duration`` is scaled."""
+    those of the sections it contains; ``duration`` is scaled.  ``key``
+    numbers the set's sections job by job in position order, so a set of
+    sections is one integer, the OR of ``1 << key`` over its sections.
+    The position is stored rather than the bit: the bits of a large set
+    are long integers, and an index stays alive as long as its set."""
 
     z: CriticalSection
     bit: int
@@ -262,6 +266,7 @@ class _Section(NamedTuple):
     earlier: int
     nested: int
     duration: int
+    key: int
 
 
 class _Index:
@@ -285,6 +290,7 @@ class _Index:
         self.users = dict.fromkeys(self.bits.values(), 0)
         self.longest: list[dict[ResourceId, int]] = []
         self.sections: list[list[_Section]] = []
+        key = 0
         for job in ts.jobs:
             nested = [0] * len(job.sections)
             for z in reversed(job.sections):
@@ -298,7 +304,8 @@ class _Index:
                 bit = self.bits[z.resource]
                 held = bit | (rows[z.parent.position - 1].held if z.parent else 0)
                 duration = self.scaled(z.duration)
-                rows.append(_Section(z, bit, held, earlier, inner, duration))
+                rows.append(_Section(z, bit, held, earlier, inner, duration, key))
+                key += 1
                 longest[z.resource] = max(duration, longest.get(z.resource, 0))
                 self.users[bit] |= 1 << job.index
                 earlier |= bit

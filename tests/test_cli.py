@@ -83,6 +83,14 @@ def test_blocking_time_with_trace(tmp_path, capsys):
     assert set(doc[0]["witness"]) == {"z2,1", "z4,1", "z3,1", "z5,3"}
 
 
+@pytest.mark.parametrize("command", ["analyze", "blocking-time"])
+def test_json_with_trace_is_a_usage_error(command, nested_file, capsys):
+    assert main([command, nested_file, "--json", "--trace"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--json" in captured.err and "--trace" in captured.err
+
+
 def test_check_chain(nested_file, capsys):
     assert main(
         ["check-chain", nested_file, "--job", "1", "--chain", "z2,1 z3,2 z4,1"]

@@ -12,6 +12,7 @@ from pipblock import (
     per_job_bounds,
     random_taskset,
 )
+from test_admissibility import _ref_verdict
 
 
 def test_deep_fixture_exact_value_and_witness(five_jobs_deep):
@@ -189,6 +190,7 @@ def test_repaired_assignment_matches_fresh_bound(seed, shape, fractional):
     resources = rng.sample(sorted(ts.resources), min(shape[1], len(ts.resources)))
     node = SearchNode(
         chain=(),
+        members=0,
         taken=0,
         induced=0,
         remaining_resources=index.mask(resources),
@@ -207,6 +209,7 @@ def test_repaired_assignment_matches_fresh_bound(seed, shape, fractional):
         value, dual = assignment.without(job, resource)
         node = SearchNode(
             chain=(),
+            members=0,
             taken=0,
             induced=0,
             remaining_resources=node.remaining_resources & ~index.bits[resource],
@@ -223,7 +226,7 @@ def test_repaired_assignment_matches_fresh_bound(seed, shape, fractional):
 
 def test_standalone_expand_and_successors(five_jobs_deep):
     from pipblock import Fringe, SearchNode, blocking_scope, expand, successors
-    from pipblock.search import _fresh_sections
+    from pipblock.search import _fresh
     from pipblock.taskset import _compiled, _positions
 
     ts = five_jobs_deep
@@ -233,6 +236,7 @@ def test_standalone_expand_and_successors(five_jobs_deep):
     h0, _ = hungarian_bound(ts, scope.relevant_jobs, scope.relevant_resources)
     root = SearchNode(
         chain=(),
+        members=0,
         taken=0,
         induced=index.mask(scope.direct_resources),
         remaining_resources=index.mask(scope.relevant_resources),
@@ -259,7 +263,7 @@ def test_standalone_expand_and_successors(five_jobs_deep):
     assert {
         k
         for k in _positions(z44.remaining_jobs)
-        if next(_fresh_sections(index, k, z44.induced, z44.taken), None)
+        if any(_fresh(s, z44.induced, z44.taken) for s in index.sections[k - 1])
     } == {5}
     assert by_label["z2,1"].induced == index.mask({2, 3, 4})
 
@@ -285,6 +289,7 @@ def test_fringe_ordering_and_duplicate_guard(five_jobs_deep):
         )
         return SearchNode(
             chain=chain,
+            members=sum(1 << index.entry(z).key for z in chain),
             taken=index.mask(z.resource for z in chain),
             induced=0,
             remaining_resources=0,
@@ -308,8 +313,8 @@ def test_fringe_ordering_and_duplicate_guard(five_jobs_deep):
     assert fringe.pop() is older
 
     # generation memory persists across pops
-    assert fringe.already_generated(frozenset(newer.chain))
-    assert not fringe.already_generated(frozenset({ts.section(5, 3)}))
+    assert fringe.already_generated(newer.members)
+    assert not fringe.already_generated(1 << index.entry(ts.section(5, 3)).key)
 
 
 @settings(max_examples=40, deadline=None)
@@ -318,7 +323,7 @@ def test_index_maximality_matches_is_maximal(seed):
     import random
 
     from pipblock import is_maximal
-    from pipblock.search import _fresh_sections
+    from pipblock.search import _fresh
     from pipblock.taskset import _compiled
 
     rng = random.Random(seed)
@@ -333,5 +338,117 @@ def test_index_maximality_matches_is_maximal(seed):
                 for z in ts.job(j).sections
                 if is_maximal(z, induced) and not is_maximal(z, taken)
             ]
-            fresh = _fresh_sections(index, j, index.mask(induced), index.mask(taken))
-            assert list(fresh) == expected
+            fresh = [
+                s.z
+                for s in index.sections[j - 1]
+                if _fresh(s, index.mask(induced), index.mask(taken))
+            ]
+            assert fresh == expected
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10**9), fractional=st.booleans())
+def test_successors_match_the_definitions(seed, fractional):
+    # Walk random root-to-leaf paths of the search tree, expanding each node
+    # once and pushing its children as the search would.  At each new node
+    # the extensions must be exactly the sections, in job then position
+    # order, that are fresh (is_maximal), whose chain set was never
+    # generated, and that extend the chain admissibly, both by
+    # is_admissible_chain and by the definitions written out in
+    # test_admissibility.  On every section of a remaining job, the FHO/FLO
+    # mask predicate must agree with the witness walk and with FHO/FLO as
+    # defined on sections.
+    import random
+    import re
+
+    from pipblock import (
+        Fringe,
+        SearchNode,
+        blocking_scope,
+        expand,
+        is_maximal,
+        parse_taskset,
+        serialize_taskset,
+        successors,
+    )
+    from pipblock.admissibility import _obstructed, _obstruction, _priority_masks
+    from pipblock.taskset import _compiled
+
+    def held(z):
+        return {z.resource} | {a.resource for a in z.ancestors()}
+
+    def obstructed(chain, z):
+        fho = any(
+            q.resource in held(z)
+            for m in chain
+            if m.job < z.job
+            for q in ts.job(m.job).sections[: m.position - 1]
+        )
+        flo = any(
+            o.resource in held(m)
+            for m in chain
+            if m.job > z.job
+            for o in ts.job(z.job).sections[: z.position - 1]
+        )
+        return fho or flo
+
+    rng = random.Random(seed)
+    ts = random_taskset(seed, jobs=8, resources=6, sections_per_job=4, nesting_depth=3)
+    if fractional:
+        k = rng.randint(2, 9)
+        ts = parse_taskset(re.sub(r"(R\d+: )(\d+)", rf"\g<1>\g<2>/{k}", serialize_taskset(ts)))
+    index = _compiled(ts)
+    i = rng.randint(1, 3)
+    scope = blocking_scope(ts, i)
+    h0, _ = hungarian_bound(ts, scope.relevant_jobs, scope.relevant_resources)
+    root = SearchNode(
+        chain=(),
+        members=0,
+        taken=0,
+        induced=index.mask(scope.direct_resources),
+        remaining_resources=index.mask(scope.relevant_resources),
+        remaining_jobs=sum(1 << j for j in scope.relevant_jobs),
+        gain=0,
+        heuristic=index.scaled(h0),
+        seq=0,
+        batch=0,
+    )
+    fringe = Fringe()
+    fringe.push(root)
+    generated = {frozenset()}
+    children = {}
+    next_seq = 1
+    for _ in range(12):
+        node = root
+        while True:
+            if node.seq not in children:
+                chain = node.chain
+                induced = index.resources_of(node.induced)
+                taken = {z.resource for z in chain}
+                expected = []
+                for j in sorted(scope.relevant_jobs - {m.job for m in chain}):
+                    above, below = _priority_masks(index, chain, j)
+                    for z in ts.job(j).sections:
+                        s = index.entry(z)
+                        verdict = _obstructed(s, above, below)
+                        witness = _obstruction(index, chain, s, above, below)
+                        assert verdict == (witness is not None)
+                        assert verdict == obstructed(chain, z)
+                        if not is_maximal(z, induced) or is_maximal(z, taken):
+                            continue
+                        extended = chain + (z,)
+                        admissible = is_admissible_chain(ts, i, extended).admissible
+                        assert admissible == (_ref_verdict(ts, i, extended) is None)
+                        if admissible and frozenset(extended) not in generated:
+                            expected.append(z)
+                assert list(successors(ts, i, node, fringe)) == expected
+                created = [c for c in expand(ts, i, node, fringe) if c is not node]
+                for child in created:
+                    child.seq = child.batch = next_seq
+                    next_seq += 1
+                    fringe.push(child)
+                    generated.add(frozenset(child.chain))
+                children[node.seq] = created
+            if not children[node.seq]:
+                break
+            node = rng.choice(children[node.seq])

@@ -47,7 +47,7 @@ __all__ = ["cli", "main"]
 
 
 def _load(path: str) -> TaskSet:
-    return parse_taskset(Path(path).read_text(encoding="utf-8"))
+    return parse_taskset(Path(path).read_text(encoding="utf-8-sig"))
 
 
 @click.group()

@@ -19,11 +19,17 @@ bit (``1 << _Section.key``), a node's ``members`` is the OR of its
 chain's bits, and the guard is a set of those integers, so a query is
 one OR and one hash of an int.
 
-Successor generation is mask arithmetic.  A candidate is fresh when
-maximal w.r.t. the induced set but not w.r.t. the chain's resources
-(:func:`_fresh`).  FHO and FLO are one test of the candidate's row
-against two masks of the chain (:func:`~pipblock.admissibility._obstructed`):
-``above``, the earlier-section resources of the members of higher
+Successor generation is mask arithmetic.  Candidates satisfy LSM and
+NBR (maximal w.r.t. the induced set, resource new to the chain); one
+generator, :func:`_candidates`, finds them for the extensions and the
+leaf test.  NBR reads ``remaining_resources``, so a node keeps no mask
+``taken`` of the chain's resources: taken = relevant − remaining and
+taken ⊆ induced ⊆ relevant (a section joins only once its resource is
+induced, and induction stays within the relevant set), so
+induced − taken = induced ∩ remaining.  FHO and FLO are one test of the
+candidate's row against two masks of the chain
+(:func:`~pipblock.admissibility._obstructed`): ``above``, the
+earlier-section resources of the members of higher
 priority than the candidate's job, and ``below``, the held resources of
 the members of lower priority.  Both depend only on the job, so
 ``successors`` builds them once per remaining job, from prefix and suffix
@@ -32,7 +38,7 @@ dropped: the search never names the conflicting pair, so it never walks
 the chain for a witness (:func:`~pipblock.admissibility._obstruction`
 does that for reports).
 
-Nodes live on the task set's compiled index: the chain's resources, its
+Nodes live on the task set's compiled index: the chain's section set, its
 induced set and the remaining jobs and resources are bit masks, and gain
 and heuristic are integers in units of ``1/index.scale``, so the fringe
 orders by exact integer keys.  Only the returned result (and the
@@ -49,18 +55,18 @@ assignment value is unique, so the repaired value equals a fresh
 ``hungarian_bound`` over the child's sets, and with it every fringe key,
 node count and witness.  Only the root's estimate comes from
 ``hungarian_bound``; the root's own duals are solved on its first
-expansion.  The deletion is well defined because ``z.job`` is a remaining
-job (extensions are drawn from them) and ``z.resource`` a remaining
-resource: ``z`` is maximal w.r.t. the induced set but not w.r.t. the
-chain's resources, and taken ⊆ induced ⊆ relevant, so its resource is
-relevant and not yet taken.
+expansion.  The deletion is well defined because candidates are drawn
+from the remaining jobs and the remaining resources.
 """
 
 from __future__ import annotations
 
 import heapq
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
+from operator import or_
 
 from .admissibility import _obstructed
 from .bound import _augment, _solve, hungarian_bound
@@ -97,10 +103,10 @@ class SearchNode:
     """One search-tree node: a partial chain and its derived sets.
 
     ``members`` is the chain's section set, the OR of ``1 << key`` over
-    its sections' index rows.  ``taken`` and ``induced`` are resource
-    masks of the task set's index: the chain's resources and its induced
-    set.  ``remaining_resources`` (a resource mask) and ``remaining_jobs``
-    (bit ``j`` for job j) are the relevant sets minus what the chain used.
+    its sections' index rows.  ``induced`` is the chain's induced set, a
+    resource mask of the task set's index.  ``remaining_resources`` (a
+    resource mask) and ``remaining_jobs`` (bit ``j`` for job j) are the
+    relevant sets minus what the chain used.
     ``gain`` (the chain's duration) and ``heuristic`` are integers in
     units of ``1/index.scale``.  ``seq`` and ``batch`` are bookkeeping for
     deterministic tie-breaking.  ``dual`` is the solved assignment behind
@@ -110,7 +116,6 @@ class SearchNode:
 
     chain: ZChain
     members: int
-    taken: int
     induced: int
     remaining_resources: int
     remaining_jobs: int
@@ -199,11 +204,21 @@ class SearchResult:
     expansions: tuple[ExpansionRecord, ...] = ()
 
 
-def _fresh(s: _Section, induced: int, taken: int) -> bool:
-    """True iff the section of row ``s`` is maximal w.r.t. the ``induced``
-    resource mask but not w.r.t. the ``taken`` mask (the chain's
-    resources): a candidate extension."""
-    return _maximal(s, induced) and not _maximal(s, taken)
+def _candidates(
+    index: _Index, jobs: int, induced: int, remaining: int
+) -> Iterator[_Section]:
+    """The rows of ``jobs`` (bit j for job j) that may extend a chain, in
+    job then position order: maximal w.r.t. the ``induced`` resource mask
+    (LSM), with their resource in the ``remaining`` mask (NBR).  Only jobs
+    using a resource of ``induced & remaining`` can own one."""
+    free = induced & remaining
+    users = 0
+    for k in _positions(free):
+        users |= index.users[1 << k]
+    for j in _positions(jobs & users):
+        for s in index.sections[j - 1]:
+            if s.bit & free and _maximal(s, induced):
+                yield s
 
 
 def successors(
@@ -211,36 +226,29 @@ def successors(
 ) -> tuple[CriticalSection, ...]:
     """Admissible extensions of ``node``'s chain, in job then section order.
 
-    Candidate sections are the remaining jobs' fresh ones (new job, new
-    resource, limited-scope maximality); the duplicate guard discards
-    extensions whose section set was already generated; the FHO/FLO
+    Candidates come from :func:`_candidates` over the remaining jobs (new
+    job, new resource, limited-scope maximality); the duplicate guard
+    discards extensions whose section set was already generated; the FHO/FLO
     predicate shared with :mod:`~pipblock.admissibility` rejects sections
     that would block, or be blocked by, chain members.  The chain's
     priority masks for each remaining job come from prefix ORs of
     ``earlier`` and suffix ORs of ``held`` over the chain sorted by job.
     """
     index = _compiled(ts)
-    induced, taken, members = node.induced, node.taken, node.members
     rows = sorted((index.entry(z) for z in node.chain), key=lambda m: m.z.job)
-    above = [0]
-    for m in rows:
-        above.append(above[-1] | m.earlier)
-    below = [0]
-    for m in reversed(rows):
-        below.append(below[-1] | m.held)
-    below.reverse()
+    above = list(accumulate((m.earlier for m in rows), or_, initial=0))
+    below = list(accumulate((m.held for m in reversed(rows)), or_, initial=0))[::-1]
     extensions: list[CriticalSection] = []
     k = 0
-    for j in _positions(node.remaining_jobs):
-        while k < len(rows) and rows[k].z.job < j:
+    for s in _candidates(
+        index, node.remaining_jobs, node.induced, node.remaining_resources
+    ):
+        while k < len(rows) and rows[k].z.job < s.z.job:
             k += 1
-        for s in index.sections[j - 1]:
-            if (
-                _fresh(s, induced, taken)
-                and not fringe.already_generated(members | 1 << s.key)
-                and not _obstructed(s, above[k], below[k])
-            ):
-                extensions.append(s.z)
+        if fringe.already_generated(node.members | 1 << s.key):
+            continue
+        if not _obstructed(s, above[k], below[k]):
+            extensions.append(s.z)
     return tuple(extensions)
 
 
@@ -320,35 +328,14 @@ class _Assignment:
         return value, (potentials, matched)
 
 
-def _any_fresh(index: _Index, jobs: int, induced: int, taken: int) -> bool:
-    """True iff one of ``jobs`` (bit j for job j) owns a section fresh
-    w.r.t. ``induced`` and ``taken``.
-
-    Only the users of ``induced & ~taken`` are scanned, because a fresh
-    section's resource is in that set.  It is in ``induced``, as the
-    section is maximal w.r.t. it, and not in ``taken``: with
-    taken ⊆ induced, a section maximal w.r.t. ``induced`` whose resource
-    is taken is maximal w.r.t. ``taken`` too.
-    """
-    users = 0
-    for k in _positions(induced & ~taken):
-        users |= index.users[1 << k]
-    return any(
-        _fresh(s, induced, taken)
-        for j in _positions(jobs & users)
-        for s in index.sections[j - 1]
-    )
-
-
 def expand(ts: TaskSet, i: int, node: SearchNode, fringe: Fringe) -> list[SearchNode]:
     """Successor nodes of ``node``; ``node`` itself (re-marked as a leaf)
     when it has no admissible extensions.
 
     A successor gets the assignment heuristic, repaired from ``node``'s
-    assignment, only when some remaining job still owns an eligible
-    section; otherwise it is a leaf.  Creation stops early when a
-    successor is a leaf matching the parent's estimate: that leaf already
-    proves the branch's optimum.
+    assignment, only when it has a candidate extension; otherwise it is
+    a leaf.  Creation stops early when a successor is a leaf matching the
+    parent's estimate: that leaf already proves the branch's optimum.
     """
     created: list[SearchNode] = []
     index = _compiled(ts)
@@ -357,17 +344,16 @@ def expand(ts: TaskSet, i: int, node: SearchNode, fringe: Fringe) -> list[Search
         s = index.entry(z)
         remaining_jobs = node.remaining_jobs & ~(1 << z.job)
         remaining_resources = node.remaining_resources & ~s.bit
-        taken = node.taken | s.bit
         induced = node.induced | _induced(index, i, s, node.induced)
         heuristic, dual = 0, None
-        if _any_fresh(index, remaining_jobs, induced, taken):
+        candidate = _candidates(index, remaining_jobs, induced, remaining_resources)
+        if next(candidate, None) is not None:
             if assignment is None:
                 assignment = _Assignment(index, node)
             heuristic, dual = assignment.without(z.job, z.resource)
         successor = SearchNode(
             chain=node.chain + (z,),
             members=node.members | 1 << s.key,
-            taken=taken,
             induced=induced,
             remaining_resources=remaining_resources,
             remaining_jobs=remaining_jobs,
@@ -384,20 +370,16 @@ def expand(ts: TaskSet, i: int, node: SearchNode, fringe: Fringe) -> list[Search
     return created
 
 
-def blocking_time(ts: TaskSet, i: int) -> SearchResult:
-    """Exact maximum blocking time of job ``i`` with a witness chain.
-
-    Raises :class:`~pipblock.deadlock.CyclicResourceOrderError` when the
-    resource order is cyclic (blocking is unbounded).
-    """
-    require_acyclic(ts)
+def _root(ts: TaskSet, i: int) -> SearchNode:
+    """The search's root for job ``i``: the empty chain, inducing the
+    direct resources, with the relevant jobs and resources remaining and
+    the assignment bound over them as its estimate."""
     scope = blocking_scope(ts, i)
     index = _compiled(ts)
     h0, _ = hungarian_bound(ts, scope.relevant_jobs, scope.relevant_resources)
-    root = SearchNode(
+    return SearchNode(
         chain=(),
         members=0,
-        taken=0,
         induced=index.mask(scope.direct_resources),
         remaining_resources=index.mask(scope.relevant_resources),
         remaining_jobs=sum(1 << j for j in scope.relevant_jobs),
@@ -406,8 +388,18 @@ def blocking_time(ts: TaskSet, i: int) -> SearchResult:
         seq=0,
         batch=0,
     )
+
+
+def blocking_time(ts: TaskSet, i: int) -> SearchResult:
+    """Exact maximum blocking time of job ``i`` with a witness chain.
+
+    Raises :class:`~pipblock.deadlock.CyclicResourceOrderError` when the
+    resource order is cyclic (blocking is unbounded).
+    """
+    require_acyclic(ts)
+    index = _compiled(ts)
     fringe = Fringe()
-    fringe.push(root)
+    fringe.push(_root(ts, i))
     generated = 1
     expanded = 0
     next_seq = 1

@@ -331,7 +331,11 @@ class _Index:
 
 def _positions(mask: int) -> list[int]:
     """The positions of the bits set in ``mask``, ascending."""
-    return [k for k in range(mask.bit_length()) if mask >> k & 1]
+    positions = []
+    while mask:
+        positions.append((mask & -mask).bit_length() - 1)
+        mask &= mask - 1
+    return positions
 
 
 def _maximal(s: _Section, mask: int) -> bool:

@@ -163,6 +163,20 @@ def test_analyze_json_matches_text_values(tmp_path, capsys):
     assert "exact:    26" in out
 
 
+def test_byte_order_mark_is_ignored(tmp_path, capsys):
+    plain = tmp_path / "deep.txt"
+    plain.write_text(FIVE_JOBS_DEEP, encoding="utf-8")
+    marked = tmp_path / "deep_bom.txt"
+    marked.write_text(FIVE_JOBS_DEEP, encoding="utf-8-sig")
+    assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+    assert main(["bound", str(plain), "--json"]) == 0
+    expected = capsys.readouterr().out
+    assert main(["bound", str(marked), "--json"]) == 0
+    assert capsys.readouterr().out == expected
+    assert main(["analyze", str(marked), "--job", "1", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["jobs"][0]["exact"] == "26"
+
+
 def test_analyze_bound_only(tmp_path, capsys):
     path = tmp_path / "deep.txt"
     path.write_text(FIVE_JOBS_DEEP)

@@ -191,7 +191,6 @@ def test_repaired_assignment_matches_fresh_bound(seed, shape, fractional):
     node = SearchNode(
         chain=(),
         members=0,
-        taken=0,
         induced=0,
         remaining_resources=index.mask(resources),
         remaining_jobs=sum(1 << j for j in jobs),
@@ -210,7 +209,6 @@ def test_repaired_assignment_matches_fresh_bound(seed, shape, fractional):
         node = SearchNode(
             chain=(),
             members=0,
-            taken=0,
             induced=0,
             remaining_resources=node.remaining_resources & ~index.bits[resource],
             remaining_jobs=node.remaining_jobs & ~(1 << job),
@@ -225,27 +223,15 @@ def test_repaired_assignment_matches_fresh_bound(seed, shape, fractional):
 
 
 def test_standalone_expand_and_successors(five_jobs_deep):
-    from pipblock import Fringe, SearchNode, blocking_scope, expand, successors
-    from pipblock.search import _fresh
-    from pipblock.taskset import _compiled, _positions
+    from pipblock import Fringe, expand, successors
+    from pipblock.search import _candidates, _root
+    from pipblock.taskset import _compiled
 
     ts = five_jobs_deep
     index = _compiled(ts)
     assert index.scale == 1  # node gains and heuristics read as durations
-    scope = blocking_scope(ts, 1)
-    h0, _ = hungarian_bound(ts, scope.relevant_jobs, scope.relevant_resources)
-    root = SearchNode(
-        chain=(),
-        members=0,
-        taken=0,
-        induced=index.mask(scope.direct_resources),
-        remaining_resources=index.mask(scope.relevant_resources),
-        remaining_jobs=sum(1 << j for j in scope.relevant_jobs),
-        gain=0,
-        heuristic=index.scaled(h0),
-        seq=0,
-        batch=0,
-    )
+    root = _root(ts, 1)
+    assert root.estimate == 33
     fringe = Fringe()
     assert [z.label for z in successors(ts, 1, root, fringe)] == [
         "z2,1",
@@ -261,9 +247,8 @@ def test_standalone_expand_and_successors(five_jobs_deep):
     # only J5 still owns a section eligible after z4,4
     z44 = by_label["z4,4"]
     assert {
-        k
-        for k in _positions(z44.remaining_jobs)
-        if any(_fresh(s, z44.induced, z44.taken) for s in index.sections[k - 1])
+        s.z.job
+        for s in _candidates(index, z44.remaining_jobs, z44.induced, z44.remaining_resources)
     } == {5}
     assert by_label["z2,1"].induced == index.mask({2, 3, 4})
 
@@ -290,7 +275,6 @@ def test_fringe_ordering_and_duplicate_guard(five_jobs_deep):
         return SearchNode(
             chain=chain,
             members=sum(1 << index.entry(z).key for z in chain),
-            taken=index.mask(z.resource for z in chain),
             induced=0,
             remaining_resources=0,
             remaining_jobs=0,
@@ -320,10 +304,12 @@ def test_fringe_ordering_and_duplicate_guard(five_jobs_deep):
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=10**9))
 def test_index_maximality_matches_is_maximal(seed):
+    # _candidates (LSM and NBR on masks) against the definitions, job by
+    # job and over every job at once (job then position order)
     import random
 
     from pipblock import is_maximal
-    from pipblock.search import _fresh
+    from pipblock.search import _candidates
     from pipblock.taskset import _compiled
 
     rng = random.Random(seed)
@@ -332,18 +318,18 @@ def test_index_maximality_matches_is_maximal(seed):
     for _ in range(6):
         induced = {r for r in ts.resources if rng.random() < 0.5}
         taken = {r for r in ts.resources if rng.random() < 0.3}
+        masks = index.mask(induced), index.mask(ts.resources - taken)
+        everyone = []
         for j in range(1, ts.n + 1):
             expected = [
                 z
                 for z in ts.job(j).sections
-                if is_maximal(z, induced) and not is_maximal(z, taken)
+                if is_maximal(z, induced) and z.resource not in taken
             ]
-            fresh = [
-                s.z
-                for s in index.sections[j - 1]
-                if _fresh(s, index.mask(induced), index.mask(taken))
-            ]
-            assert fresh == expected
+            assert [s.z for s in _candidates(index, 1 << j, *masks)] == expected
+            everyone += expected
+        jobs = sum(1 << j for j in range(1, ts.n + 1))
+        assert [s.z for s in _candidates(index, jobs, *masks)] == everyone
 
 
 @settings(max_examples=40, deadline=None)
@@ -351,9 +337,12 @@ def test_index_maximality_matches_is_maximal(seed):
 def test_successors_match_the_definitions(seed, fractional):
     # Walk random root-to-leaf paths of the search tree, expanding each node
     # once and pushing its children as the search would.  At each new node
-    # the extensions must be exactly the sections, in job then position
-    # order, that are fresh (is_maximal), whose chain set was never
-    # generated, and that extend the chain admissibly, both by
+    # the induced set must lie within the relevant resources and the
+    # chain's resources must be exactly the relevant ones no longer
+    # remaining (the search reads NBR on remaining_resources on that
+    # ground).  The extensions must be exactly the sections, in job then
+    # position order, that satisfy LSM (is_maximal) and NBR, whose chain
+    # set was never generated, and that extend the chain admissibly, both by
     # is_admissible_chain and by the definitions written out in
     # test_admissibility.  On every section of a remaining job, the FHO/FLO
     # mask predicate must agree with the witness walk and with FHO/FLO as
@@ -363,7 +352,6 @@ def test_successors_match_the_definitions(seed, fractional):
 
     from pipblock import (
         Fringe,
-        SearchNode,
         blocking_scope,
         expand,
         is_maximal,
@@ -372,6 +360,7 @@ def test_successors_match_the_definitions(seed, fractional):
         successors,
     )
     from pipblock.admissibility import _obstructed, _obstruction, _priority_masks
+    from pipblock.search import _root
     from pipblock.taskset import _compiled
 
     def held(z):
@@ -400,19 +389,8 @@ def test_successors_match_the_definitions(seed, fractional):
     index = _compiled(ts)
     i = rng.randint(1, 3)
     scope = blocking_scope(ts, i)
-    h0, _ = hungarian_bound(ts, scope.relevant_jobs, scope.relevant_resources)
-    root = SearchNode(
-        chain=(),
-        members=0,
-        taken=0,
-        induced=index.mask(scope.direct_resources),
-        remaining_resources=index.mask(scope.relevant_resources),
-        remaining_jobs=sum(1 << j for j in scope.relevant_jobs),
-        gain=0,
-        heuristic=index.scaled(h0),
-        seq=0,
-        batch=0,
-    )
+    relevant = index.mask(scope.relevant_resources)
+    root = _root(ts, i)
     fringe = Fringe()
     fringe.push(root)
     generated = {frozenset()}
@@ -425,6 +403,8 @@ def test_successors_match_the_definitions(seed, fractional):
                 chain = node.chain
                 induced = index.resources_of(node.induced)
                 taken = {z.resource for z in chain}
+                assert node.induced & ~relevant == 0
+                assert index.mask(taken) == relevant & ~node.remaining_resources
                 expected = []
                 for j in sorted(scope.relevant_jobs - {m.job for m in chain}):
                     above, below = _priority_masks(index, chain, j)
@@ -434,7 +414,7 @@ def test_successors_match_the_definitions(seed, fractional):
                         witness = _obstruction(index, chain, s, above, below)
                         assert verdict == (witness is not None)
                         assert verdict == obstructed(chain, z)
-                        if not is_maximal(z, induced) or is_maximal(z, taken):
+                        if not is_maximal(z, induced) or z.resource in taken:
                             continue
                         extended = chain + (z,)
                         admissible = is_admissible_chain(ts, i, extended).admissible

@@ -43,7 +43,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .bound import AssignmentSet
-from .relevance import _induced, direct_blocking_resources
+from .relevance import _direct, _induced
 from .taskset import CriticalSection, TaskSet, ZChain, _compiled, _Index, _maximal, _Section
 
 __all__ = [
@@ -181,7 +181,7 @@ def is_admissible_chain(
     """Check a whole chain: every prefix extension, in the stated order."""
     _check_members(ts, i, chain)
     index = _compiled(ts)
-    in_set = index.mask(direct_blocking_resources(ts, i))
+    in_set = _direct(index, i)
     prefix: list[CriticalSection] = []
     jobs = resources = 0
     for z in chain:
@@ -234,7 +234,7 @@ def quick_admissibility_verdict(
     exactly when :func:`is_admissible_chain` accepts it.
     """
     index = _compiled(ts)
-    scope = index.mask(direct_blocking_resources(ts, i))
+    scope = _direct(index, i)
     chain: list[CriticalSection] = []
     total = 0
     remaining = sorted(assignment.pairs)

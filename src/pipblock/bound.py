@@ -17,13 +17,15 @@ perturbation terms spell its column sequence as a base-n number below
 ``nⁿ``, so they never outweigh one unit of duration: the unique optimum
 is the lexicographically smallest of the maximum-duration permutations.
 
-Invoked with the direct blocking sets this reproduces the classic
-single-resource-at-a-time bound; with the relevant (nesting-aware) sets it
-bounds the general case; over leftover job/resource subsets it is the
-admissible heuristic of the exact search, which solves only its root this
-way and repairs each child's assignment from its parent's with one
-:func:`_augment` step (see :mod:`~pipblock.search`).  Reported values are
-exact ``Fraction``; no floats are involved.
+Its one front end, :class:`_Assignment`, is a solved square cost matrix:
+solved from scratch, decoded from a stored compact dual, or repaired
+after one row and one column are deleted.  Invoked with the direct
+blocking sets this reproduces the classic single-resource-at-a-time
+bound; with the relevant (nesting-aware) sets it bounds the general case;
+over leftover job/resource subsets, unperturbed, it is the admissible
+heuristic of the exact search, which solves only its root from scratch
+and repairs each child from its parent (see :mod:`~pipblock.search`).
+Reported values are exact ``Fraction``; no floats are involved.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable
+from typing import Iterable
 
 from .deadlock import require_acyclic
 from .relevance import blocking_scope
@@ -130,27 +132,67 @@ def _max_weight_permutation(
     for r, row in enumerate(weights):
         for c, w in enumerate(row):
             cost[r][c] -= w * unit
-    _, _, owner = _solve(n, lambda r: cost[r - 1])
-    return sorted((owner[j] - 1, j - 1) for j in range(1, n + 1))
+    owner = _Assignment(cost).owner
+    return sorted((owner[c] - 1, c - 1) for c in range(1, n + 1))
 
 
-def _solve(
-    n: int, cost_row: Callable[[int], list[int]]
-) -> tuple[list[int], list[int], list[int]]:
-    """Minimum-cost perfect matching of an ``n``×``n`` cost matrix, row
-    ``r`` (1-based) given by ``cost_row(r)``: each row in turn is matched
-    by :func:`_augment`.  Returns the row and column potentials and
-    ``owner``, all 1-based: ``owner[j]`` is the row matched to column j."""
-    row_pot = [0] * (n + 1)
-    col_pot = [0] * (n + 1)
-    owner = [0] * (n + 1)
-    for i in range(1, n + 1):
-        _augment(cost_row, row_pot, col_pot, owner, i, list(range(1, n + 1)))
-    return row_pot, col_pot, owner
+# A solved assignment in compact form: the row potentials and the row
+# matched to each column.
+_Dual = tuple[tuple[int, ...], tuple[int, ...]]
+
+
+class _Assignment:
+    """A minimum-cost perfect matching of the square integer matrix
+    ``cost`` with its dual potentials.
+
+    ``u`` and ``v`` are the row and column potentials and ``owner[c]`` is
+    the row matched to column c, all 1-based (index 0 is the virtual
+    source column of :func:`_augment`).  The reduced costs
+    ``cost - u - v`` are non-negative, and zero on the matched cells.
+    Without ``dual`` each row in turn is matched by :func:`_augment`; a
+    ``dual`` is decoded, the column potentials following from tightness:
+    ``v[c] = cost(owner[c], c) - u[owner[c]]``.
+    """
+
+    def __init__(self, cost: list[list[int]], dual: _Dual | None = None) -> None:
+        self.cost = cost
+        n = len(cost)
+        if dual is None:
+            self.u, self.v, self.owner = [0] * (n + 1), [0] * (n + 1), [0] * (n + 1)
+            for i in range(1, n + 1):
+                _augment(cost, self.u, self.v, self.owner, i, list(range(1, n + 1)))
+        else:
+            potentials, rows = dual
+            self.u, self.owner = [0, *potentials], [0, *rows]
+            self.v = [0] + [cost[r - 1][c] - self.u[r] for c, r in enumerate(rows)]
+
+    def without(self, rs: int, cs: int) -> tuple[int, _Dual]:
+        """Minimum cost and compact dual once row ``rs`` and column ``cs``
+        (0-based) are deleted, later rows and columns moving up by one.
+
+        The deletion leaves the potentials feasible and the matching
+        tight; the row that lost its column (if not row ``rs``) is
+        re-matched to the column ``rs`` freed by one augmenting path, in
+        O(n²) (the dynamic Hungarian update of Mills-Tettey, Stentz &
+        Dias, CMU-RI-TR-07-27, 2007).  The minimum cost is the summed
+        potentials of the remaining rows and columns.
+        """
+        rs, cs = rs + 1, cs + 1
+        u, v, owner = self.u, self.v, self.owner
+        columns = [c for c in range(1, len(owner)) if c != cs]
+        if owner[cs] != rs:
+            u, v, owner = u[:], v[:], owner[:]
+            owner[owner.index(rs, 1)] = 0
+            _augment(self.cost, u, v, owner, owner[cs], columns[:])
+        # u[0] stays 0; v[0] belongs to the paths' virtual source column
+        value = sum(u) + sum(v) - u[rs] - v[0] - v[cs]
+        potentials = tuple(u[1:rs] + u[rs + 1 :])
+        rows = tuple(owner[c] - (owner[c] > rs) for c in columns)
+        return value, (potentials, rows)
 
 
 def _augment(
-    cost_row: Callable[[int], list[int]],
+    cost: list[list[int]],
     row_pot: list[int],
     col_pot: list[int],
     owner: list[int],
@@ -163,11 +205,10 @@ def _augment(
     ``cost - row_pot - col_pot``, which the potentials keep non-negative,
     and it is zero on every matched cell; the potentials are updated so
     that this still holds afterwards, which makes the enlarged matching a
-    minimum-cost one.  ``cost_row(r)`` gives row r's costs (column j at
-    index j - 1) and is called only for rows the search visits; ``free``
-    lists the columns the path may use, some of them unmatched
-    (``owner[j] == 0``), and is consumed.  Column 0 is the virtual source
-    of the path.
+    minimum-cost one.  Rows and columns are 1-based, ``cost[r - 1][j - 1]``
+    being cell (r, j); ``free`` lists the columns the path may use, some
+    of them unmatched (``owner[j] == 0``), and is consumed.  Column 0 is
+    the virtual source of the path.
     """
     owner[0] = i
     j0 = 0
@@ -176,7 +217,7 @@ def _augment(
     visited = [0]
     while owner[j0]:
         i0 = owner[j0]
-        row, u = cost_row(i0), row_pot[i0]
+        row, u = cost[i0 - 1], row_pot[i0]
         delta, j1 = math.inf, 0
         for j in free:
             reduced = row[j - 1] - u - col_pot[j]

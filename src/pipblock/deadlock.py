@@ -3,17 +3,22 @@
 Nested critical sections acquire resources outer-to-inner, so mapping
 resources to vertices and containment to directed edges (outer -> inner)
 yields a graph that must be acyclic for the task set to be deadlock-free.
-The check runs one strongly-connected-components pass; a cyclic verdict
-carries a witness cycle.  Downstream analyses refuse cyclic task sets,
-since with a reachable deadlock the blocking time is unbounded.
+The graph is one successor mask per resource, the OR of the compiled
+index's ``nested`` masks over the resource's sections, so it holds no
+object per edge (a job nested d deep has d(d-1)/2 edges).  The check runs
+one strongly-connected-components pass over the masks; a cyclic verdict
+carries a witness cycle, found among the cyclic resources only.
+Downstream analyses refuse cyclic task sets, since with a reachable
+deadlock the blocking time is unbounded.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from itertools import count
 
-from .taskset import ResourceId, TaskSet
+from .taskset import ResourceId, TaskSet, _compiled, _Index, _positions
 
 __all__ = [
     "CyclicResourceOrderError",
@@ -55,27 +60,38 @@ class CyclicResourceOrderError(Exception):
         super().__init__(f"resource acquisition order is cyclic: {pretty}")
 
 
+def _successors(index: _Index) -> list[int]:
+    """Each resource's successor mask, the OR of ``nested`` over its
+    sections: bit ``1 << w`` of entry ``v`` is the edge from resource
+    ``index.ids[v]`` to resource ``index.ids[w]``."""
+    out = [0] * len(index.ids)
+    for rows in index.sections:
+        for s in rows:
+            out[s.bit.bit_length() - 1] |= s.nested
+    return out
+
+
 def build_order_graph(ts: TaskSet) -> ResourceOrderGraph:
     """Build the outer->inner resource acquisition graph of ``ts``."""
-    edges: set[tuple[ResourceId, ResourceId]] = set()
-    for z in ts.iter_sections():
-        for anc in z.ancestors():
-            edges.add((anc.resource, z.resource))
-    return ResourceOrderGraph(vertices=ts.resources, edges=frozenset(edges))
+    index = _compiled(ts)
+    edges = frozenset(
+        (index.ids[v], index.ids[w])
+        for v, mask in enumerate(_successors(index))
+        for w in _positions(mask)
+    )
+    return ResourceOrderGraph(vertices=ts.resources, edges=edges)
 
 
 def check_deadlock_free(ts: TaskSet) -> DeadlockVerdict:
     """Acyclic iff every strongly connected component of the order graph is
     a singleton.  Depends only on nesting structure, not durations."""
-    graph = build_order_graph(ts)
-    adjacency: dict[ResourceId, list[ResourceId]] = {v: [] for v in graph.vertices}
-    for a, b in sorted(graph.edges):
-        adjacency[a].append(b)
-
-    cyclic_vertices = _nontrivial_scc_vertices(adjacency)
-    if not cyclic_vertices:
+    index = _compiled(ts)
+    successors = _successors(index)
+    cyclic = _cyclic_vertices(successors)
+    if not cyclic:
         return DeadlockVerdict(acyclic=True)
-    return DeadlockVerdict(acyclic=False, cycle=_witness_cycle(adjacency, cyclic_vertices))
+    cycle = tuple(index.ids[v] for v in _witness_cycle(successors, cyclic))
+    return DeadlockVerdict(acyclic=False, cycle=cycle)
 
 
 def require_acyclic(ts: TaskSet) -> None:
@@ -86,79 +102,73 @@ def require_acyclic(ts: TaskSet) -> None:
         raise CyclicResourceOrderError(verdict.cycle)
 
 
-def _nontrivial_scc_vertices(adjacency: dict[int, list[int]]) -> set[int]:
-    """Vertices lying in a strongly connected component of size > 1.
+def _cyclic_vertices(successors: list[int]) -> int:
+    """Mask of the vertices lying in a strongly connected component of
+    size > 1.
 
-    Iterative Tarjan; self-loops cannot occur (a section never contains a
-    section on its own resource).
+    Iterative Tarjan, children lowest bit first; self-loops cannot occur
+    (a section never contains a section on its own resource).  A child
+    whose component is finished (``done``) cannot lower a low-link, so a
+    vertex drops all of them from its pending children whenever it
+    resumes; every other numbered child is on the stack.
     """
-    index: dict[int, int] = {}
-    lowlink: dict[int, int] = {}
-    on_stack: set[int] = set()
+    number = [-1] * len(successors)
+    lowlink = [0] * len(successors)
     stack: list[int] = []
-    counter = 0
-    result: set[int] = set()
-
-    for root in sorted(adjacency):
-        if root in index:
+    order = count()
+    done = 0
+    result = 0
+    for root in range(len(successors)):
+        if number[root] >= 0:
             continue
-        work: list[tuple[int, int]] = [(root, 0)]
+        work = [(root, successors[root])]
+        number[root] = lowlink[root] = next(order)
+        stack.append(root)
         while work:
-            vertex, child_pos = work[-1]
-            if child_pos == 0:
-                index[vertex] = lowlink[vertex] = counter
-                counter += 1
-                stack.append(vertex)
-                on_stack.add(vertex)
-            advanced = False
-            children = adjacency[vertex]
-            while child_pos < len(children):
-                child = children[child_pos]
-                child_pos += 1
-                if child not in index:
-                    work[-1] = (vertex, child_pos)
-                    work.append((child, 0))
-                    advanced = True
+            vertex, pending = work[-1]
+            pending &= ~done
+            while pending:
+                bit = pending & -pending
+                pending ^= bit
+                child = bit.bit_length() - 1
+                if number[child] < 0:
+                    work[-1] = (vertex, pending)
+                    work.append((child, successors[child]))
+                    number[child] = lowlink[child] = next(order)
+                    stack.append(child)
                     break
-                if child in on_stack:
-                    lowlink[vertex] = min(lowlink[vertex], index[child])
-            if advanced:
-                continue
-            work.pop()
-            if lowlink[vertex] == index[vertex]:
-                component = []
-                while True:
-                    member = stack.pop()
-                    on_stack.discard(member)
-                    component.append(member)
-                    if member == vertex:
-                        break
-                if len(component) > 1:
-                    result.update(component)
-            if work:
-                parent = work[-1][0]
-                lowlink[parent] = min(lowlink[parent], lowlink[vertex])
+                lowlink[vertex] = min(lowlink[vertex], number[child])
+            else:
+                work.pop()
+                if lowlink[vertex] == number[vertex]:
+                    component = 0
+                    while True:
+                        member = stack.pop()
+                        component |= 1 << member
+                        if member == vertex:
+                            break
+                    done |= component
+                    if component != 1 << vertex:
+                        result |= component
+                if work:
+                    parent = work[-1][0]
+                    lowlink[parent] = min(lowlink[parent], lowlink[vertex])
     return result
 
 
-def _witness_cycle(
-    adjacency: dict[int, list[int]], cyclic_vertices: set[int]
-) -> tuple[int, ...]:
+def _witness_cycle(successors: list[int], cyclic: int) -> list[int]:
     """Deterministic witness: the shortest cycle through the smallest cyclic
-    resource, choosing lexicographically smallest successors.
+    vertex, choosing the smallest successors.
 
     A minimal closed walk through the start is simple, so, given each
-    vertex's distance to the start (reverse BFS), the walk greedily takes
-    the smallest successor exactly one step closer: O(V + E), no recursion.
+    vertex's distance to the start (reverse BFS over the ``cyclic``
+    vertices), the walk greedily takes the smallest successor exactly one
+    step closer: O(V + E) over the cyclic vertices, no recursion.
     """
-    start = min(cyclic_vertices)
-    restricted = {
-        v: [w for w in adjacency[v] if w in cyclic_vertices]
-        for v in cyclic_vertices
-    }
-    predecessors: dict[int, list[int]] = {v: [] for v in cyclic_vertices}
-    for v, children in restricted.items():
-        for w in children:
+    start = (cyclic & -cyclic).bit_length() - 1
+    predecessors: dict[int, list[int]] = {v: [] for v in _positions(cyclic)}
+    for v in predecessors:
+        for w in _positions(successors[v] & cyclic):
             predecessors[w].append(v)
     to_start = {start: 0}
     queue = deque([start])
@@ -168,11 +178,15 @@ def _witness_cycle(
             if parent not in to_start:
                 to_start[parent] = to_start[vertex] + 1
                 queue.append(parent)
-    remaining = 1 + min(to_start[w] for w in restricted[start] if w in to_start)
+    children = [w for w in _positions(successors[start] & cyclic) if w in to_start]
+    remaining = 1 + min(to_start[w] for w in children)
     cycle = [start]
     vertex = start
     while remaining:
-        vertex = next(w for w in restricted[vertex] if to_start.get(w) == remaining - 1)
+        vertex = next(
+            w for w in _positions(successors[vertex] & cyclic)
+            if to_start.get(w) == remaining - 1
+        )
         cycle.append(vertex)
         remaining -= 1
-    return tuple(cycle)
+    return cycle

@@ -23,7 +23,7 @@ from typing import Iterator
 
 from .admissibility import _extension_failure
 from .deadlock import require_acyclic
-from .relevance import _induced, direct_blocking_resources
+from .relevance import _direct, _induced
 from .taskset import (
     CriticalSection,
     DurationLike,
@@ -94,8 +94,7 @@ def iter_admissible_chains(ts: TaskSet, i: int) -> Iterator[ZChain]:
                     )
 
     yield ()
-    direct = index.mask(direct_blocking_resources(ts, i))
-    stack = [extensions((), 0, 0, direct)]
+    stack = [extensions((), 0, 0, _direct(index, i))]
     while stack:
         step = next(stack[-1], None)
         if step is None:

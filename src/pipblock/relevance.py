@@ -44,31 +44,38 @@ class BlockingScope:
     relevant_jobs: frozenset[int]
 
 
-def _check_target(ts: TaskSet, i: int) -> None:
-    if not 1 <= i <= ts.n:
-        raise ValueError(f"target job index {i} out of range 1..{ts.n}")
+def _check_target(n: int, i: int) -> None:
+    if not 1 <= i <= n:
+        raise ValueError(f"target job index {i} out of range 1..{n}")
+
+
+def _direct(index: _Index, i: int) -> int:
+    """Mask of job ``i``'s direct blocking resources: those used both by
+    a job of priority >= i's and by a job below it."""
+    _check_target(len(index.sections), i)
+    upper = (1 << i + 1) - 2
+    return sum(bit for bit, jobs in index.users.items() if jobs & upper and jobs >> i + 1)
 
 
 def direct_blocking_resources(ts: TaskSet, i: int) -> frozenset[ResourceId]:
     """Resources used both at priority >= job i's and below it."""
-    _check_target(ts, i)
-    upper = {z.resource for job in ts.jobs[:i] for z in job.sections}
-    lower = {z.resource for job in ts.jobs[i:] for z in job.sections}
-    return frozenset(upper & lower)
+    index = _compiled(ts)
+    return index.resources_of(_direct(index, i))
 
 
-def _jobs_using(ts: TaskSet, i: int, scope: frozenset[ResourceId]) -> frozenset[int]:
-    """Jobs below job ``i`` with a section on a resource in ``scope``."""
-    return frozenset(
-        job.index
-        for job in ts.jobs[i:]
-        if any(z.resource in scope for z in job.sections)
-    )
+def _jobs_using(index: _Index, i: int, scope: int) -> frozenset[int]:
+    """Jobs below job ``i`` using a resource of the ``scope`` mask."""
+    jobs = 0
+    for bit, users in index.users.items():
+        if bit & scope:
+            jobs |= users
+    return frozenset(j for j in range(i + 1, len(index.sections) + 1) if jobs >> j & 1)
 
 
 def direct_blocking_jobs(ts: TaskSet, i: int) -> frozenset[int]:
     """Lower-priority jobs using a direct blocking resource of job ``i``."""
-    return _jobs_using(ts, i, direct_blocking_resources(ts, i))
+    index = _compiled(ts)
+    return _jobs_using(index, i, _direct(index, i))
 
 
 def is_maximal(z: CriticalSection, scope: Iterable[ResourceId]) -> bool:
@@ -111,7 +118,7 @@ def induced_set(
     ``z`` must belong to a lower-priority job and be maximal w.r.t.
     ``scope``; violating either raises ``ValueError``.
     """
-    _check_target(ts, i)
+    _check_target(ts.n, i)
     scope = frozenset(scope)
     if z.job <= i:
         raise ValueError(f"{z.label} does not belong to a job below J{i}")
@@ -159,31 +166,31 @@ def relevant_resources(
     """All resources that can block job ``i`` once nesting and transitive
     inheritance are accounted for (least fixpoint of the induced sets)."""
     index = _compiled(ts)
-    direct = index.mask(direct_blocking_resources(ts, i))
-    return index.resources_of(_fixpoint(index, i, direct, rng)[-1])
+    return index.resources_of(_fixpoint(index, i, _direct(index, i), rng)[-1])
 
 
 def fixpoint_trace(ts: TaskSet, i: int) -> list[frozenset[ResourceId]]:
     """The deterministic iterate sequence of :func:`relevant_resources`."""
     index = _compiled(ts)
-    direct = index.mask(direct_blocking_resources(ts, i))
-    return [index.resources_of(mask) for mask in _fixpoint(index, i, direct, None)]
+    trace = _fixpoint(index, i, _direct(index, i), None)
+    return [index.resources_of(mask) for mask in trace]
 
 
 def relevant_jobs(ts: TaskSet, i: int) -> frozenset[int]:
     """Lower-priority jobs using any relevant resource of job ``i``."""
-    return _jobs_using(ts, i, relevant_resources(ts, i))
+    index = _compiled(ts)
+    return _jobs_using(index, i, _fixpoint(index, i, _direct(index, i), None)[-1])
 
 
 def blocking_scope(ts: TaskSet, i: int) -> BlockingScope:
     """Bundle all four blocking sets for job ``i``."""
-    direct = direct_blocking_resources(ts, i)
     index = _compiled(ts)
-    relevant = index.resources_of(_fixpoint(index, i, index.mask(direct), None)[-1])
+    direct = _direct(index, i)
+    relevant = _fixpoint(index, i, direct, None)[-1]
     return BlockingScope(
         target=i,
-        direct_resources=direct,
-        direct_jobs=_jobs_using(ts, i, direct),
-        relevant_resources=relevant,
-        relevant_jobs=_jobs_using(ts, i, relevant),
+        direct_resources=index.resources_of(direct),
+        direct_jobs=_jobs_using(index, i, direct),
+        relevant_resources=index.resources_of(relevant),
+        relevant_jobs=_jobs_using(index, i, relevant),
     )

@@ -46,11 +46,11 @@ expansion records, on reading) hold ``Fraction`` values.
 
 Heuristics are inherited, not solved afresh.  A child's problem is its
 parent's minus the row of the added section's job and the column of its
-resource.  Deleting a row and a column from an optimal assignment leaves
-its dual potentials feasible, and at most one row unmatched; one
-augmenting path (:func:`~pipblock.bound._augment`) re-matches it and
-restores optimality in O(n²) (the dynamic Hungarian update of
-Mills-Tettey, Stentz & Dias, CMU-RI-TR-07-27, 2007).  The maximum
+resource.  A node's :func:`_costs` matrix lists its remaining jobs and
+resources in ascending order before the zero padding, so the child's is
+the parent's minus the row and column at the job's and the resource's
+ranks, and :meth:`~pipblock.bound._Assignment.without` repairs the
+optimum with one augmenting path in O(n²).  The maximum
 assignment value is unique, so the repaired value equals a fresh
 ``hungarian_bound`` over the child's sets, and with it every fringe key,
 node count and witness.  Only the root's estimate comes from
@@ -69,12 +69,11 @@ from itertools import accumulate
 from operator import or_
 
 from .admissibility import _obstructed
-from .bound import _augment, _solve, hungarian_bound
+from .bound import _Assignment, _Dual, hungarian_bound
 from .deadlock import require_acyclic
 from .relevance import _induced, blocking_scope
 from .taskset import (
     CriticalSection,
-    ResourceId,
     TaskSet,
     ZChain,
     _compiled,
@@ -94,10 +93,6 @@ __all__ = [
     "successors",
 ]
 
-# A node's solved assignment: row potentials and matched columns (see _Assignment).
-_Dual = tuple[tuple[int, ...], tuple[int, ...]]
-
-
 @dataclass
 class SearchNode:
     """One search-tree node: a partial chain and its derived sets.
@@ -110,8 +105,9 @@ class SearchNode:
     ``gain`` (the chain's duration) and ``heuristic`` are integers in
     units of ``1/index.scale``.  ``seq`` and ``batch`` are bookkeeping for
     deterministic tie-breaking.  ``dual`` is the solved assignment behind
-    ``heuristic`` in the compact form :class:`_Assignment` reads, or None
-    until the node solves its own on first expansion.
+    ``heuristic`` over the node's :func:`_costs`, in the compact form
+    :class:`~pipblock.bound._Assignment` decodes, or None until the node
+    solves its own on first expansion.
     """
 
     chain: ZChain
@@ -252,80 +248,17 @@ def successors(
     return tuple(extensions)
 
 
-class _Assignment:
-    """A node's optimal assignment, decoded once for its children to repair.
-
-    Rows are the node's remaining jobs ascending, then padding rows;
-    columns its remaining resources ascending, then padding columns; the
-    padding makes the problem square (size ``n``).  A cell costs minus its
-    weight (the job's longest duration on the resource, 0 for padding),
-    with no tie-break perturbation: the search needs only the value.  A
-    node stores the solution as ``dual = (potentials, matched)``, row r's
-    potential and its matched column for r = 1..n; the column potentials
-    follow from tightness, ``v_c = cost(r, c) - u_r`` for the row r
-    matched to c, because the matching is perfect.
-    """
-
-    def __init__(self, index: _Index, node: SearchNode) -> None:
-        self.longest = index.longest
-        self.jobs = _positions(node.remaining_jobs)
-        self.resources = [index.ids[k] for k in _positions(node.remaining_resources)]
-        self.n = n = max(len(self.jobs), len(self.resources))
-        self.pad = [0] * (n - len(self.resources))
-        if node.dual is None:
-            u, v, owner = _solve(n, self.row)
-            match = [0] * (n + 1)
-            for c in range(1, n + 1):
-                match[owner[c]] = c
-        else:
-            potentials, matched = node.dual
-            u, match = [0, *potentials], [0, *matched]
-            v, owner = [0] * (n + 1), [0] * (n + 1)
-            for r in range(1, n + 1):
-                c = match[r]
-                owner[c] = r
-                v[c] = self.cost(r, c) - u[r]
-        self.u, self.v, self.owner, self.match = u, v, owner, match
-
-    def row(self, r: int) -> list[int]:
-        """Row ``r``'s costs, column c at index c - 1."""
-        if r > len(self.jobs):
-            return [0] * self.n
-        longest = self.longest[self.jobs[r - 1] - 1]
-        return [-longest.get(res, 0) for res in self.resources] + self.pad
-
-    def cost(self, r: int, c: int) -> int:
-        """The cost of cell (r, c)."""
-        if r > len(self.jobs) or c > len(self.resources):
-            return 0
-        return -self.longest[self.jobs[r - 1] - 1].get(self.resources[c - 1], 0)
-
-    def without(self, job: int, resource: ResourceId) -> tuple[int, _Dual]:
-        """Value and dual of the optimal assignment once ``job``'s row and
-        ``resource``'s column are deleted.
-
-        The deletion leaves the potentials feasible and the matching
-        tight; the row that lost its column (if not ``job``'s own) is
-        re-matched by one augmenting path to the column ``job`` freed.
-        The value, the maximum total weight, is minus the dual objective:
-        the summed potentials of the remaining rows and columns.
-        """
-        rs = self.jobs.index(job) + 1
-        cs = self.resources.index(resource) + 1
-        u, v, owner, match = self.u, self.v, self.owner, self.match
-        if match[rs] != cs:
-            u, v, owner = u[:], v[:], owner[:]
-            owner[match[rs]] = 0
-            columns = [c for c in range(1, self.n + 1) if c != cs]
-            _augment(self.row, u, v, owner, owner[cs], columns[:])
-            match = [0] * (self.n + 1)
-            for c in columns:
-                match[owner[c]] = c
-        # u[0] stays 0; v[0] belongs to the paths' virtual source column
-        value = u[rs] + v[0] + v[cs] - sum(u) - sum(v)
-        potentials = tuple(u[1:rs] + u[rs + 1 :])
-        matched = tuple(c - (c > cs) for c in match[1:rs] + match[rs + 1 :])
-        return value, (potentials, matched)
+def _costs(index: _Index, node: SearchNode) -> list[list[int]]:
+    """The node's square assignment cost matrix: rows its remaining jobs
+    and columns its remaining resources, ascending, then zero padding.  A
+    cell costs minus the job's longest duration on the resource, with no
+    tie-break perturbation: the search needs only the value."""
+    resources = [index.ids[k] for k in _positions(node.remaining_resources)]
+    jobs = _positions(node.remaining_jobs)
+    n = max(len(jobs), len(resources))
+    pad = [0] * (n - len(resources))
+    rows = [[-index.longest[j - 1].get(r, 0) for r in resources] + pad for j in jobs]
+    return rows + [[0] * n for _ in range(n - len(jobs))]
 
 
 def expand(ts: TaskSet, i: int, node: SearchNode, fringe: Fringe) -> list[SearchNode]:
@@ -345,12 +278,15 @@ def expand(ts: TaskSet, i: int, node: SearchNode, fringe: Fringe) -> list[Search
         remaining_jobs = node.remaining_jobs & ~(1 << z.job)
         remaining_resources = node.remaining_resources & ~s.bit
         induced = node.induced | _induced(index, i, s, node.induced)
-        heuristic, dual = 0, None
+        cost, dual = 0, None
         candidate = _candidates(index, remaining_jobs, induced, remaining_resources)
         if next(candidate, None) is not None:
             if assignment is None:
-                assignment = _Assignment(index, node)
-            heuristic, dual = assignment.without(z.job, z.resource)
+                assignment = _Assignment(_costs(index, node), node.dual)
+            cost, dual = assignment.without(
+                (node.remaining_jobs & (1 << z.job) - 1).bit_count(),
+                (node.remaining_resources & s.bit - 1).bit_count(),
+            )
         successor = SearchNode(
             chain=node.chain + (z,),
             members=node.members | 1 << s.key,
@@ -358,7 +294,7 @@ def expand(ts: TaskSet, i: int, node: SearchNode, fringe: Fringe) -> list[Search
             remaining_resources=remaining_resources,
             remaining_jobs=remaining_jobs,
             gain=node.gain + s.duration,
-            heuristic=heuristic,
+            heuristic=-cost,
             dual=dual,
         )
         created.append(successor)

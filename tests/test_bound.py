@@ -20,7 +20,7 @@ from pipblock import (
     relevant_resources,
     serialize_taskset,
 )
-from pipblock.bound import BlockingMatrix
+from pipblock.bound import BlockingMatrix, _Assignment
 
 
 def brute_force_assignment_value(matrix: BlockingMatrix) -> Fraction:
@@ -157,6 +157,49 @@ def test_hungarian_matches_permutation_brute_force():
             sum((cells[j - 1][r - 1] for j, r in assignment.pairs), Fraction(0))
             == assignment.value
         )
+
+
+def _check_solved(cost: list[list[int]], assignment: _Assignment) -> None:
+    """``assignment`` is a perfect matching of ``cost`` whose duals prove
+    it optimal, and its cost is the brute-force minimum."""
+    n = len(cost)
+    u, v, owner = assignment.u, assignment.v, assignment.owner
+    assert sorted(owner[1:]) == list(range(1, n + 1))
+    for r in range(1, n + 1):
+        for c in range(1, n + 1):
+            reduced = cost[r - 1][c - 1] - u[r] - v[c]
+            assert reduced >= 0
+            assert reduced == 0 or owner[c] != r
+    value = sum(cost[owner[c] - 1][c - 1] for c in range(1, n + 1))
+    assert value == _min_permutation_cost(cost)
+
+
+def _min_permutation_cost(cost: list[list[int]]) -> int:
+    permutations = itertools.permutations(range(len(cost)))
+    return min(sum(cost[r][c] for r, c in enumerate(p)) for p in permutations)
+
+
+_CELLS = st.one_of(st.integers(-9, 9), st.integers(-(2**70), 2**70))
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(min_value=1, max_value=6), data=st.data())
+def test_assignment_kernel_solves_decodes_and_repairs(n, data):
+    # Solve from scratch, then delete rows and columns down to nothing:
+    # each repaired value is the brute-force minimum of the reduced matrix,
+    # and the compact dual decodes to proving duals over it.
+    row = st.lists(_CELLS, min_size=n, max_size=n)
+    cost = data.draw(st.lists(row, min_size=n, max_size=n))
+    assignment = _Assignment(cost)
+    _check_solved(cost, assignment)
+    while cost:
+        rs = data.draw(st.integers(0, len(cost) - 1))
+        cs = data.draw(st.integers(0, len(cost) - 1))
+        value, dual = assignment.without(rs, cs)
+        cost = [row[:cs] + row[cs + 1 :] for r, row in enumerate(cost) if r != rs]
+        assert value == _min_permutation_cost(cost)
+        assignment = _Assignment(cost, dual)
+        _check_solved(cost, assignment)
 
 
 def first_best_permutation_pairs(matrix: BlockingMatrix):

@@ -177,7 +177,8 @@ def test_repaired_assignment_matches_fresh_bound(seed, shape, fractional):
     import re
 
     from pipblock import SearchNode, parse_taskset, serialize_taskset
-    from pipblock.search import _Assignment
+    from pipblock.bound import _Assignment
+    from pipblock.search import _costs
     from pipblock.taskset import _compiled, _positions
 
     rng = random.Random(seed)
@@ -198,14 +199,17 @@ def test_repaired_assignment_matches_fresh_bound(seed, shape, fractional):
         heuristic=0,
     )
     while node.remaining_jobs and node.remaining_resources:
-        assignment = _Assignment(index, node)
-        job = rng.choice(assignment.jobs)
-        column = assignment.match[assignment.jobs.index(job) + 1]
-        if column <= len(assignment.resources) and rng.random() < 0.4:
-            resource = assignment.resources[column - 1]
+        assignment = _Assignment(_costs(index, node), node.dual)
+        jobs = _positions(node.remaining_jobs)
+        resources = [index.ids[k] for k in _positions(node.remaining_resources)]
+        job = rng.choice(jobs)
+        column = assignment.owner.index(jobs.index(job) + 1, 1)
+        if column <= len(resources) and rng.random() < 0.4:
+            resource = resources[column - 1]
         else:
-            resource = rng.choice(assignment.resources)
-        value, dual = assignment.without(job, resource)
+            resource = rng.choice(resources)
+        cost, dual = assignment.without(jobs.index(job), resources.index(resource))
+        value = -cost
         node = SearchNode(
             chain=(),
             members=0,

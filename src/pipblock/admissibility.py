@@ -48,7 +48,6 @@ from .taskset import CriticalSection, TaskSet, ZChain, _compiled, _Index, _maxim
 
 __all__ = [
     "AdmissibilityVerdict",
-    "CONDITIONS",
     "QuickCheckResult",
     "is_admissible_chain",
     "quick_admissibility_verdict",
@@ -60,8 +59,6 @@ LSM = "LSM"
 FHO = "FHO"
 FLO = "FLO"
 INDUCTION = "induction-compatibility"
-
-CONDITIONS = (NBJ, NBR, LSM, FHO, FLO, INDUCTION)
 
 
 @dataclass(frozen=True)

@@ -17,9 +17,10 @@ perturbation terms spell its column sequence as a base-n number below
 ``nⁿ``, so they never outweigh one unit of duration: the unique optimum
 is the lexicographically smallest of the maximum-duration permutations.
 
-Its one front end, :class:`_Assignment`, is a solved square cost matrix:
-solved from scratch, decoded from a stored compact dual, or repaired
-after one row and one column are deleted.  Invoked with the direct
+Its one front end, :class:`_Assignment`, is a solved assignment of some
+rows of a cost matrix onto as many columns: solved from scratch, or
+repaired after one row and one column are deactivated, every other row
+and column keeping its number.  Invoked with the direct
 blocking sets this reproduces the classic single-resource-at-a-time
 bound; with the relevant (nesting-aware) sets it bounds the general case;
 over leftover job/resource subsets, unperturbed, it is the admissible
@@ -33,7 +34,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .deadlock import require_acyclic
 from .relevance import blocking_scope
@@ -132,63 +133,57 @@ def _max_weight_permutation(
     for r, row in enumerate(weights):
         for c, w in enumerate(row):
             cost[r][c] -= w * unit
-    owner = _Assignment(cost).owner
+    owner = _Assignment(cost, range(1, n + 1), range(1, n + 1)).owner
     return sorted((owner[c] - 1, c - 1) for c in range(1, n + 1))
 
 
-# A solved assignment in compact form: the row potentials and the row
-# matched to each column.
-_Dual = tuple[tuple[int, ...], tuple[int, ...]]
-
-
 class _Assignment:
-    """A minimum-cost perfect matching of the square integer matrix
-    ``cost`` with its dual potentials.
+    """A minimum-cost perfect matching of some rows of the integer matrix
+    ``cost`` onto as many of its columns, with its dual potentials.
 
-    ``u`` and ``v`` are the row and column potentials and ``owner[c]`` is
-    the row matched to column c, all 1-based (index 0 is the virtual
-    source column of :func:`_augment`).  The reduced costs
-    ``cost - u - v`` are non-negative, and zero on the matched cells.
-    Without ``dual`` each row in turn is matched by :func:`_augment`; a
-    ``dual`` is decoded, the column potentials following from tightness:
-    ``v[c] = cost(owner[c], c) - u[owner[c]]``.
+    Rows and columns are 1-based, ``cost[r - 1][c - 1]`` being cell
+    (r, c); the rest of the matrix is never read.  ``u`` and ``v`` are
+    the row and column potentials and ``owner[c]`` is the row matched to
+    column c, 0 when c is inactive (index 0 is the virtual source column
+    of :func:`_augment`).  The reduced costs ``cost - u - v`` are
+    non-negative on the active cells and zero on the matched ones.  The
+    constructor matches each of ``rows`` in turn over ``columns``.
     """
 
-    def __init__(self, cost: list[list[int]], dual: _Dual | None = None) -> None:
-        self.cost = cost
-        n = len(cost)
-        if dual is None:
-            self.u, self.v, self.owner = [0] * (n + 1), [0] * (n + 1), [0] * (n + 1)
-            for i in range(1, n + 1):
-                _augment(cost, self.u, self.v, self.owner, i, list(range(1, n + 1)))
-        else:
-            potentials, rows = dual
-            self.u, self.owner = [0, *potentials], [0, *rows]
-            self.v = [0] + [cost[r - 1][c] - self.u[r] for c, r in enumerate(rows)]
+    __slots__ = ("cost", "u", "v", "owner")
 
-    def without(self, rs: int, cs: int) -> tuple[int, _Dual]:
-        """Minimum cost and compact dual once row ``rs`` and column ``cs``
-        (0-based) are deleted, later rows and columns moving up by one.
+    def __init__(
+        self, cost: list[list[int]], rows: Iterable[int], columns: Sequence[int]
+    ) -> None:
+        self.cost = cost
+        self.u = [0] * (len(cost) + 1)
+        self.v = [0] * (max(columns, default=0) + 1)
+        self.owner = self.v[:]
+        for i in rows:
+            _augment(cost, self.u, self.v, self.owner, i, list(columns))
+
+    def without(self, r: int, c: int) -> tuple[int, _Assignment]:
+        """Minimum cost and solved assignment once the active row ``r`` and
+        column ``c`` are deactivated; every other number stays.
 
         The deletion leaves the potentials feasible and the matching
-        tight; the row that lost its column (if not row ``rs``) is
-        re-matched to the column ``rs`` freed by one augmenting path, in
-        O(n²) (the dynamic Hungarian update of Mills-Tettey, Stentz &
-        Dias, CMU-RI-TR-07-27, 2007).  The minimum cost is the summed
-        potentials of the remaining rows and columns.
+        tight; the row that lost column ``c`` (if not row ``r``) is
+        re-matched by one augmenting path, ending at the column row ``r``
+        held, in O(n²) (the dynamic Hungarian update of Mills-Tettey,
+        Stentz & Dias, CMU-RI-TR-07-27, 2007).  The minimum cost is the sum
+        of the matched cells.
         """
-        rs, cs = rs + 1, cs + 1
-        u, v, owner = self.u, self.v, self.owner
-        columns = [c for c in range(1, len(owner)) if c != cs]
-        if owner[cs] != rs:
-            u, v, owner = u[:], v[:], owner[:]
-            owner[owner.index(rs, 1)] = 0
-            _augment(self.cost, u, v, owner, owner[cs], columns[:])
-        # u[0] stays 0; v[0] belongs to the paths' virtual source column
-        value = sum(u) + sum(v) - u[rs] - v[0] - v[cs]
-        potentials = tuple(u[1:rs] + u[rs + 1 :])
-        rows = tuple(owner[c] - (owner[c] > rs) for c in columns)
-        return value, (potentials, rows)
+        u, v, owner = self.u, self.v, self.owner[:]
+        i, owner[c] = owner[c], 0
+        if i != r:
+            u, v = u[:], v[:]
+            free = [j for j in range(1, len(owner)) if owner[j]]
+            owner[owner.index(r, 1)] = 0
+            _augment(self.cost, u, v, owner, i, free)
+        child = _Assignment.__new__(_Assignment)
+        child.cost, child.u, child.v, child.owner = self.cost, u, v, owner
+        value = sum(self.cost[o - 1][j - 1] for j, o in enumerate(owner) if j and o)
+        return value, child
 
 
 def _augment(

@@ -44,19 +44,20 @@ and heuristic are integers in units of ``1/index.scale``, so the fringe
 orders by exact integer keys.  Only the returned result (and the
 expansion records, on reading) hold ``Fraction`` values.
 
-Heuristics are inherited, not solved afresh.  A child's problem is its
+Heuristics are inherited, not solved afresh.  One cost matrix serves
+the whole search: :func:`_root` builds it with row j for job j, column
+k + 1 for resource bit ``1 << k`` and zero padding after them, and
+solves the root's assignment over the relevant rows and columns and as
+much padding as squares them.  A child's problem is its
 parent's minus the row of the added section's job and the column of its
-resource.  A node's :func:`_costs` matrix lists its remaining jobs and
-resources in ascending order before the zero padding, so the child's is
-the parent's minus the row and column at the job's and the resource's
-ranks, and :meth:`~pipblock.bound._Assignment.without` repairs the
-optimum with one augmenting path in O(n²).  The maximum
-assignment value is unique, so the repaired value equals a fresh
-``hungarian_bound`` over the child's sets, and with it every fringe key,
-node count and witness.  Only the root's estimate comes from
-``hungarian_bound``; the root's own duals are solved on its first
-expansion.  The deletion is well defined because candidates are drawn
-from the remaining jobs and the remaining resources.
+resource, so :meth:`~pipblock.bound._Assignment.without` deactivates
+exactly those two numbers and repairs the optimum with one augmenting
+path in O(n²).  The maximum assignment value is unique, so the repaired
+value equals a fresh ``hungarian_bound`` over the child's sets, and with
+it every fringe key, node count and witness.  The root's estimate comes
+from ``hungarian_bound``.  The deletion is well defined because
+candidates are drawn from the remaining jobs and the remaining
+resources.
 """
 
 from __future__ import annotations
@@ -69,7 +70,7 @@ from itertools import accumulate
 from operator import or_
 
 from .admissibility import _obstructed
-from .bound import _Assignment, _Dual, hungarian_bound
+from .bound import _Assignment, hungarian_bound
 from .deadlock import require_acyclic
 from .relevance import _induced, blocking_scope
 from .taskset import (
@@ -104,10 +105,10 @@ class SearchNode:
     relevant sets minus what the chain used.
     ``gain`` (the chain's duration) and ``heuristic`` are integers in
     units of ``1/index.scale``.  ``seq`` and ``batch`` are bookkeeping for
-    deterministic tie-breaking.  ``dual`` is the solved assignment behind
-    ``heuristic`` over the node's :func:`_costs`, in the compact form
-    :class:`~pipblock.bound._Assignment` decodes, or None until the node
-    solves its own on first expansion.
+    deterministic tie-breaking.  ``assignment`` is the solved
+    :class:`~pipblock.bound._Assignment` behind ``heuristic`` (active:
+    the remaining jobs and resources and their padding), or None when the
+    node had no candidate extension on creation (a leaf).
     """
 
     chain: ZChain
@@ -119,7 +120,7 @@ class SearchNode:
     heuristic: int
     seq: int = -1
     batch: int = -1
-    dual: _Dual | None = None
+    assignment: _Assignment | None = None
 
     @property
     def estimate(self) -> int:
@@ -248,19 +249,6 @@ def successors(
     return tuple(extensions)
 
 
-def _costs(index: _Index, node: SearchNode) -> list[list[int]]:
-    """The node's square assignment cost matrix: rows its remaining jobs
-    and columns its remaining resources, ascending, then zero padding.  A
-    cell costs minus the job's longest duration on the resource, with no
-    tie-break perturbation: the search needs only the value."""
-    resources = [index.ids[k] for k in _positions(node.remaining_resources)]
-    jobs = _positions(node.remaining_jobs)
-    n = max(len(jobs), len(resources))
-    pad = [0] * (n - len(resources))
-    rows = [[-index.longest[j - 1].get(r, 0) for r in resources] + pad for j in jobs]
-    return rows + [[0] * n for _ in range(n - len(jobs))]
-
-
 def expand(ts: TaskSet, i: int, node: SearchNode, fringe: Fringe) -> list[SearchNode]:
     """Successor nodes of ``node``; ``node`` itself (re-marked as a leaf)
     when it has no admissible extensions.
@@ -272,21 +260,15 @@ def expand(ts: TaskSet, i: int, node: SearchNode, fringe: Fringe) -> list[Search
     """
     created: list[SearchNode] = []
     index = _compiled(ts)
-    assignment = None
     for z in successors(ts, i, node, fringe):
         s = index.entry(z)
         remaining_jobs = node.remaining_jobs & ~(1 << z.job)
         remaining_resources = node.remaining_resources & ~s.bit
         induced = node.induced | _induced(index, i, s, node.induced)
-        cost, dual = 0, None
+        cost, assignment = 0, None
         candidate = _candidates(index, remaining_jobs, induced, remaining_resources)
         if next(candidate, None) is not None:
-            if assignment is None:
-                assignment = _Assignment(_costs(index, node), node.dual)
-            cost, dual = assignment.without(
-                (node.remaining_jobs & (1 << z.job) - 1).bit_count(),
-                (node.remaining_resources & s.bit - 1).bit_count(),
-            )
+            cost, assignment = node.assignment.without(z.job, s.bit.bit_length())
         successor = SearchNode(
             chain=node.chain + (z,),
             members=node.members | 1 << s.key,
@@ -295,7 +277,7 @@ def expand(ts: TaskSet, i: int, node: SearchNode, fringe: Fringe) -> list[Search
             remaining_jobs=remaining_jobs,
             gain=node.gain + s.duration,
             heuristic=-cost,
-            dual=dual,
+            assignment=assignment,
         )
         created.append(successor)
         if successor.is_leaf and successor.estimate == node.estimate:
@@ -308,21 +290,32 @@ def expand(ts: TaskSet, i: int, node: SearchNode, fringe: Fringe) -> list[Search
 
 def _root(ts: TaskSet, i: int) -> SearchNode:
     """The search's root for job ``i``: the empty chain, inducing the
-    direct resources, with the relevant jobs and resources remaining and
-    the assignment bound over them as its estimate."""
+    direct resources, with the relevant jobs and resources remaining, the
+    assignment bound over them as its estimate, and that assignment solved
+    over the search's matrix.  A cell costs minus the job's longest
+    duration on the resource, unperturbed: the search needs only values."""
     scope = blocking_scope(ts, i)
     index = _compiled(ts)
     h0, _ = hungarian_bound(ts, scope.relevant_jobs, scope.relevant_resources)
+    jobs = sorted(scope.relevant_jobs)
+    resources = index.mask(scope.relevant_resources)
+    columns = [k + 1 for k in _positions(resources)]
+    pad = [0] * (len(jobs) - len(columns))
+    cost = [[-longest.get(r, 0) for r in index.ids] + pad for longest in index.longest]
+    cost += [[0] * len(cost[0]) for _ in range(len(columns) - len(jobs))]
+    rows = jobs + list(range(ts.n + 1, len(cost) + 1))
+    columns += range(len(index.ids) + 1, len(cost[0]) + 1)
     return SearchNode(
         chain=(),
         members=0,
         induced=index.mask(scope.direct_resources),
-        remaining_resources=index.mask(scope.relevant_resources),
-        remaining_jobs=sum(1 << j for j in scope.relevant_jobs),
+        remaining_resources=resources,
+        remaining_jobs=sum(1 << j for j in jobs),
         gain=0,
         heuristic=index.scaled(h0),
         seq=0,
         batch=0,
+        assignment=_Assignment(cost, rows, columns),
     )
 
 

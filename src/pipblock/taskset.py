@@ -433,12 +433,6 @@ def _parse_sections(body: str, job: int, lineno: int) -> tuple[CriticalSection, 
                 duration=as_duration(token),
                 parent=stack[-1] if stack else None,
             )
-            for anc in section.ancestors():
-                if anc.resource == section.resource:
-                    raise NestingError(
-                        f"line {lineno}: R{pending_resource} locked again "
-                        f"inside its own section"
-                    )
             sections.append(section)
             stack.append(section)
             state = "open"

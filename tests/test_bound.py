@@ -159,24 +159,24 @@ def test_hungarian_matches_permutation_brute_force():
         )
 
 
-def _check_solved(cost: list[list[int]], assignment: _Assignment) -> None:
-    """``assignment`` is a perfect matching of ``cost`` whose duals prove
-    it optimal, and its cost is the brute-force minimum."""
-    n = len(cost)
+def _check_solved(
+    cost: list[list[int]], assignment: _Assignment, rows: list[int], columns: list[int]
+) -> int:
+    """``assignment`` matches the active ``rows`` perfectly onto the active
+    ``columns`` (1-based numbers into ``cost``), its duals prove it
+    optimal, and its cost, returned, is the brute-force minimum."""
     u, v, owner = assignment.u, assignment.v, assignment.owner
-    assert sorted(owner[1:]) == list(range(1, n + 1))
-    for r in range(1, n + 1):
-        for c in range(1, n + 1):
+    assert [c for c in range(1, len(owner)) if owner[c]] == sorted(columns)
+    assert sorted(owner[c] for c in columns) == sorted(rows)
+    for r in rows:
+        for c in columns:
             reduced = cost[r - 1][c - 1] - u[r] - v[c]
             assert reduced >= 0
             assert reduced == 0 or owner[c] != r
-    value = sum(cost[owner[c] - 1][c - 1] for c in range(1, n + 1))
-    assert value == _min_permutation_cost(cost)
-
-
-def _min_permutation_cost(cost: list[list[int]]) -> int:
-    permutations = itertools.permutations(range(len(cost)))
-    return min(sum(cost[r][c] for r, c in enumerate(p)) for p in permutations)
+    value = sum(cost[owner[c] - 1][c - 1] for c in columns)
+    permutations = itertools.permutations(columns)
+    assert value == min(sum(cost[r - 1][c - 1] for r, c in zip(rows, p)) for p in permutations)
+    return value
 
 
 _CELLS = st.one_of(st.integers(-9, 9), st.integers(-(2**70), 2**70))
@@ -184,22 +184,33 @@ _CELLS = st.one_of(st.integers(-9, 9), st.integers(-(2**70), 2**70))
 
 @settings(max_examples=150, deadline=None)
 @given(n=st.integers(min_value=1, max_value=6), data=st.data())
-def test_assignment_kernel_solves_decodes_and_repairs(n, data):
-    # Solve from scratch, then delete rows and columns down to nothing:
-    # each repaired value is the brute-force minimum of the reduced matrix,
-    # and the compact dual decodes to proving duals over it.
-    row = st.lists(_CELLS, min_size=n, max_size=n)
+def test_assignment_kernel_solves_and_repairs(n, data):
+    # Solve some rows of a random matrix over as many of its columns, then
+    # deactivate random active (row, column) pairs down to nothing.  Each
+    # repair is an optimal perfect matching of what is still active, at
+    # the value it returns; deactivated numbers never come back; and the
+    # parent, which the search repairs once per child, is left intact.
+    width = data.draw(st.integers(1, 6))
+    row = st.lists(_CELLS, min_size=width, max_size=width)
     cost = data.draw(st.lists(row, min_size=n, max_size=n))
-    assignment = _Assignment(cost)
-    _check_solved(cost, assignment)
-    while cost:
-        rs = data.draw(st.integers(0, len(cost) - 1))
-        cs = data.draw(st.integers(0, len(cost) - 1))
-        value, dual = assignment.without(rs, cs)
-        cost = [row[:cs] + row[cs + 1 :] for r, row in enumerate(cost) if r != rs]
-        assert value == _min_permutation_cost(cost)
-        assignment = _Assignment(cost, dual)
-        _check_solved(cost, assignment)
+    k = data.draw(st.integers(0, min(n, width)))
+    rows = data.draw(st.permutations(range(1, n + 1)))[:k]
+    columns = data.draw(st.permutations(range(1, width + 1)))[:k]
+    assignment = _Assignment(cost, rows, columns)
+    _check_solved(cost, assignment, rows, columns)
+    gone_rows, gone_columns = set(), set()
+    while rows:
+        r = data.draw(st.sampled_from(rows))
+        c = data.draw(st.sampled_from(columns))
+        value, child = assignment.without(r, c)
+        _check_solved(cost, assignment, rows, columns)
+        rows, columns = [x for x in rows if x != r], [x for x in columns if x != c]
+        gone_rows.add(r)
+        gone_columns.add(c)
+        assert value == _check_solved(cost, child, rows, columns)
+        assert gone_rows.isdisjoint(child.owner[1:])
+        assert not any(child.owner[c] for c in gone_columns)
+        assignment = child
 
 
 def first_best_permutation_pairs(matrix: BlockingMatrix):

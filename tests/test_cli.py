@@ -202,6 +202,17 @@ def test_usage_and_parse_errors(tmp_path, capsys):
     assert main(["bound", str(tmp_path / "missing.txt")]) == 1
 
 
+def test_nesting_error_names_both_sections(tmp_path, capsys):
+    # A resource locked again inside its own section is rejected when the
+    # task set is built, with the enclosing and the nested section named.
+    bad = tmp_path / "renested.txt"
+    bad.write_text("J1: [R1: 1]\nJ2: [R2: 3 [R3: 2 [R2: 1]]]\n")
+    assert main(["analyze", str(bad)]) == 1
+    assert capsys.readouterr().err == (
+        "error: R2 locked again inside its own section (z2,1 contains z2,3)\n"
+    )
+
+
 def test_job_index_out_of_range(nested_file, capsys):
     assert main(["scope", nested_file, "--job", "99"]) == 1
     assert "out of range" in capsys.readouterr().err

@@ -169,17 +169,18 @@ def test_fractional_durations_scale_the_result(seed, k):
 )
 def test_repaired_assignment_matches_fresh_bound(seed, shape, fractional):
     # A child's heuristic repairs its parent's optimal assignment after
-    # deleting one job row and one resource column.  Delete random pairs,
-    # and sometimes a row with its own matched column (no augmenting path),
-    # down to an empty side: every repaired value must equal a fresh
-    # hungarian_bound over the remaining sets.
+    # deactivating one job row and one resource column of the search's
+    # matrix (row j is job j, column k + 1 is resource bit 1 << k, zero
+    # padding after).  Delete random pairs, and sometimes a row with its
+    # own matched column (no augmenting path), down to an empty side:
+    # every repaired value must equal a fresh hungarian_bound over the
+    # remaining sets.
     import random
     import re
 
-    from pipblock import SearchNode, parse_taskset, serialize_taskset
+    from pipblock import parse_taskset, serialize_taskset
     from pipblock.bound import _Assignment
-    from pipblock.search import _costs
-    from pipblock.taskset import _compiled, _positions
+    from pipblock.taskset import _compiled
 
     rng = random.Random(seed)
     ts = random_taskset(seed, jobs=8, resources=8, sections_per_job=4, nesting_depth=3)
@@ -187,43 +188,53 @@ def test_repaired_assignment_matches_fresh_bound(seed, shape, fractional):
         k = rng.randint(2, 9)
         ts = parse_taskset(re.sub(r"(R\d+: )(\d+)", rf"\g<1>\g<2>/{k}", serialize_taskset(ts)))
     index = _compiled(ts)
-    jobs = rng.sample(range(1, ts.n + 1), shape[0])
+    jobs = sorted(rng.sample(range(1, ts.n + 1), shape[0]))
     resources = rng.sample(sorted(ts.resources), min(shape[1], len(ts.resources)))
-    node = SearchNode(
-        chain=(),
-        members=0,
-        induced=0,
-        remaining_resources=index.mask(resources),
-        remaining_jobs=sum(1 << j for j in jobs),
-        gain=0,
-        heuristic=0,
-    )
-    while node.remaining_jobs and node.remaining_resources:
-        assignment = _Assignment(_costs(index, node), node.dual)
-        jobs = _positions(node.remaining_jobs)
-        resources = [index.ids[k] for k in _positions(node.remaining_resources)]
-        job = rng.choice(jobs)
-        column = assignment.owner.index(jobs.index(job) + 1, 1)
-        if column <= len(resources) and rng.random() < 0.4:
-            resource = resources[column - 1]
+    columns = sorted(index.bits[r].bit_length() for r in resources)
+    pad = [0] * max(len(jobs) - len(columns), 0)
+    cost = [[-longest.get(r, 0) for r in index.ids] + pad for longest in index.longest]
+    cost += [[0] * len(cost[0]) for _ in range(len(columns) - len(jobs))]
+    rows = jobs + list(range(ts.n + 1, len(cost) + 1))
+    columns += range(len(index.ids) + 1, len(cost[0]) + 1)
+    assignment = _Assignment(cost, rows, columns)
+    jobs, resources = set(jobs), set(resources)
+    while jobs and resources:
+        job = rng.choice(sorted(jobs))
+        column = assignment.owner.index(job, 1)
+        if column <= len(index.ids) and rng.random() < 0.4:
+            resource = index.ids[column - 1]
         else:
-            resource = rng.choice(resources)
-        cost, dual = assignment.without(jobs.index(job), resources.index(resource))
-        value = -cost
-        node = SearchNode(
-            chain=(),
-            members=0,
-            induced=0,
-            remaining_resources=node.remaining_resources & ~index.bits[resource],
-            remaining_jobs=node.remaining_jobs & ~(1 << job),
-            gain=0,
-            heuristic=value,
-            dual=dual,
-        )
-        fresh, _ = hungarian_bound(
-            ts, _positions(node.remaining_jobs), index.resources_of(node.remaining_resources)
-        )
-        assert value == index.scaled(fresh)
+            resource = rng.choice(sorted(resources))
+        cost, assignment = assignment.without(job, index.bits[resource].bit_length())
+        jobs.discard(job)
+        resources.discard(resource)
+        fresh, _ = hungarian_bound(ts, jobs, resources)
+        assert -cost == index.scaled(fresh)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=10**9),
+    shape=st.sampled_from([(8, 4), (4, 8), (6, 6)]),
+)
+def test_root_assignment_value_is_the_root_estimate(seed, shape):
+    # The root solves its assignment over the relevant jobs, the relevant
+    # resources and the padding that squares them; whichever side is
+    # larger, its value is the hungarian_bound estimate.
+    from pipblock.search import _root
+    from pipblock.taskset import _positions
+
+    ts = random_taskset(seed, jobs=shape[0], resources=shape[1], sections_per_job=4)
+    for i in range(1, ts.n + 1):
+        root = _root(ts, i)
+        cost, owner = root.assignment.cost, root.assignment.owner
+        matched = [(o, c) for c, o in enumerate(owner) if c and o]
+        jobs = _positions(root.remaining_jobs)
+        columns = [k + 1 for k in _positions(root.remaining_resources)]
+        assert len(matched) == max(len(jobs), len(columns))
+        assert {o for o, _ in matched} >= set(jobs)
+        assert {c for _, c in matched} >= set(columns)
+        assert -sum(cost[o - 1][c - 1] for o, c in matched) == root.heuristic
 
 
 def test_standalone_expand_and_successors(five_jobs_deep):

@@ -23,10 +23,10 @@ Every condition is a test on the compiled index's masks.  FHO and FLO
 are one predicate, :func:`_obstructed`, over the extension's row and two
 masks of the chain: ``above``, the OR of ``earlier`` over the members of
 higher priority than the extension's job, and ``below``, the OR of
-``held`` over those of lower priority (:func:`_priority_masks`).  Only a
-failure that has to be reported walks the chain, to name the witness
-pair; the exact search drops rejected extensions and calls the
-predicate alone.
+``held`` over those of lower priority; :func:`_priority_masks` builds
+both, for the chain check and the exact search.  Only a failure that
+has to be reported walks the chain, to name the witness pair; the
+search drops rejected extensions and calls the predicate alone.
 
 ``quick_admissibility_verdict`` is the fast screen run after the
 assignment bound: it tries to realize the bound as a chain by always

@@ -170,8 +170,8 @@ class _Assignment:
         tight; the row that lost column ``c`` (if not row ``r``) is
         re-matched by one augmenting path, ending at the column row ``r``
         held, in O(n²) (the dynamic Hungarian update of Mills-Tettey,
-        Stentz & Dias, CMU-RI-TR-07-27, 2007).  The minimum cost is the sum
-        of the matched cells.
+        Stentz & Dias, CMU-RI-TR-07-27, 2007).  The minimum cost is the
+        child's :meth:`total`.
         """
         u, v, owner = self.u, self.v, self.owner[:]
         i, owner[c] = owner[c], 0
@@ -182,8 +182,11 @@ class _Assignment:
             _augment(self.cost, u, v, owner, i, free)
         child = _Assignment.__new__(_Assignment)
         child.cost, child.u, child.v, child.owner = self.cost, u, v, owner
-        value = sum(self.cost[o - 1][j - 1] for j, o in enumerate(owner) if j and o)
-        return value, child
+        return child.total(), child
+
+    def total(self) -> int:
+        """The assignment's cost: the sum of its matched cells."""
+        return sum(self.cost[o - 1][c - 1] for c, o in enumerate(self.owner) if c and o)
 
 
 def _augment(

@@ -29,14 +29,14 @@ induced, and induction stays within the relevant set), so
 induced − taken = induced ∩ remaining.  FHO and FLO are one test of the
 candidate's row against two masks of the chain
 (:func:`~pipblock.admissibility._obstructed`): ``above``, the
-earlier-section resources of the members of higher
-priority than the candidate's job, and ``below``, the held resources of
-the members of lower priority.  Both depend only on the job, so
-``successors`` builds them once per remaining job, from prefix and suffix
-ORs over the chain sorted by job.  A rejected candidate is simply
-dropped: the search never names the conflicting pair, so it never walks
-the chain for a witness (:func:`~pipblock.admissibility._obstruction`
-does that for reports).
+earlier-section resources of the members of higher priority than the
+candidate's job, and ``below``, the held resources of the members of
+lower priority.  Both depend only on the job, so ``successors`` builds
+them once per candidate job, with the chain check's
+:func:`~pipblock.admissibility._priority_masks`.  A rejected candidate
+is simply dropped: the search never names the conflicting pair, so it
+never walks the chain for a witness
+(:func:`~pipblock.admissibility._obstruction` does that for reports).
 
 Nodes live on the task set's compiled index: the chain's section set, its
 induced set and the remaining jobs and resources are bit masks, and gain
@@ -48,16 +48,16 @@ Heuristics are inherited, not solved afresh.  One cost matrix serves
 the whole search: :func:`_root` builds it with row j for job j, column
 k + 1 for resource bit ``1 << k`` and zero padding after them, and
 solves the root's assignment over the relevant rows and columns and as
-much padding as squares them.  A child's problem is its
-parent's minus the row of the added section's job and the column of its
-resource, so :meth:`~pipblock.bound._Assignment.without` deactivates
-exactly those two numbers and repairs the optimum with one augmenting
-path in O(n²).  The maximum assignment value is unique, so the repaired
-value equals a fresh ``hungarian_bound`` over the child's sets, and with
-it every fringe key, node count and witness.  The root's estimate comes
-from ``hungarian_bound``.  The deletion is well defined because
-candidates are drawn from the remaining jobs and the remaining
-resources.
+much padding as squares them.  A child's problem is its parent's minus
+the row of the added section's job and the column of its resource, so
+:meth:`~pipblock.bound._Assignment.without` deactivates exactly those
+two numbers and repairs the optimum with one augmenting path in O(n²).
+Every estimate, the root's too, is minus the solved assignment's
+:meth:`~pipblock.bound._Assignment.total`; the maximum value is unique,
+so it equals a fresh ``hungarian_bound`` over the node's sets, and with
+it every fringe key, node count and witness.  The deletion is well
+defined because candidates are drawn from the remaining jobs and the
+remaining resources.
 """
 
 from __future__ import annotations
@@ -66,11 +66,9 @@ import heapq
 from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
-from operator import or_
 
-from .admissibility import _obstructed
-from .bound import _Assignment, hungarian_bound
+from .admissibility import _obstructed, _priority_masks
+from .bound import _Assignment, hungarian_bound  # noqa: F401 (bench/spans.py traces it)
 from .deadlock import require_acyclic
 from .relevance import _induced, blocking_scope
 from .taskset import (
@@ -227,24 +225,22 @@ def successors(
     job, new resource, limited-scope maximality); the duplicate guard
     discards extensions whose section set was already generated; the FHO/FLO
     predicate shared with :mod:`~pipblock.admissibility` rejects sections
-    that would block, or be blocked by, chain members.  The chain's
-    priority masks for each remaining job come from prefix ORs of
-    ``earlier`` and suffix ORs of ``held`` over the chain sorted by job.
+    that would block, or be blocked by, chain members.  Candidates arrive
+    in job order, so each job's priority masks are built once, by
+    :func:`~pipblock.admissibility._priority_masks`.
     """
     index = _compiled(ts)
-    rows = sorted((index.entry(z) for z in node.chain), key=lambda m: m.z.job)
-    above = list(accumulate((m.earlier for m in rows), or_, initial=0))
-    below = list(accumulate((m.held for m in reversed(rows)), or_, initial=0))[::-1]
     extensions: list[CriticalSection] = []
-    k = 0
+    job = 0
     for s in _candidates(
         index, node.remaining_jobs, node.induced, node.remaining_resources
     ):
-        while k < len(rows) and rows[k].z.job < s.z.job:
-            k += 1
+        if s.z.job != job:
+            job = s.z.job
+            above, below = _priority_masks(index, node.chain, job)
         if fringe.already_generated(node.members | 1 << s.key):
             continue
-        if not _obstructed(s, above[k], below[k]):
+        if not _obstructed(s, above, below):
             extensions.append(s.z)
     return tuple(extensions)
 
@@ -290,13 +286,12 @@ def expand(ts: TaskSet, i: int, node: SearchNode, fringe: Fringe) -> list[Search
 
 def _root(ts: TaskSet, i: int) -> SearchNode:
     """The search's root for job ``i``: the empty chain, inducing the
-    direct resources, with the relevant jobs and resources remaining, the
-    assignment bound over them as its estimate, and that assignment solved
-    over the search's matrix.  A cell costs minus the job's longest
-    duration on the resource, unperturbed: the search needs only values."""
+    direct resources, with the relevant jobs and resources remaining and
+    the assignment over them solved on the search's matrix, minus its
+    cost as the estimate.  A cell costs minus the job's longest duration
+    on the resource, unperturbed: the search needs only values."""
     scope = blocking_scope(ts, i)
     index = _compiled(ts)
-    h0, _ = hungarian_bound(ts, scope.relevant_jobs, scope.relevant_resources)
     jobs = sorted(scope.relevant_jobs)
     resources = index.mask(scope.relevant_resources)
     columns = [k + 1 for k in _positions(resources)]
@@ -305,6 +300,7 @@ def _root(ts: TaskSet, i: int) -> SearchNode:
     cost += [[0] * len(cost[0]) for _ in range(len(columns) - len(jobs))]
     rows = jobs + list(range(ts.n + 1, len(cost) + 1))
     columns += range(len(index.ids) + 1, len(cost[0]) + 1)
+    assignment = _Assignment(cost, rows, columns)
     return SearchNode(
         chain=(),
         members=0,
@@ -312,10 +308,10 @@ def _root(ts: TaskSet, i: int) -> SearchNode:
         remaining_resources=resources,
         remaining_jobs=sum(1 << j for j in jobs),
         gain=0,
-        heuristic=index.scaled(h0),
+        heuristic=-assignment.total(),
         seq=0,
         batch=0,
-        assignment=_Assignment(cost, rows, columns),
+        assignment=assignment,
     )
 
 

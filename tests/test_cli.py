@@ -76,6 +76,15 @@ def test_blocking_time_with_trace(tmp_path, capsys):
     assert "11 nodes generated" in out
     assert "f=33" in out
     assert "(re-marked as leaf)" in out
+    assert out.splitlines() == [
+        "J1: blocking time 26  witness <z2,1, z4,1, z3,1, z5,3>"
+        "  (11 nodes generated, 5 expanded)",
+        "  n0: chain=<> f=33 extensions: z2,1, z3,3, z4,4",
+        "  n3: chain=<z4,4> f=33 extensions: none (re-marked as leaf)",
+        "  n1: chain=<z2,1> f=26 extensions: z4,1, z5,3",
+        "  n4: chain=<z2,1, z4,1> f=26 extensions: z3,1, z5,1, z5,3, z5,4",
+        "  n6: chain=<z2,1, z4,1, z3,1> f=26 extensions: z5,3",
+    ]
 
     assert main(["blocking-time", str(path), "--job", "1", "--json"]) == 0
     doc = json.loads(capsys.readouterr().out)

@@ -220,21 +220,26 @@ def test_repaired_assignment_matches_fresh_bound(seed, shape, fractional):
 def test_root_assignment_value_is_the_root_estimate(seed, shape):
     # The root solves its assignment over the relevant jobs, the relevant
     # resources and the padding that squares them; whichever side is
-    # larger, its value is the hungarian_bound estimate.
+    # larger, its estimate equals the perturbed hungarian_bound over the
+    # relevant sets, an independent solve.
+    from pipblock import blocking_scope
     from pipblock.search import _root
-    from pipblock.taskset import _positions
+    from pipblock.taskset import _compiled, _positions
 
     ts = random_taskset(seed, jobs=shape[0], resources=shape[1], sections_per_job=4)
+    index = _compiled(ts)
     for i in range(1, ts.n + 1):
         root = _root(ts, i)
-        cost, owner = root.assignment.cost, root.assignment.owner
+        scope = blocking_scope(ts, i)
+        owner = root.assignment.owner
         matched = [(o, c) for c, o in enumerate(owner) if c and o]
         jobs = _positions(root.remaining_jobs)
         columns = [k + 1 for k in _positions(root.remaining_resources)]
         assert len(matched) == max(len(jobs), len(columns))
         assert {o for o, _ in matched} >= set(jobs)
         assert {c for _, c in matched} >= set(columns)
-        assert -sum(cost[o - 1][c - 1] for o, c in matched) == root.heuristic
+        bound, _ = hungarian_bound(ts, scope.relevant_jobs, scope.relevant_resources)
+        assert root.heuristic == index.scaled(bound)
 
 
 def test_standalone_expand_and_successors(five_jobs_deep):

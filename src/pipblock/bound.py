@@ -16,11 +16,13 @@ minimum-cost permutation in O(n³) integer steps.  A permutation's
 perturbation terms spell its column sequence as a base-n number below
 ``nⁿ``, so they never outweigh one unit of duration: the unique optimum
 is the lexicographically smallest of the maximum-duration permutations.
+:func:`max_assignment` reads its pairs off the owner of each resource
+column that a job row holds with positive weight.
 
-Its one front end, :class:`_Assignment`, is a solved assignment of some
-rows of a cost matrix onto as many columns: solved from scratch, or
-repaired after one row and one column are deactivated, every other row
-and column keeping its number.  Invoked with the direct
+The kernel's one front end, :class:`_Assignment`, is a solved assignment
+of some rows of a cost matrix onto as many columns: solved from scratch,
+or repaired after one row and one column are deactivated, every other
+row and column keeping its number.  Invoked with the direct
 blocking sets this reproduces the classic single-resource-at-a-time
 bound; with the relevant (nesting-aware) sets it bounds the general case;
 over leftover job/resource subsets, unperturbed, it is the admissible
@@ -113,28 +115,22 @@ def max_assignment(matrix: BlockingMatrix) -> AssignmentSet:
     ``itertools.permutations`` order (see the module docstring).
     """
     jobs, resources, weights = matrix.jobs, matrix.resources, matrix.weights
-    pairs = []
-    total = 0
-    for r, c in _max_weight_permutation(weights, len(resources)):
-        if r < len(jobs) and c < len(resources) and weights[r][c] > 0:
-            pairs.append((jobs[r], resources[c]))
-            total += weights[r][c]
-    return AssignmentSet(pairs=tuple(pairs), value=Fraction(total, matrix.scale))
-
-
-def _max_weight_permutation(
-    weights: list[list[int]], n_cols: int
-) -> list[tuple[int, int]]:
-    """(row, column) cells of the lexicographically smallest maximum-weight
-    permutation of ``weights`` padded square with zeros, padding included."""
-    n = max(len(weights), n_cols)
+    n = max(len(jobs), len(resources))
     unit = n**n  # exceeds every sum of perturbation terms
     cost = [[c * n ** (n - 1 - r) for c in range(n)] for r in range(n)]
     for r, row in enumerate(weights):
         for c, w in enumerate(row):
             cost[r][c] -= w * unit
     owner = _Assignment(cost, range(1, n + 1), range(1, n + 1)).owner
-    return sorted((owner[c] - 1, c - 1) for c in range(1, n + 1))
+    cells = sorted(
+        (owner[c] - 1, c - 1)
+        for c in range(1, len(resources) + 1)
+        if owner[c] <= len(jobs) and weights[owner[c] - 1][c - 1] > 0
+    )
+    return AssignmentSet(
+        pairs=tuple((jobs[r], resources[c]) for r, c in cells),
+        value=Fraction(sum(weights[r][c] for r, c in cells), matrix.scale),
+    )
 
 
 class _Assignment:

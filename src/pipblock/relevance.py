@@ -134,30 +134,24 @@ def _fixpoint(
     """Mask iterates of the relevant-resource fixpoint, starting from the
     direct-set mask ``scope`` and adding one non-empty induced set per step.
 
-    The deterministic scan picks the first candidate in ascending job and
-    section order; passing ``rng`` picks uniformly among all candidates
-    (the least fixpoint is the same either way).
+    One scan finds the candidates in ascending job and section order; the
+    deterministic pick is the first, and passing ``rng`` picks uniformly
+    among all of them (the least fixpoint is the same either way).  The
+    iteration stops when there is none, as once every resource is in scope.
     """
-    everything = (1 << len(index.bits)) - 1
     trace = [scope]
-    while scope != everything:
-        candidates: list[int] = []
-        for rows in index.sections[i:]:
-            for s in rows:
-                if _maximal(s, scope):
-                    induced = _induced(index, i, s, scope)
-                    if induced:
-                        candidates.append(induced)
-                        if rng is None:
-                            break
-            if candidates and rng is None:
-                break
-        if not candidates:
-            break
-        pick = candidates[0] if rng is None else rng.choice(candidates)
+    while True:
+        found = (
+            induced
+            for rows in index.sections[i:]
+            for s in rows
+            if _maximal(s, scope) and (induced := _induced(index, i, s, scope))
+        )
+        pick = next(found, 0) if rng is None else rng.choice([*found] or [0])
+        if not pick:
+            return trace
         scope |= pick
         trace.append(scope)
-    return trace
 
 
 def relevant_resources(

@@ -9,11 +9,15 @@ the fringe carries the exact maximum.
 
 Fringe discipline: descending estimate ``f = g + h``; ties prefer leaf
 nodes, then the newest expansion batch (within a batch, generation
-order).  All generated-but-unexpanded nodes stay in the fringe, and the
-fringe also remembers every chain set ever generated: differently-ordered
-permutations of one section set have equal gain, heuristic and extension
-options, so exploring a set once suffices.  The duplicate guard therefore
-discards an extension exactly when its section set was generated before.
+order).  Both keys are :func:`blocking_time`'s counters: ``seq`` counts
+the nodes generated before a node, ``batch`` the expansions made so far;
+a node that :func:`expand` finds no successor for goes back as a leaf
+in the current batch.  All generated-but-unexpanded nodes stay in the
+fringe, and the fringe also remembers every chain set ever generated:
+differently-ordered permutations of one section set have equal gain,
+heuristic and extension options, so exploring a set once suffices.  The
+duplicate guard therefore discards an extension exactly when its section
+set was generated before.
 A section set is one integer: every section of the index has its own
 bit (``1 << _Section.key``), a node's ``members`` is the OR of its
 chain's bits, and the guard is a set of those integers, so a query is
@@ -70,7 +74,7 @@ from fractions import Fraction
 from .admissibility import _obstructed, _priority_masks
 from .bound import _Assignment, hungarian_bound  # noqa: F401 (bench/spans.py traces it)
 from .deadlock import require_acyclic
-from .relevance import _induced, blocking_scope
+from .relevance import _direct, _fixpoint, _induced, _jobs_using
 from .taskset import (
     CriticalSection,
     TaskSet,
@@ -102,8 +106,8 @@ class SearchNode:
     resource mask) and ``remaining_jobs`` (bit ``j`` for job j) are the
     relevant sets minus what the chain used.
     ``gain`` (the chain's duration) and ``heuristic`` are integers in
-    units of ``1/index.scale``.  ``seq`` and ``batch`` are bookkeeping for
-    deterministic tie-breaking.  ``assignment`` is the solved
+    units of ``1/index.scale``.  ``seq`` and ``batch`` are the fringe's
+    tie-break keys, set by :func:`blocking_time`.  ``assignment`` is the solved
     :class:`~pipblock.bound._Assignment` behind ``heuristic`` (active:
     the remaining jobs and resources and their padding), or None when the
     node had no candidate extension on creation (a leaf).
@@ -164,8 +168,8 @@ class Fringe:
 @dataclass(frozen=True)
 class ExpansionRecord:
     """One Remove-First step, for traces and instrumentation.  The expanded
-    node's gain and heuristic are kept as integers in units of
-    ``1/scale`` and read as exact durations."""
+    node's gain and heuristic are integers in units of ``1/scale``;
+    ``estimate`` reads their sum as an exact duration."""
 
     seq: int
     chain: ZChain
@@ -174,14 +178,6 @@ class ExpansionRecord:
     scale: int
     extensions: tuple[str, ...]
     releafed: bool
-
-    @property
-    def gain(self) -> Fraction:
-        return Fraction(self.gain_units, self.scale)
-
-    @property
-    def heuristic(self) -> Fraction:
-        return Fraction(self.heuristic_units, self.scale)
 
     @property
     def estimate(self) -> Fraction:
@@ -217,9 +213,10 @@ def _candidates(
 
 
 def successors(
-    ts: TaskSet, i: int, node: SearchNode, fringe: Fringe
+    ts: TaskSet, node: SearchNode, fringe: Fringe
 ) -> tuple[CriticalSection, ...]:
-    """Admissible extensions of ``node``'s chain, in job then section order.
+    """Admissible extensions of ``node``'s chain, in job then section order;
+    ``node`` and ``fringe`` stay as they are.
 
     Candidates come from :func:`_candidates` over the remaining jobs (new
     job, new resource, limited-scope maximality); the duplicate guard
@@ -246,8 +243,8 @@ def successors(
 
 
 def expand(ts: TaskSet, i: int, node: SearchNode, fringe: Fringe) -> list[SearchNode]:
-    """Successor nodes of ``node``; ``node`` itself (re-marked as a leaf)
-    when it has no admissible extensions.
+    """New, unnumbered successor nodes of ``node``, possibly none;
+    ``node`` and ``fringe`` stay as they are.
 
     A successor gets the assignment heuristic, repaired from ``node``'s
     assignment, only when it has a candidate extension; otherwise it is
@@ -256,7 +253,7 @@ def expand(ts: TaskSet, i: int, node: SearchNode, fringe: Fringe) -> list[Search
     """
     created: list[SearchNode] = []
     index = _compiled(ts)
-    for z in successors(ts, i, node, fringe):
+    for z in successors(ts, node, fringe):
         s = index.entry(z)
         remaining_jobs = node.remaining_jobs & ~(1 << z.job)
         remaining_resources = node.remaining_resources & ~s.bit
@@ -277,23 +274,20 @@ def expand(ts: TaskSet, i: int, node: SearchNode, fringe: Fringe) -> list[Search
         )
         created.append(successor)
         if successor.is_leaf and successor.estimate == node.estimate:
-            return created
-    if not created:
-        node.heuristic = 0
-        created.append(node)
+            break
     return created
 
 
 def _root(ts: TaskSet, i: int) -> SearchNode:
     """The search's root for job ``i``: the empty chain, inducing the
-    direct resources, with the relevant jobs and resources remaining and
-    the assignment over them solved on the search's matrix, minus its
-    cost as the estimate.  A cell costs minus the job's longest duration
-    on the resource, unperturbed: the search needs only values."""
-    scope = blocking_scope(ts, i)
+    direct mask, with the relevant masks of :mod:`~pipblock.relevance`
+    remaining and the assignment over them solved on the search's matrix,
+    minus its cost as the estimate.  A cell costs minus the job's longest
+    duration on the resource, unperturbed: the search needs only values."""
     index = _compiled(ts)
-    jobs = sorted(scope.relevant_jobs)
-    resources = index.mask(scope.relevant_resources)
+    direct = _direct(index, i)
+    resources = _fixpoint(index, i, direct, None)[-1]
+    jobs = sorted(_jobs_using(index, i, resources))
     columns = [k + 1 for k in _positions(resources)]
     pad = [0] * (len(jobs) - len(columns))
     cost = [[-longest.get(r, 0) for r in index.ids] + pad for longest in index.longest]
@@ -304,7 +298,7 @@ def _root(ts: TaskSet, i: int) -> SearchNode:
     return SearchNode(
         chain=(),
         members=0,
-        induced=index.mask(scope.direct_resources),
+        induced=direct,
         remaining_resources=resources,
         remaining_jobs=sum(1 << j for j in jobs),
         gain=0,
@@ -325,10 +319,7 @@ def blocking_time(ts: TaskSet, i: int) -> SearchResult:
     index = _compiled(ts)
     fringe = Fringe()
     fringe.push(_root(ts, i))
-    generated = 1
-    expanded = 0
-    next_seq = 1
-    batch = 0
+    generated, expanded = 1, 0
     records: list[ExpansionRecord] = []
 
     while True:
@@ -342,29 +333,22 @@ def blocking_time(ts: TaskSet, i: int) -> SearchResult:
                 expansions=tuple(records),
             )
         expanded += 1
-        batch += 1
-        gain, heuristic = node.gain, node.heuristic
         created = expand(ts, i, node, fringe)
-        releafed = len(created) == 1 and created[0] is node
         records.append(
             ExpansionRecord(
                 seq=node.seq,
                 chain=node.chain,
-                gain_units=gain,
-                heuristic_units=heuristic,
+                gain_units=node.gain,
+                heuristic_units=node.heuristic,
                 scale=index.scale,
-                extensions=tuple(
-                    s.chain[-1].label for s in created if s is not node
-                ),
-                releafed=releafed,
+                extensions=tuple(s.chain[-1].label for s in created),
+                releafed=not created,
             )
         )
+        if not created:
+            node.heuristic, node.batch = 0, expanded
+            fringe.push(node)
         for successor in created:
-            if successor is node:
-                successor.batch = batch
-            else:
-                successor.seq = next_seq
-                successor.batch = batch
-                next_seq += 1
-                generated += 1
+            successor.seq, successor.batch = generated, expanded
+            generated += 1
             fringe.push(successor)

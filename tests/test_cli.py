@@ -251,3 +251,20 @@ def test_analyze_trace_reuses_the_report_search(tmp_path, capsys, monkeypatch):
     out = capsys.readouterr().out
     assert "search trace for J1" in out
     assert "n0: chain=<> f=33 extensions: z2,1, z3,3, z4,4" in out
+
+
+def test_resource_zero_is_an_input_error(tmp_path, capsys):
+    bad = tmp_path / "r0.txt"
+    bad.write_text("J1: [R0: 1]\n")
+    assert main(["analyze", str(bad)]) == 1
+    assert "1-based" in capsys.readouterr().err
+
+
+def test_check_chain_names_the_conflicting_pair(nested_file, capsys):
+    # z2,1 and z3,1 both lock R4: an inadmissible chain is a verdict, not
+    # an error, so the exit status is 0
+    assert main(["check-chain", nested_file, "--job", "1", "--chain", "z2,1 z3,1"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "inadmissible: z3,1 fails NBR",
+        "  conflicting sections: z2,1, z3,1",
+    ]

@@ -253,7 +253,7 @@ def test_standalone_expand_and_successors(five_jobs_deep):
     root = _root(ts, 1)
     assert root.estimate == 33
     fringe = Fringe()
-    assert [z.label for z in successors(ts, 1, root, fringe)] == [
+    assert [z.label for z in successors(ts, root, fringe)] == [
         "z2,1",
         "z3,3",
         "z4,4",
@@ -272,13 +272,45 @@ def test_standalone_expand_and_successors(five_jobs_deep):
     } == {5}
     assert by_label["z2,1"].induced == index.mask({2, 3, 4})
 
-    # a node without eligible sections has no extensions and is
-    # re-marked as a leaf by expand
+    # a node without eligible sections has no extensions: expand creates
+    # nothing and leaves the node as it was
     leafish = by_label["z3,3"]
     leafish.seq, leafish.batch = 1, 1
-    assert successors(ts, 1, leafish, fringe) == ()
-    assert expand(ts, 1, leafish, fringe) == [leafish]
+    assert successors(ts, leafish, fringe) == ()
+    assert expand(ts, 1, leafish, fringe) == []
     assert leafish.is_leaf
+
+
+def test_releafed_node_joins_the_newest_batch():
+    # J4's z4,3 and z4,1 both come to 6.  z4,1 is a leaf on creation (seq
+    # 1, batch 1); z4,3 is expanded, finds no extension and goes back as a
+    # leaf.  It is re-marked with the current batch, 2, so it pops before
+    # z4,1 and is the witness; left in batch 1 it would lose on seq.
+    ts = random_taskset(35, jobs=5, resources=5, sections_per_job=3, nesting_depth=2)
+    result = blocking_time(ts, 3)
+    assert result.blocking_time == 6
+    assert [z.label for z in result.witness] == ["z4,3"]
+    assert (result.nodes_generated, result.nodes_expanded) == (4, 3)
+    assert [(r.seq, r.releafed) for r in result.expansions] == [
+        (0, False),
+        (2, True),
+        (3, True),
+    ]
+
+
+def test_fringe_refuses_an_unnumbered_or_live_seq(five_jobs_deep):
+    from pipblock import Fringe
+    from pipblock.search import _root
+
+    fringe = Fringe()
+    root = _root(five_jobs_deep, 1)
+    root.seq = -1
+    with pytest.raises(ValueError):
+        fringe.push(root)
+    root.seq = 0
+    fringe.push(root)
+    with pytest.raises(ValueError):
+        fringe.push(_root(five_jobs_deep, 1))
 
 
 def test_fringe_ordering_and_duplicate_guard(five_jobs_deep):
@@ -441,8 +473,8 @@ def test_successors_match_the_definitions(seed, fractional):
                         assert admissible == (_ref_verdict(ts, i, extended) is None)
                         if admissible and frozenset(extended) not in generated:
                             expected.append(z)
-                assert list(successors(ts, i, node, fringe)) == expected
-                created = [c for c in expand(ts, i, node, fringe) if c is not node]
+                assert list(successors(ts, node, fringe)) == expected
+                created = expand(ts, i, node, fringe)
                 for child in created:
                     child.seq = child.batch = next_seq
                     next_seq += 1

@@ -181,3 +181,39 @@ def test_section_lookup_errors(nested_four_jobs):
         nested_four_jobs.job(9)
     with pytest.raises(TaskSetError):
         nested_four_jobs.section(1, 5)
+
+
+def test_taskset_checks_the_jobs_it_is_given():
+    # Jobs built in code rather than parsed go through the same checks:
+    # numbering, section placement and parent links.
+    from pipblock import CriticalSection, Job, TaskSet
+
+    def z(job, position, resource, parent=None):
+        return CriticalSection(job, position, resource, 1, parent)
+
+    with pytest.raises(TaskSetError, match="at least one job"):
+        TaskSet([])
+    with pytest.raises(TaskSetError, match="expected J1, found J2"):
+        TaskSet([Job(2, ())])
+    with pytest.raises(TaskSetError, match="out of place"):
+        TaskSet([Job(1, (z(1, 2, 1),))])
+    later = z(1, 2, 1)
+    with pytest.raises(TaskSetError, match="earlier section of the same job"):
+        TaskSet([Job(1, (z(1, 1, 2, parent=later), later))])
+    other = z(2, 1, 1)
+    with pytest.raises(TaskSetError, match="earlier section of the same job"):
+        TaskSet([Job(1, (z(1, 1, 1), z(1, 2, 2, parent=other))), Job(2, (other,))])
+    with pytest.raises(TaskSetError, match="stale"):
+        TaskSet([Job(1, (z(1, 1, 1), z(1, 2, 2, parent=z(1, 1, 1))))])
+
+
+def test_duration_literals_and_resource_numbers_are_checked():
+    from pipblock.taskset import as_duration
+
+    with pytest.raises(ParseError):
+        as_duration("1/0x")
+    with pytest.raises(TaskSetError) as negative:
+        as_duration("-1/2")
+    assert type(negative.value) is TaskSetError
+    with pytest.raises(TaskSetError, match="1-based"):
+        parse_taskset("J1: [R0: 1]")

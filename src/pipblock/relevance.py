@@ -17,7 +17,16 @@ import random
 from dataclasses import dataclass
 from typing import Iterable
 
-from .taskset import CriticalSection, ResourceId, TaskSet, _compiled, _Index, _maximal, _Section
+from .taskset import (
+    CriticalSection,
+    ResourceId,
+    TaskSet,
+    _compiled,
+    _Index,
+    _maximal,
+    _positions,
+    _Section,
+)
 
 __all__ = [
     "BlockingScope",
@@ -63,19 +72,20 @@ def direct_blocking_resources(ts: TaskSet, i: int) -> frozenset[ResourceId]:
     return index.resources_of(_direct(index, i))
 
 
-def _jobs_using(index: _Index, i: int, scope: int) -> frozenset[int]:
-    """Jobs below job ``i`` using a resource of the ``scope`` mask."""
+def _jobs_using(index: _Index, i: int, scope: int) -> int:
+    """Mask (bit j for job j) of the jobs below job ``i`` using a resource
+    of the ``scope`` mask."""
     jobs = 0
     for bit, users in index.users.items():
         if bit & scope:
             jobs |= users
-    return frozenset(j for j in range(i + 1, len(index.sections) + 1) if jobs >> j & 1)
+    return jobs >> i + 1 << i + 1
 
 
 def direct_blocking_jobs(ts: TaskSet, i: int) -> frozenset[int]:
     """Lower-priority jobs using a direct blocking resource of job ``i``."""
     index = _compiled(ts)
-    return _jobs_using(index, i, _direct(index, i))
+    return frozenset(_positions(_jobs_using(index, i, _direct(index, i))))
 
 
 def is_maximal(z: CriticalSection, scope: Iterable[ResourceId]) -> bool:
@@ -173,7 +183,8 @@ def fixpoint_trace(ts: TaskSet, i: int) -> list[frozenset[ResourceId]]:
 def relevant_jobs(ts: TaskSet, i: int) -> frozenset[int]:
     """Lower-priority jobs using any relevant resource of job ``i``."""
     index = _compiled(ts)
-    return _jobs_using(index, i, _fixpoint(index, i, _direct(index, i), None)[-1])
+    relevant = _fixpoint(index, i, _direct(index, i), None)[-1]
+    return frozenset(_positions(_jobs_using(index, i, relevant)))
 
 
 def blocking_scope(ts: TaskSet, i: int) -> BlockingScope:
@@ -184,7 +195,7 @@ def blocking_scope(ts: TaskSet, i: int) -> BlockingScope:
     return BlockingScope(
         target=i,
         direct_resources=index.resources_of(direct),
-        direct_jobs=_jobs_using(index, i, direct),
+        direct_jobs=frozenset(_positions(_jobs_using(index, i, direct))),
         relevant_resources=index.resources_of(relevant),
-        relevant_jobs=_jobs_using(index, i, relevant),
+        relevant_jobs=frozenset(_positions(_jobs_using(index, i, relevant))),
     )

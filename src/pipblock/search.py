@@ -11,9 +11,9 @@ Fringe discipline: descending estimate ``f = g + h``; ties prefer leaf
 nodes, then the newest expansion batch (within a batch, generation
 order).  Both keys are :func:`blocking_time`'s counters: ``seq`` counts
 the nodes generated before a node, ``batch`` the expansions made so far;
-a node that :func:`expand` finds no successor for goes back as a leaf
-in the current batch.  All generated-but-unexpanded nodes stay in the
-fringe, and the fringe also remembers every chain set ever generated:
+a node without extensions goes back as a leaf in the current batch
+(see the re-leaf rule below).  Generated-but-unexpanded nodes stay in
+the fringe, and the fringe also remembers every chain set ever generated:
 differently-ordered permutations of one section set have equal gain,
 heuristic and extension options, so exploring a set once suffices.  The
 duplicate guard therefore discards an extension exactly when its section
@@ -30,20 +30,46 @@ leaf test.  NBR reads ``remaining_resources``, so a node keeps no mask
 ``taken`` of the chain's resources: taken = relevant − remaining and
 taken ⊆ induced ⊆ relevant (a section joins only once its resource is
 induced, and induction stays within the relevant set), so
-induced − taken = induced ∩ remaining.  FHO and FLO are one test of the
-candidate's row against two masks of the chain
-(:func:`~pipblock.admissibility._obstructed`): ``above``, the
-earlier-section resources of the members of higher priority than the
-candidate's job, and ``below``, the held resources of the members of
-lower priority.  Both depend only on the job, so ``successors`` builds
-them once per candidate job, with the chain check's
-:func:`~pipblock.admissibility._priority_masks`.  A rejected candidate
-is simply dropped: the search never names the conflicting pair, so it
-never walks the chain for a witness
-(:func:`~pipblock.admissibility._obstruction` does that for reports).
+induced − taken = induced ∩ remaining.  FHO and FLO are one bit test
+against the node's ``live`` mask.  NBJ, NBR, FHO and FLO are pairwise
+tests between a member and a section that read no duration and no
+chain order, so each index row m has a mask
+:attr:`~pipblock.taskset._Index.conflict` of the sections that no chain
+holding m can take.  The root's ``live`` is every section of the
+relevant jobs, and a child's is its parent's minus the added row's
+conflict mask: once a section is obstructed it stays obstructed, so the
+mask only shrinks.  A rejected candidate is simply dropped: the search
+never names the conflicting pair, so it never walks the chain for a
+witness (:func:`~pipblock.admissibility._obstruction` does that for
+reports).
 
-Nodes live on the task set's compiled index: the chain's section set, its
-induced set and the remaining jobs and resources are bit masks, and gain
+Dominance.  A live section misses every current member's conflict mask,
+so whether a later member obstructs it depends on that member alone;
+LSM and the induced set read only ``induced``.  The completions of a
+node (the section sequences that extend its chain admissibly) therefore
+depend only on ``(live, induced)``, and of two nodes with the same key
+the one of larger gain has the larger best completion (Ibaraki,
+"The power of dominance relations in branch-and-bound algorithms",
+JACM 24(2), 1977).  The fringe keeps, per search, the largest gain
+generated for each key.  :func:`expand` drops a child whose key was
+reached with a strictly larger gain, and :func:`blocking_time` drops,
+unexpanded, a popped non-leaf whose key was reached with a strictly
+larger gain since it was generated.  Only strict dominance is used:
+a dropped node's every completion is strictly below a completion of a
+kept node, so no optimal leaf is lost, and the fringe keys (estimate,
+leaf flag, batch, seq) of the nodes that lead to an optimal leaf keep
+their relative order.  The popped witness is therefore the one the
+search without dominance pops.  Equal gains are not merged: which of
+two equal nodes survives would change the witness.  The section-set
+guard covers the equal-gain case of one set reached in two orders.
+Re-leafing follows the same argument: a node goes back as a leaf only
+when it has no extension at all.  A node whose extensions were all
+dropped by dominance is dropped too: its gain is at most theirs (zero
+durations make it equal), so it is strictly below a kept node as well.
+
+Nodes live on the task set's compiled index: the chain's section set,
+its live sections, its induced set and the remaining jobs and resources
+are bit masks, and gain
 and heuristic are integers in units of ``1/index.scale``, so the fringe
 orders by exact integer keys.  Only the returned result (and the
 expansion records, on reading) hold ``Fraction`` values.
@@ -71,7 +97,6 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .admissibility import _obstructed, _priority_masks
 from .bound import _Assignment, hungarian_bound  # noqa: F401 (bench/spans.py traces it)
 from .deadlock import require_acyclic
 from .relevance import _direct, _fixpoint, _induced, _jobs_using
@@ -101,8 +126,10 @@ class SearchNode:
     """One search-tree node: a partial chain and its derived sets.
 
     ``members`` is the chain's section set, the OR of ``1 << key`` over
-    its sections' index rows.  ``induced`` is the chain's induced set, a
-    resource mask of the task set's index.  ``remaining_resources`` (a
+    its sections' index rows, and ``live`` the set, in the same bits, of
+    the relevant jobs' sections that no member conflicts with.
+    ``induced`` is the chain's induced set, a resource mask of the task
+    set's index.  ``remaining_resources`` (a
     resource mask) and ``remaining_jobs`` (bit ``j`` for job j) are the
     relevant sets minus what the chain used.
     ``gain`` (the chain's duration) and ``heuristic`` are integers in
@@ -120,6 +147,7 @@ class SearchNode:
     remaining_jobs: int
     gain: int
     heuristic: int
+    live: int = 0
     seq: int = -1
     batch: int = -1
     assignment: _Assignment | None = None
@@ -136,28 +164,42 @@ class SearchNode:
 class Fringe:
     """Generated-but-unexpanded nodes, ordered for Remove-First.
 
-    Also keeps a permanent record of every chain set generated so far, as
-    the ``members`` masks of the pushed nodes; the duplicate guard queries
-    it.
+    Also keeps two permanent records of the search: every chain set
+    generated so far, as the ``members`` masks of the pushed nodes, which
+    the duplicate guard queries; and the dominance table, the largest
+    gain generated for each ``(live, induced)`` key.
     """
 
     def __init__(self) -> None:
         self._heap: list[tuple[tuple, SearchNode]] = []
-        self._live: set[int] = set()
+        self._queued: set[int] = set()
         self._generated: set[int] = set()
+        self._best: dict[tuple[int, int], int] = {}
 
     def push(self, node: SearchNode) -> None:
-        if node.seq < 0 or node.seq in self._live:
+        if node.seq < 0 or node.seq in self._queued:
             raise ValueError("nodes need a fresh non-negative seq before insertion")
         key = (-node.estimate, 0 if node.is_leaf else 1, -node.batch, node.seq)
         heapq.heappush(self._heap, (key, node))
-        self._live.add(node.seq)
+        self._queued.add(node.seq)
         self._generated.add(node.members)
 
     def pop(self) -> SearchNode:
         _, node = heapq.heappop(self._heap)
-        self._live.remove(node.seq)
+        self._queued.remove(node.seq)
         return node
+
+    def dominated(self, live: int, induced: int, gain: int) -> bool:
+        """True iff the key ``(live, induced)`` was reached with a gain
+        strictly larger than ``gain``; otherwise ``gain`` becomes the key's
+        record if it is larger than the one held."""
+        key = live, induced
+        best = self._best.get(key, -1)
+        if best > gain:
+            return True
+        if best < gain:
+            self._best[key] = gain
+        return False
 
     def already_generated(self, sections: int) -> bool:
         """True iff a node with exactly this chain set (a ``members`` mask)
@@ -169,7 +211,10 @@ class Fringe:
 class ExpansionRecord:
     """One Remove-First step, for traces and instrumentation.  The expanded
     node's gain and heuristic are integers in units of ``1/scale``;
-    ``estimate`` reads their sum as an exact duration."""
+    ``estimate`` reads their sum as an exact duration.  ``extensions``
+    labels the last sections of the created successors (dominated ones
+    are not created); ``releafed`` is set when the node had no extension
+    and went back as a leaf."""
 
     seq: int
     chain: ZChain
@@ -219,45 +264,54 @@ def successors(
     ``node`` and ``fringe`` stay as they are.
 
     Candidates come from :func:`_candidates` over the remaining jobs (new
-    job, new resource, limited-scope maximality); the duplicate guard
-    discards extensions whose section set was already generated; the FHO/FLO
-    predicate shared with :mod:`~pipblock.admissibility` rejects sections
-    that would block, or be blocked by, chain members.  Candidates arrive
-    in job order, so each job's priority masks are built once, by
-    :func:`~pipblock.admissibility._priority_masks`.
+    job, new resource, limited-scope maximality); FHO and FLO reject the
+    candidates outside ``node.live``; the duplicate guard discards
+    extensions whose section set was already generated.
     """
     index = _compiled(ts)
-    extensions: list[CriticalSection] = []
-    job = 0
-    for s in _candidates(
-        index, node.remaining_jobs, node.induced, node.remaining_resources
-    ):
-        if s.z.job != job:
-            job = s.z.job
-            above, below = _priority_masks(index, node.chain, job)
-        if fringe.already_generated(node.members | 1 << s.key):
-            continue
-        if not _obstructed(s, above, below):
-            extensions.append(s.z)
-    return tuple(extensions)
+    return tuple(
+        s.z
+        for s in _candidates(
+            index, node.remaining_jobs, node.induced, node.remaining_resources
+        )
+        if node.live >> s.key & 1
+        and not fringe.already_generated(node.members | 1 << s.key)
+    )
 
 
-def expand(ts: TaskSet, i: int, node: SearchNode, fringe: Fringe) -> list[SearchNode]:
-    """New, unnumbered successor nodes of ``node``, possibly none;
-    ``node`` and ``fringe`` stay as they are.
+def expand(
+    ts: TaskSet,
+    i: int,
+    node: SearchNode,
+    fringe: Fringe,
+    extensions: tuple[CriticalSection, ...] | None = None,
+) -> list[SearchNode]:
+    """New, unnumbered successor nodes of ``node`` for ``extensions``
+    (by default :func:`successors`), possibly none; ``node`` stays as it
+    is, and the fringe records the gain of each created successor in its
+    dominance table.
 
-    A successor gets the assignment heuristic, repaired from ``node``'s
-    assignment, only when it has a candidate extension; otherwise it is
-    a leaf.  Creation stops early when a successor is a leaf matching the
-    parent's estimate: that leaf already proves the branch's optimum.
+    A successor is dropped when its ``(live, induced)`` key was reached
+    with a strictly larger gain.  A kept successor gets the assignment
+    heuristic, repaired from ``node``'s assignment, only when it has a
+    candidate extension; otherwise it is a leaf.  Creation stops early
+    when a successor is a leaf matching the parent's estimate: that leaf
+    already proves the branch's optimum.
     """
+    if extensions is None:
+        extensions = successors(ts, node, fringe)
     created: list[SearchNode] = []
     index = _compiled(ts)
-    for z in successors(ts, node, fringe):
+    conflict = index.conflict
+    for z in extensions:
         s = index.entry(z)
+        live = node.live & ~conflict[s.key]
+        induced = node.induced | _induced(index, i, s, node.induced)
+        gain = node.gain + s.duration
+        if fringe.dominated(live, induced, gain):
+            continue
         remaining_jobs = node.remaining_jobs & ~(1 << z.job)
         remaining_resources = node.remaining_resources & ~s.bit
-        induced = node.induced | _induced(index, i, s, node.induced)
         cost, assignment = 0, None
         candidate = _candidates(index, remaining_jobs, induced, remaining_resources)
         if next(candidate, None) is not None:
@@ -268,8 +322,9 @@ def expand(ts: TaskSet, i: int, node: SearchNode, fringe: Fringe) -> list[Search
             induced=induced,
             remaining_resources=remaining_resources,
             remaining_jobs=remaining_jobs,
-            gain=node.gain + s.duration,
+            gain=gain,
             heuristic=-cost,
+            live=live,
             assignment=assignment,
         )
         created.append(successor)
@@ -281,18 +336,20 @@ def expand(ts: TaskSet, i: int, node: SearchNode, fringe: Fringe) -> list[Search
 def _root(ts: TaskSet, i: int) -> SearchNode:
     """The search's root for job ``i``: the empty chain, inducing the
     direct mask, with the relevant masks of :mod:`~pipblock.relevance`
-    remaining and the assignment over them solved on the search's matrix,
-    minus its cost as the estimate.  A cell costs minus the job's longest
-    duration on the resource, unperturbed: the search needs only values."""
+    remaining, every section of the relevant jobs live, and the assignment
+    over them solved on the search's matrix, minus its cost as the
+    estimate.  A cell costs minus the job's longest duration on the
+    resource, unperturbed: the search needs only values."""
     index = _compiled(ts)
     direct = _direct(index, i)
     resources = _fixpoint(index, i, direct, None)[-1]
-    jobs = sorted(_jobs_using(index, i, resources))
+    jobs = _jobs_using(index, i, resources)
+    rows = _positions(jobs)
     columns = [k + 1 for k in _positions(resources)]
-    pad = [0] * (len(jobs) - len(columns))
+    pad = [0] * (len(rows) - len(columns))
     cost = [[-longest.get(r, 0) for r in index.ids] + pad for longest in index.longest]
-    cost += [[0] * len(cost[0]) for _ in range(len(columns) - len(jobs))]
-    rows = jobs + list(range(ts.n + 1, len(cost) + 1))
+    cost += [[0] * len(cost[0]) for _ in range(len(columns) - len(rows))]
+    rows += range(ts.n + 1, len(cost) + 1)
     columns += range(len(index.ids) + 1, len(cost[0]) + 1)
     assignment = _Assignment(cost, rows, columns)
     return SearchNode(
@@ -300,9 +357,10 @@ def _root(ts: TaskSet, i: int) -> SearchNode:
         members=0,
         induced=direct,
         remaining_resources=resources,
-        remaining_jobs=sum(1 << j for j in jobs),
+        remaining_jobs=jobs,
         gain=0,
         heuristic=-assignment.total(),
+        live=index.keys(jobs),
         seq=0,
         batch=0,
         assignment=assignment,
@@ -332,8 +390,11 @@ def blocking_time(ts: TaskSet, i: int) -> SearchResult:
                 nodes_expanded=expanded,
                 expansions=tuple(records),
             )
+        if fringe.dominated(node.live, node.induced, node.gain):
+            continue
         expanded += 1
-        created = expand(ts, i, node, fringe)
+        extensions = successors(ts, node, fringe)
+        created = expand(ts, i, node, fringe, extensions)
         records.append(
             ExpansionRecord(
                 seq=node.seq,
@@ -342,10 +403,10 @@ def blocking_time(ts: TaskSet, i: int) -> SearchResult:
                 heuristic_units=node.heuristic,
                 scale=index.scale,
                 extensions=tuple(s.chain[-1].label for s in created),
-                releafed=not created,
+                releafed=not extensions,
             )
         )
-        if not created:
+        if not extensions:
             node.heuristic, node.batch = 0, expanded
             fringe.push(node)
         for successor in created:

@@ -278,10 +278,12 @@ class _Index:
     ``longest[j-1]`` maps each resource job j uses to its longest section
     duration, ``sections[j-1]`` holds job j's section rows in position
     order, and ``users`` maps each resource bit to the mask of the jobs
-    using it (bit ``j`` for job j).
+    using it (bit ``j`` for job j).  ``conflict`` (see
+    :meth:`_conflicts`) is built on first use: only the exact search reads
+    it.
     """
 
-    __slots__ = ("scale", "bits", "ids", "longest", "sections", "users")
+    __slots__ = ("scale", "bits", "ids", "longest", "sections", "users", "_conflict")
 
     def __init__(self, ts: TaskSet) -> None:
         self.scale = math.lcm(*(z.duration.denominator for z in ts.iter_sections()))
@@ -311,6 +313,7 @@ class _Index:
                 earlier |= bit
             self.longest.append(longest)
             self.sections.append(rows)
+        self._conflict: list[int] | None = None
 
     def scaled(self, duration: Fraction) -> int:
         """``duration`` in units of ``1/scale`` (exact for the set's durations)."""
@@ -327,6 +330,77 @@ class _Index:
     def resources_of(self, mask: int) -> frozenset[ResourceId]:
         """The resources whose bits are set in ``mask``."""
         return frozenset(r for r, bit in self.bits.items() if bit & mask)
+
+    def keys(self, jobs: int) -> int:
+        """The mask of the section keys of the jobs in ``jobs`` (bit j for
+        job j)."""
+        out = 0
+        for j in _positions(jobs):
+            rows = self.sections[j - 1]
+            if rows:
+                out |= ((1 << len(rows)) - 1) << rows[0].key
+        return out
+
+    @property
+    def conflict(self) -> list[int]:
+        """``conflict[key]``, for each row, the mask of the section keys that
+        no chain holding that row can take (see :meth:`_conflicts`)."""
+        if self._conflict is None:
+            self._conflict = self._conflicts()
+        return self._conflict
+
+    def _conflicts(self) -> list[int]:
+        """One mask over section keys per row m: section s is in it when s
+        has m's job or m's resource (NBJ, NBR), when m's job has higher
+        priority and ``m.earlier & s.held`` (FHO), or when m's job has
+        lower priority and ``s.earlier & m.held`` (FLO).
+
+        No pair is tested.  Per resource, ``holds`` masks the sections
+        holding it (the key ranges of the subtrees of the sections on it:
+        positions are in wait order, so a subtree is a contiguous range)
+        and ``after`` the sections whose job used it earlier (the rest of
+        the job after its first section on it).  Walking a job in position
+        order, the FHO mask of a row is the OR of ``holds`` over its
+        earlier resources, grown one row at a time, and its FLO mask the
+        OR of ``after`` over its held resources, its parent's plus its own.
+        Each is then cut to the jobs below, or above, the row's own.
+        """
+        uses = dict.fromkeys(self.bits.values(), 0)
+        holds = dict.fromkeys(self.bits.values(), 0)
+        after = dict.fromkeys(self.bits.values(), 0)
+        for rows in self.sections:
+            if not rows:
+                continue
+            end = rows[-1].key + 1
+            last = [s.key for s in rows]  # the last key of each row's subtree
+            for s in reversed(rows):
+                if s.z.parent is not None:
+                    up = s.z.parent.position - 1
+                    last[up] = max(last[up], last[s.z.position - 1])
+            for s, stop in zip(rows, last):
+                uses[s.bit] |= 1 << s.key
+                holds[s.bit] |= ((1 << stop - s.key + 1) - 1) << s.key
+                if not s.earlier & s.bit:
+                    after[s.bit] |= ((1 << end - s.key - 1) - 1) << s.key + 1
+        conflict: list[int] = []
+        for rows in self.sections:
+            if not rows:
+                continue
+            first, end = rows[0].key, rows[-1].key + 1
+            own = ((1 << end - first) - 1) << first
+            reach = 0
+            held: list[int] = []
+            for s in rows:
+                parent = s.z.parent
+                held.append(after[s.bit] | (held[parent.position - 1] if parent else 0))
+                conflict.append(
+                    own
+                    | uses[s.bit]
+                    | reach >> end << end
+                    | held[-1] & (1 << first) - 1
+                )
+                reach |= holds[s.bit]
+        return conflict
 
 
 def _positions(mask: int) -> list[int]:

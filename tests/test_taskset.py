@@ -217,3 +217,27 @@ def test_duration_literals_and_resource_numbers_are_checked():
     assert type(negative.value) is TaskSetError
     with pytest.raises(TaskSetError, match="1-based"):
         parse_taskset("J1: [R0: 1]")
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10**9))
+def test_conflict_masks_match_pair_tests(seed):
+    # The index builds conflict[m] from per-resource masks without testing
+    # pairs; every pair (m, s) must agree with NBJ, NBR, FHO and FLO as
+    # written on the rows.
+    from pipblock.taskset import _compiled
+
+    ts = random_taskset(seed, jobs=7, resources=6, sections_per_job=6, nesting_depth=4)
+    index = _compiled(ts)
+    rows = [s for job in index.sections for s in job]
+    for m in rows:
+        expected = 0
+        for s in rows:
+            if (
+                s.z.job == m.z.job
+                or s.bit == m.bit
+                or (m.z.job < s.z.job and m.earlier & s.held)
+                or (m.z.job > s.z.job and s.earlier & m.held)
+            ):
+                expected |= 1 << s.key
+        assert index.conflict[m.key] == expected

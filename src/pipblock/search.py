@@ -11,9 +11,9 @@ Fringe discipline: descending estimate ``f = g + h``; ties prefer leaf
 nodes, then the newest expansion batch (within a batch, generation
 order).  Both keys are :func:`blocking_time`'s counters: ``seq`` counts
 the nodes generated before a node, ``batch`` the expansions made so far;
-a node without extensions goes back as a leaf in the current batch
-(see the re-leaf rule below).  Generated-but-unexpanded nodes stay in
-the fringe, and the fringe also remembers every chain set ever generated:
+a node whose expansion creates no successor goes back as a leaf in the
+current batch.  Generated-but-unexpanded nodes stay in the fringe, and
+the fringe also remembers every chain set ever generated:
 differently-ordered permutations of one section set have equal gain,
 heuristic and extension options, so exploring a set once suffices.  The
 duplicate guard therefore discards an extension exactly when its section
@@ -52,20 +52,22 @@ the one of larger gain has the larger best completion (Ibaraki,
 "The power of dominance relations in branch-and-bound algorithms",
 JACM 24(2), 1977).  The fringe keeps, per search, the largest gain
 generated for each key.  :func:`expand` drops a child whose key was
-reached with a strictly larger gain, and :func:`blocking_time` drops,
-unexpanded, a popped non-leaf whose key was reached with a strictly
-larger gain since it was generated.  Only strict dominance is used:
-a dropped node's every completion is strictly below a completion of a
-kept node, so no optimal leaf is lost, and the fringe keys (estimate,
-leaf flag, batch, seq) of the nodes that lead to an optimal leaf keep
-their relative order.  The popped witness is therefore the one the
-search without dominance pops.  Equal gains are not merged: which of
-two equal nodes survives would change the witness.  The section-set
-guard covers the equal-gain case of one set reached in two orders.
-Re-leafing follows the same argument: a node goes back as a leaf only
-when it has no extension at all.  A node whose extensions were all
-dropped by dominance is dropped too: its gain is at most theirs (zero
-durations make it equal), so it is strictly below a kept node as well.
+reached with a strictly larger gain and records the gain of the others,
+and :func:`blocking_time` drops, unexpanded, a popped non-leaf whose key
+was reached with a strictly larger gain since it was generated.  Only
+strict dominance is used: a dropped node's every completion is strictly
+below a completion of a kept node, so no optimal leaf is lost, and the
+fringe keys (estimate, leaf flag, batch, seq) of the nodes that lead to
+an optimal leaf keep their relative order.  The popped witness is
+therefore the one the search without dominance pops.  Equal gains are
+not merged: which of two equal nodes survives would change the witness.
+The section-set guard covers the equal-gain case of one set reached in
+two orders.  A node whose extensions were all dropped by dominance goes
+back as a leaf like one without extensions, and that is harmless: its
+gain is at most a dropped child's (equal with zero durations), which is
+strictly below the gain recorded for that child's key, a generated
+chain's gain and so at most the optimum.  The re-leafed node's estimate
+is strictly below the optimum, and it never pops.
 
 Nodes live on the task set's compiled index: the chain's section set,
 its live sections, its induced set and the remaining jobs and resources
@@ -147,7 +149,7 @@ class SearchNode:
     remaining_jobs: int
     gain: int
     heuristic: int
-    live: int = 0
+    live: int
     seq: int = -1
     batch: int = -1
     assignment: _Assignment | None = None
@@ -191,15 +193,14 @@ class Fringe:
 
     def dominated(self, live: int, induced: int, gain: int) -> bool:
         """True iff the key ``(live, induced)`` was reached with a gain
-        strictly larger than ``gain``; otherwise ``gain`` becomes the key's
-        record if it is larger than the one held."""
+        strictly larger than ``gain``."""
+        return self._best.get((live, induced), -1) > gain
+
+    def record(self, live: int, induced: int, gain: int) -> None:
+        """Make ``gain`` the key's record if it is larger than the one held."""
         key = live, induced
-        best = self._best.get(key, -1)
-        if best > gain:
-            return True
-        if best < gain:
+        if self._best.get(key, -1) < gain:
             self._best[key] = gain
-        return False
 
     def already_generated(self, sections: int) -> bool:
         """True iff a node with exactly this chain set (a ``members`` mask)
@@ -213,8 +214,8 @@ class ExpansionRecord:
     node's gain and heuristic are integers in units of ``1/scale``;
     ``estimate`` reads their sum as an exact duration.  ``extensions``
     labels the last sections of the created successors (dominated ones
-    are not created); ``releafed`` is set when the node had no extension
-    and went back as a leaf."""
+    are not created); ``releafed`` is set when none was created and the
+    node went back as a leaf."""
 
     seq: int
     chain: ZChain
@@ -279,17 +280,10 @@ def successors(
     )
 
 
-def expand(
-    ts: TaskSet,
-    i: int,
-    node: SearchNode,
-    fringe: Fringe,
-    extensions: tuple[CriticalSection, ...] | None = None,
-) -> list[SearchNode]:
-    """New, unnumbered successor nodes of ``node`` for ``extensions``
-    (by default :func:`successors`), possibly none; ``node`` stays as it
-    is, and the fringe records the gain of each created successor in its
-    dominance table.
+def expand(ts: TaskSet, i: int, node: SearchNode, fringe: Fringe) -> list[SearchNode]:
+    """New, unnumbered successor nodes of ``node``, possibly none; ``node``
+    stays as it is, and the fringe records the gain of each created
+    successor in its dominance table.
 
     A successor is dropped when its ``(live, induced)`` key was reached
     with a strictly larger gain.  A kept successor gets the assignment
@@ -298,18 +292,17 @@ def expand(
     when a successor is a leaf matching the parent's estimate: that leaf
     already proves the branch's optimum.
     """
-    if extensions is None:
-        extensions = successors(ts, node, fringe)
     created: list[SearchNode] = []
     index = _compiled(ts)
     conflict = index.conflict
-    for z in extensions:
+    for z in successors(ts, node, fringe):
         s = index.entry(z)
         live = node.live & ~conflict[s.key]
         induced = node.induced | _induced(index, i, s, node.induced)
         gain = node.gain + s.duration
         if fringe.dominated(live, induced, gain):
             continue
+        fringe.record(live, induced, gain)
         remaining_jobs = node.remaining_jobs & ~(1 << z.job)
         remaining_resources = node.remaining_resources & ~s.bit
         cost, assignment = 0, None
@@ -393,8 +386,7 @@ def blocking_time(ts: TaskSet, i: int) -> SearchResult:
         if fringe.dominated(node.live, node.induced, node.gain):
             continue
         expanded += 1
-        extensions = successors(ts, node, fringe)
-        created = expand(ts, i, node, fringe, extensions)
+        created = expand(ts, i, node, fringe)
         records.append(
             ExpansionRecord(
                 seq=node.seq,
@@ -403,10 +395,10 @@ def blocking_time(ts: TaskSet, i: int) -> SearchResult:
                 heuristic_units=node.heuristic,
                 scale=index.scale,
                 extensions=tuple(s.chain[-1].label for s in created),
-                releafed=not extensions,
+                releafed=not created,
             )
         )
-        if not extensions:
+        if not created:
             node.heuristic, node.batch = 0, expanded
             fringe.push(node)
         for successor in created:

@@ -297,6 +297,19 @@ def test_releafed_node_joins_the_newest_batch():
     ]
 
 
+def test_beaten_node_is_dropped_on_pop():
+    # Antidiagonal width 4, J1: some generated non-leaves have their
+    # (live, induced) key reached with a larger gain before they pop and
+    # are dropped unexpanded; expanding them would count 45, not 41.
+    # Every expanded node has an expansion record.
+    from pipblock import generate_antidiagonal_family
+
+    result = blocking_time(generate_antidiagonal_family(5, 1, 10, 1), 1)
+    assert result.blocking_time == 12
+    assert (result.nodes_generated, result.nodes_expanded) == (53, 41)
+    assert len(result.expansions) == result.nodes_expanded
+
+
 def test_fringe_refuses_an_unnumbered_or_live_seq(five_jobs_deep):
     from pipblock import Fringe
     from pipblock.search import _root
@@ -331,6 +344,7 @@ def test_fringe_ordering_and_duplicate_guard(five_jobs_deep):
             remaining_jobs=0,
             gain=gain,
             heuristic=heuristic,
+            live=0,
             seq=seq,
             batch=batch,
         )

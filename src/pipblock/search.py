@@ -23,17 +23,9 @@ bit (``1 << _Section.key``), a node's ``members`` is the OR of its
 chain's bits, and the guard is a set of those integers, so a query is
 one OR and one hash of an int.
 
-Successor generation is mask arithmetic.  Candidates satisfy LSM and
-NBR (maximal w.r.t. the induced set, resource new to the chain); one
-generator, :func:`_candidates`, finds them for the extensions and the
-leaf test.  NBR reads ``remaining_resources``, so a node keeps no mask
-``taken`` of the chain's resources: taken = relevant − remaining and
-taken ⊆ induced ⊆ relevant (a section joins only once its resource is
-induced, and induction stays within the relevant set), so
-induced − taken = induced ∩ remaining.  FHO and FLO are one bit test
-against the node's ``live`` mask.  NBJ, NBR, FHO and FLO are pairwise
-tests between a member and a section that read no duration and no
-chain order, so each index row m has a mask
+Successor generation is mask arithmetic over section keys.  NBJ, NBR,
+FHO and FLO are pairwise tests between a member and a section that read
+no duration and no chain order, so each index row m has a mask
 :attr:`~pipblock.taskset._Index.conflict` of the sections that no chain
 holding m can take.  The root's ``live`` is every section of the
 relevant jobs, and a child's is its parent's minus the added row's
@@ -42,6 +34,18 @@ mask only shrinks.  A rejected candidate is simply dropped: the search
 never names the conflicting pair, so it never walks the chain for a
 witness (:func:`~pipblock.admissibility._obstruction` does that for
 reports).
+
+LSM is a mask too: the sections maximal w.r.t. a resource mask I are
+those on a resource of I (the index's ``on``) and not strictly inside a
+section on one (its ``inside``), since a resource is never re-locked
+inside its own section.  The extensions are the keys of ``live`` &
+maximal(``induced``), ascending, which is job then position order.
+The leaf test on creation reads ``eligible`` (NBJ and NBR alone), not
+``live``: a node is a leaf when none of its eligible sections is
+maximal.  Reading ``live`` would make leaves on creation of nodes that
+are now expanded and re-marked, and so change which optimal leaf pops
+first; that waits until the witness no longer depends on search order
+(ROADMAP item 1).
 
 Dominance.  A live section misses every current member's conflict mask,
 so whether a later member obstructs it depends on that member alone;
@@ -70,10 +74,9 @@ chain's gain and so at most the optimum.  The re-leafed node's estimate
 is strictly below the optimum, and it never pops.
 
 Nodes live on the task set's compiled index: the chain's section set,
-its live sections, its induced set and the remaining jobs and resources
-are bit masks, and gain
-and heuristic are integers in units of ``1/index.scale``, so the fringe
-orders by exact integer keys.  Only the returned result (and the
+its live and eligible sections and its induced set are bit masks, and
+gain and heuristic are integers in units of ``1/index.scale``, so the
+fringe orders by exact integer keys.  Only the returned result (and the
 expansion records, on reading) hold ``Fraction`` values.
 
 Heuristics are inherited, not solved afresh.  One cost matrix serves
@@ -88,30 +91,20 @@ Every estimate, the root's too, is minus the solved assignment's
 :meth:`~pipblock.bound._Assignment.total`; the maximum value is unique,
 so it equals a fresh ``hungarian_bound`` over the node's sets, and with
 it every fringe key, node count and witness.  The deletion is well
-defined because candidates are drawn from the remaining jobs and the
-remaining resources.
+defined because an extension is eligible: its job and resource are
+still active rows and columns.
 """
 
 from __future__ import annotations
 
 import heapq
-from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .bound import _Assignment, hungarian_bound  # noqa: F401 (bench/spans.py traces it)
 from .deadlock import require_acyclic
 from .relevance import _direct, _fixpoint, _induced, _jobs_using
-from .taskset import (
-    CriticalSection,
-    TaskSet,
-    ZChain,
-    _compiled,
-    _Index,
-    _maximal,
-    _positions,
-    _Section,
-)
+from .taskset import CriticalSection, TaskSet, ZChain, _compiled, _maximal_keys, _positions
 
 __all__ = [
     "ExpansionRecord",
@@ -128,25 +121,24 @@ class SearchNode:
     """One search-tree node: a partial chain and its derived sets.
 
     ``members`` is the chain's section set, the OR of ``1 << key`` over
-    its sections' index rows, and ``live`` the set, in the same bits, of
-    the relevant jobs' sections that no member conflicts with.
+    its sections' index rows.  In the same bits, ``eligible`` holds the
+    relevant jobs' sections off the chain's jobs and resources (NBJ,
+    NBR), and ``live`` those of them that no member conflicts with.
     ``induced`` is the chain's induced set, a resource mask of the task
-    set's index.  ``remaining_resources`` (a
-    resource mask) and ``remaining_jobs`` (bit ``j`` for job j) are the
-    relevant sets minus what the chain used.
-    ``gain`` (the chain's duration) and ``heuristic`` are integers in
-    units of ``1/index.scale``.  ``seq`` and ``batch`` are the fringe's
-    tie-break keys, set by :func:`blocking_time`.  ``assignment`` is the solved
-    :class:`~pipblock.bound._Assignment` behind ``heuristic`` (active:
-    the remaining jobs and resources and their padding), or None when the
-    node had no candidate extension on creation (a leaf).
+    set's index.  ``gain`` (the chain's duration) and ``heuristic`` are
+    integers in units of ``1/index.scale``.  ``seq`` and ``batch`` are
+    the fringe's tie-break keys, set by :func:`blocking_time`.
+    ``assignment`` is the solved :class:`~pipblock.bound._Assignment`
+    behind ``heuristic`` (active: the relevant jobs and resources the
+    chain has not used, and their padding), or None on a leaf: a node
+    with no eligible maximal section on creation, or one
+    :func:`blocking_time` re-marked as a leaf.
     """
 
     chain: ZChain
     members: int
     induced: int
-    remaining_resources: int
-    remaining_jobs: int
+    eligible: int
     gain: int
     heuristic: int
     live: int
@@ -214,8 +206,8 @@ class ExpansionRecord:
     node's gain and heuristic are integers in units of ``1/scale``;
     ``estimate`` reads their sum as an exact duration.  ``extensions``
     labels the last sections of the created successors (dominated ones
-    are not created); ``releafed`` is set when none was created and the
-    node went back as a leaf."""
+    are not created); ``releafed`` reads true when none was created and
+    the node went back as a leaf."""
 
     seq: int
     chain: ZChain
@@ -223,7 +215,10 @@ class ExpansionRecord:
     heuristic_units: int
     scale: int
     extensions: tuple[str, ...]
-    releafed: bool
+
+    @property
+    def releafed(self) -> bool:
+        return not self.extensions
 
     @property
     def estimate(self) -> Fraction:
@@ -241,42 +236,18 @@ class SearchResult:
     expansions: tuple[ExpansionRecord, ...] = ()
 
 
-def _candidates(
-    index: _Index, jobs: int, induced: int, remaining: int
-) -> Iterator[_Section]:
-    """The rows of ``jobs`` (bit j for job j) that may extend a chain, in
-    job then position order: maximal w.r.t. the ``induced`` resource mask
-    (LSM), with their resource in the ``remaining`` mask (NBR).  Only jobs
-    using a resource of ``induced & remaining`` can own one."""
-    free = induced & remaining
-    users = 0
-    for k in _positions(free):
-        users |= index.users[1 << k]
-    for j in _positions(jobs & users):
-        for s in index.sections[j - 1]:
-            if s.bit & free and _maximal(s, induced):
-                yield s
-
-
 def successors(
     ts: TaskSet, node: SearchNode, fringe: Fringe
 ) -> tuple[CriticalSection, ...]:
     """Admissible extensions of ``node``'s chain, in job then section order;
-    ``node`` and ``fringe`` stay as they are.
-
-    Candidates come from :func:`_candidates` over the remaining jobs (new
-    job, new resource, limited-scope maximality); FHO and FLO reject the
-    candidates outside ``node.live``; the duplicate guard discards
-    extensions whose section set was already generated.
-    """
+    ``node`` and ``fringe`` stay as they are.  They are the sections of
+    ``node.live`` (NBJ, NBR, FHO and FLO) maximal w.r.t. ``node.induced``
+    (LSM) whose chain set the duplicate guard has not seen."""
     index = _compiled(ts)
     return tuple(
-        s.z
-        for s in _candidates(
-            index, node.remaining_jobs, node.induced, node.remaining_resources
-        )
-        if node.live >> s.key & 1
-        and not fringe.already_generated(node.members | 1 << s.key)
+        index.rows[k].z
+        for k in _positions(node.live & _maximal_keys(index, node.induced))
+        if not fringe.already_generated(node.members | 1 << k)
     )
 
 
@@ -287,10 +258,10 @@ def expand(ts: TaskSet, i: int, node: SearchNode, fringe: Fringe) -> list[Search
 
     A successor is dropped when its ``(live, induced)`` key was reached
     with a strictly larger gain.  A kept successor gets the assignment
-    heuristic, repaired from ``node``'s assignment, only when it has a
-    candidate extension; otherwise it is a leaf.  Creation stops early
-    when a successor is a leaf matching the parent's estimate: that leaf
-    already proves the branch's optimum.
+    heuristic, repaired from ``node``'s assignment, only when one of its
+    eligible sections is maximal; otherwise it is a leaf.  Creation stops
+    early when a successor is a leaf matching the parent's estimate: that
+    leaf already proves the branch's optimum.
     """
     created: list[SearchNode] = []
     index = _compiled(ts)
@@ -303,18 +274,15 @@ def expand(ts: TaskSet, i: int, node: SearchNode, fringe: Fringe) -> list[Search
         if fringe.dominated(live, induced, gain):
             continue
         fringe.record(live, induced, gain)
-        remaining_jobs = node.remaining_jobs & ~(1 << z.job)
-        remaining_resources = node.remaining_resources & ~s.bit
+        eligible = node.eligible & ~(index.keys(1 << z.job) | index.on[s.bit])
         cost, assignment = 0, None
-        candidate = _candidates(index, remaining_jobs, induced, remaining_resources)
-        if next(candidate, None) is not None:
+        if eligible & _maximal_keys(index, induced):
             cost, assignment = node.assignment.without(z.job, s.bit.bit_length())
         successor = SearchNode(
             chain=node.chain + (z,),
             members=node.members | 1 << s.key,
             induced=induced,
-            remaining_resources=remaining_resources,
-            remaining_jobs=remaining_jobs,
+            eligible=eligible,
             gain=gain,
             heuristic=-cost,
             live=live,
@@ -328,8 +296,8 @@ def expand(ts: TaskSet, i: int, node: SearchNode, fringe: Fringe) -> list[Search
 
 def _root(ts: TaskSet, i: int) -> SearchNode:
     """The search's root for job ``i``: the empty chain, inducing the
-    direct mask, with the relevant masks of :mod:`~pipblock.relevance`
-    remaining, every section of the relevant jobs live, and the assignment
+    direct mask, with every section of the relevant jobs (of
+    :mod:`~pipblock.relevance`) eligible and live, and the assignment
     over them solved on the search's matrix, minus its cost as the
     estimate.  A cell costs minus the job's longest duration on the
     resource, unperturbed: the search needs only values."""
@@ -349,8 +317,7 @@ def _root(ts: TaskSet, i: int) -> SearchNode:
         chain=(),
         members=0,
         induced=direct,
-        remaining_resources=resources,
-        remaining_jobs=jobs,
+        eligible=index.keys(jobs),
         gain=0,
         heuristic=-assignment.total(),
         live=index.keys(jobs),
@@ -395,11 +362,10 @@ def blocking_time(ts: TaskSet, i: int) -> SearchResult:
                 heuristic_units=node.heuristic,
                 scale=index.scale,
                 extensions=tuple(s.chain[-1].label for s in created),
-                releafed=not created,
             )
         )
         if not created:
-            node.heuristic, node.batch = 0, expanded
+            node.heuristic, node.batch, node.assignment = 0, expanded, None
             fringe.push(node)
         for successor in created:
             successor.seq, successor.batch = generated, expanded

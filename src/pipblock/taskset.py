@@ -277,13 +277,14 @@ class _Index:
     resource its bit, ``ids[k]`` is the resource of bit ``1 << k``).
     ``longest[j-1]`` maps each resource job j uses to its longest section
     duration, ``sections[j-1]`` holds job j's section rows in position
-    order, and ``users`` maps each resource bit to the mask of the jobs
-    using it (bit ``j`` for job j).  ``conflict`` (see
-    :meth:`_conflicts`) is built on first use: only the exact search reads
-    it.
+    order, ``rows[key]`` is the row of each section key, and ``users``
+    maps each resource bit to the mask of the jobs using it (bit ``j`` for
+    job j).  The exact search's masks over section keys, ``conflict``,
+    ``on`` and ``inside`` (see :meth:`_conflicts`), are built together on
+    first use: nothing else reads them.
     """
 
-    __slots__ = ("scale", "bits", "ids", "longest", "sections", "users", "_conflict")
+    __slots__ = ("scale", "bits", "ids", "longest", "sections", "rows", "users", "_masks")
 
     def __init__(self, ts: TaskSet) -> None:
         self.scale = math.lcm(*(z.duration.denominator for z in ts.iter_sections()))
@@ -313,7 +314,8 @@ class _Index:
                 earlier |= bit
             self.longest.append(longest)
             self.sections.append(rows)
-        self._conflict: list[int] | None = None
+        self.rows = [s for job in self.sections for s in job]
+        self._masks: tuple[list[int], dict[int, int], dict[int, int]] | None = None
 
     def scaled(self, duration: Fraction) -> int:
         """``duration`` in units of ``1/scale`` (exact for the set's durations)."""
@@ -341,19 +343,31 @@ class _Index:
                 out |= ((1 << len(rows)) - 1) << rows[0].key
         return out
 
+    def _search_masks(self) -> tuple[list[int], dict[int, int], dict[int, int]]:
+        if self._masks is None:
+            self._masks = self._conflicts()
+        return self._masks
+
     @property
     def conflict(self) -> list[int]:
-        """``conflict[key]``, for each row, the mask of the section keys that
-        no chain holding that row can take (see :meth:`_conflicts`)."""
-        if self._conflict is None:
-            self._conflict = self._conflicts()
-        return self._conflict
+        """Per row, the keys no chain holding that row can take."""
+        return self._search_masks()[0]
 
-    def _conflicts(self) -> list[int]:
-        """One mask over section keys per row m: section s is in it when s
-        has m's job or m's resource (NBJ, NBR), when m's job has higher
-        priority and ``m.earlier & s.held`` (FHO), or when m's job has
-        lower priority and ``s.earlier & m.held`` (FLO).
+    @property
+    def on(self) -> dict[int, int]:
+        """Per resource bit, the keys of the sections on that resource."""
+        return self._search_masks()[1]
+
+    @property
+    def inside(self) -> dict[int, int]:
+        """Per resource bit, the keys strictly inside a section on it."""
+        return self._search_masks()[2]
+
+    def _conflicts(self) -> tuple[list[int], dict[int, int], dict[int, int]]:
+        """``conflict``, ``on`` and ``inside``.  Row m's conflict mask holds
+        section s when s has m's job or m's resource (NBJ, NBR), when m's
+        job has higher priority and ``m.earlier & s.held`` (FHO), or when
+        m's job has lower priority and ``s.earlier & m.held`` (FLO).
 
         No pair is tested.  Per resource, ``holds`` masks the sections
         holding it (the key ranges of the subtrees of the sections on it:
@@ -364,6 +378,8 @@ class _Index:
         earlier resources, grown one row at a time, and its FLO mask the
         OR of ``after`` over its held resources, its parent's plus its own.
         Each is then cut to the jobs below, or above, the row's own.
+        ``uses`` is ``on``, and ``holds & ~uses`` is ``inside``: a resource
+        is never re-locked inside its own section.
         """
         uses = dict.fromkeys(self.bits.values(), 0)
         holds = dict.fromkeys(self.bits.values(), 0)
@@ -400,7 +416,7 @@ class _Index:
                     | held[-1] & (1 << first) - 1
                 )
                 reach |= holds[s.bit]
-        return conflict
+        return conflict, uses, {bit: holds[bit] & ~uses[bit] for bit in uses}
 
 
 def _positions(mask: int) -> list[int]:
@@ -416,6 +432,19 @@ def _maximal(s: _Section, mask: int) -> bool:
     """True iff the section's resource is in ``mask`` and no enclosing
     section's resource is (maximality w.r.t. a resource set)."""
     return s.held & mask == s.bit
+
+
+def _maximal_keys(index: _Index, mask: int) -> int:
+    """The keys of the sections :func:`_maximal` accepts for ``mask``: on a
+    resource of ``mask`` and not strictly inside a section on one."""
+    on, inside = index.on, index.inside
+    hit = out = 0
+    while mask:
+        bit = mask & -mask
+        hit |= on[bit]
+        out |= inside[bit]
+        mask ^= bit
+    return hit & ~out
 
 
 def _compiled(ts: TaskSet) -> _Index:

@@ -9,6 +9,7 @@ from pipblock import (
     chain_duration,
     is_admissible_chain,
     parse_taskset,
+    per_job_bounds,
     random_taskset,
     render_report,
 )
@@ -40,6 +41,20 @@ def test_bound_only_leaves_exact_open():
     # a passing screen still certifies the bound without any search
     report = analyze(parse_taskset(SIX_JOBS_NESTED), job=2, exact=False)
     assert report.jobs[0].exact == 12
+
+
+def test_bound_only_builds_no_search_masks():
+    # The index's masks for the exact search are built on first use; the
+    # bound-only path and per_job_bounds never read them.  J1 of the deep
+    # fixture goes to search, so the exact pipeline does build them.
+    from pipblock.taskset import _compiled
+
+    ts = parse_taskset(FIVE_JOBS_DEEP)
+    analyze(ts, exact=False)
+    per_job_bounds(ts)
+    assert _compiled(ts)._masks is None
+    analyze(ts)
+    assert _compiled(ts)._masks is not None
 
 
 def test_cyclic_report_shape():

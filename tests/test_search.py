@@ -233,8 +233,8 @@ def test_root_assignment_value_is_the_root_estimate(seed, shape):
         scope = blocking_scope(ts, i)
         owner = root.assignment.owner
         matched = [(o, c) for c, o in enumerate(owner) if c and o]
-        jobs = _positions(root.remaining_jobs)
-        columns = [k + 1 for k in _positions(root.remaining_resources)]
+        jobs = sorted(scope.relevant_jobs)
+        columns = [k + 1 for k in _positions(index.mask(scope.relevant_resources))]
         assert len(matched) == max(len(jobs), len(columns))
         assert {o for o, _ in matched} >= set(jobs)
         assert {c for _, c in matched} >= set(columns)
@@ -244,8 +244,8 @@ def test_root_assignment_value_is_the_root_estimate(seed, shape):
 
 def test_standalone_expand_and_successors(five_jobs_deep):
     from pipblock import Fringe, expand, successors
-    from pipblock.search import _candidates, _root
-    from pipblock.taskset import _compiled
+    from pipblock.search import _root
+    from pipblock.taskset import _compiled, _maximal_keys, _positions
 
     ts = five_jobs_deep
     index = _compiled(ts)
@@ -266,10 +266,8 @@ def test_standalone_expand_and_successors(five_jobs_deep):
     assert by_label["z4,4"].estimate == 33
     # only J5 still owns a section eligible after z4,4
     z44 = by_label["z4,4"]
-    assert {
-        s.z.job
-        for s in _candidates(index, z44.remaining_jobs, z44.induced, z44.remaining_resources)
-    } == {5}
+    candidates = _positions(z44.eligible & _maximal_keys(index, z44.induced))
+    assert {index.rows[k].z.job for k in candidates} == {5}
     assert by_label["z2,1"].induced == index.mask({2, 3, 4})
 
     # a node without eligible sections has no extensions: expand creates
@@ -340,8 +338,7 @@ def test_fringe_ordering_and_duplicate_guard(five_jobs_deep):
             chain=chain,
             members=sum(1 << index.entry(z).key for z in chain),
             induced=0,
-            remaining_resources=0,
-            remaining_jobs=0,
+            eligible=0,
             gain=gain,
             heuristic=heuristic,
             live=0,
@@ -369,13 +366,14 @@ def test_fringe_ordering_and_duplicate_guard(five_jobs_deep):
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=10**9))
 def test_index_maximality_matches_is_maximal(seed):
-    # _candidates (LSM and NBR on masks) against the definitions, job by
-    # job and over every job at once (job then position order)
+    # The maximal-keys mask (LSM on masks) against the definitions, and
+    # the candidates it leaves in an eligible mask that drops the sections
+    # on taken resources (NBR), job by job and over every job at once
+    # (ascending keys: job then position order)
     import random
 
     from pipblock import is_maximal
-    from pipblock.search import _candidates
-    from pipblock.taskset import _compiled
+    from pipblock.taskset import _compiled, _maximal_keys, _positions
 
     rng = random.Random(seed)
     ts = random_taskset(seed, jobs=6, resources=7, sections_per_job=5, nesting_depth=3)
@@ -383,7 +381,13 @@ def test_index_maximality_matches_is_maximal(seed):
     for _ in range(6):
         induced = {r for r in ts.resources if rng.random() < 0.5}
         taken = {r for r in ts.resources if rng.random() < 0.3}
-        masks = index.mask(induced), index.mask(ts.resources - taken)
+        maximal = _maximal_keys(index, index.mask(induced))
+        assert [index.rows[k].z for k in _positions(maximal)] == [
+            z for z in ts.iter_sections() if is_maximal(z, induced)
+        ]
+        on_taken = sum(
+            1 << index.entry(z).key for z in ts.iter_sections() if z.resource in taken
+        )
         everyone = []
         for j in range(1, ts.n + 1):
             expected = [
@@ -391,10 +395,11 @@ def test_index_maximality_matches_is_maximal(seed):
                 for z in ts.job(j).sections
                 if is_maximal(z, induced) and z.resource not in taken
             ]
-            assert [s.z for s in _candidates(index, 1 << j, *masks)] == expected
+            eligible = index.keys(1 << j) & ~on_taken
+            assert [index.rows[k].z for k in _positions(eligible & maximal)] == expected
             everyone += expected
-        jobs = sum(1 << j for j in range(1, ts.n + 1))
-        assert [s.z for s in _candidates(index, jobs, *masks)] == everyone
+        eligible = index.keys(sum(1 << j for j in range(1, ts.n + 1))) & ~on_taken
+        assert [index.rows[k].z for k in _positions(eligible & maximal)] == everyone
 
 
 @settings(max_examples=40, deadline=None)
@@ -402,16 +407,16 @@ def test_index_maximality_matches_is_maximal(seed):
 def test_successors_match_the_definitions(seed, fractional):
     # Walk random root-to-leaf paths of the search tree, expanding each node
     # once and pushing its children as the search would.  At each new node
-    # the induced set must lie within the relevant resources and the
-    # chain's resources must be exactly the relevant ones no longer
-    # remaining (the search reads NBR on remaining_resources on that
-    # ground).  The extensions must be exactly the sections, in job then
-    # position order, that satisfy LSM (is_maximal) and NBR, whose chain
-    # set was never generated, and that extend the chain admissibly, both by
-    # is_admissible_chain and by the definitions written out in
-    # test_admissibility.  On every section of a remaining job, the FHO/FLO
-    # mask predicate must agree with the witness walk and with FHO/FLO as
-    # defined on sections.
+    # the induced set and the chain's resources must lie within the
+    # relevant resources, and the eligible mask must be NBJ and NBR
+    # recomputed from the chain: the sections of the relevant jobs off the
+    # chain's jobs and resources.  The extensions must be exactly the
+    # sections, in job then position order, that satisfy LSM (is_maximal)
+    # and NBR, whose chain set was never generated, and that extend the
+    # chain admissibly, both by is_admissible_chain and by the definitions
+    # written out in test_admissibility.  On every section of a remaining
+    # job, the FHO/FLO mask predicate must agree with the witness walk and
+    # with FHO/FLO as defined on sections.
     import random
     import re
 
@@ -469,7 +474,13 @@ def test_successors_match_the_definitions(seed, fractional):
                 induced = index.resources_of(node.induced)
                 taken = {z.resource for z in chain}
                 assert node.induced & ~relevant == 0
-                assert index.mask(taken) == relevant & ~node.remaining_resources
+                assert index.mask(taken) & ~relevant == 0
+                assert node.eligible == sum(
+                    1 << index.entry(z).key
+                    for j in scope.relevant_jobs - {m.job for m in chain}
+                    for z in ts.job(j).sections
+                    if z.resource not in taken
+                )
                 expected = []
                 for j in sorted(scope.relevant_jobs - {m.job for m in chain}):
                     above, below = _priority_masks(index, chain, j)
@@ -555,10 +566,11 @@ SHAPES = st.sampled_from(["random", "transitive", "twins", "zero"])
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=10**9), shape=SHAPES)
 def test_live_matches_the_definitions(seed, shape):
-    # At every node the search expands, the incremental live mask must be
-    # the set of the relevant jobs' sections that pass NBJ and NBR and
-    # that FHO/FLO do not reject against the node's chain, computed from
-    # scratch with the chain check's priority masks.
+    # At every node the search expands, the incremental eligible mask must
+    # be the set of the relevant jobs' sections that pass NBJ and NBR, and
+    # the live mask the part of it that FHO/FLO do not reject against the
+    # node's chain, both computed from scratch with the chain check's
+    # priority masks.
     from unittest import mock
 
     import pipblock.search
@@ -581,15 +593,17 @@ def test_live_matches_the_definitions(seed, shape):
         jobs = blocking_scope(ts, i).relevant_jobs
         for node in expanded:
             chain = node.chain
-            live = 0
+            eligible = live = 0
             for j in sorted(jobs - {m.job for m in chain}):
                 above, below = _priority_masks(index, chain, j)
                 for z in ts.job(j).sections:
                     s = index.entry(z)
                     if any(m.resource == z.resource for m in chain):
                         continue
+                    eligible |= 1 << s.key
                     if not _obstructed(s, above, below):
                         live |= 1 << s.key
+            assert node.eligible == eligible
             assert node.live == live
 
 

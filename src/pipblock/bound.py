@@ -8,35 +8,46 @@ blocking-time matrix hold the longest duration each job spends on each
 resource, as the integers of the task set's compiled index: units of
 ``1/scale``, the common denominator of the set's durations.
 
-One exact integer kernel solves it: the cells, padded square (size ``n``)
-with zeros, get the cost
-``-d·nⁿ + c·n^(n-1-r)`` (row ``r``, column ``c``), and shortest augmenting
-paths with potentials (Jonker & Volgenant, *Computing* 38, 1987) find the
-minimum-cost permutation in O(n³) integer steps.  A permutation's
-perturbation terms spell its column sequence as a base-n number below
-``nⁿ``, so they never outweigh one unit of duration: the unique optimum
-is the lexicographically smallest of the maximum-duration permutations.
-:func:`max_assignment` reads its pairs off the owner of each resource
-column that a job row holds with positive weight.
-
-The kernel's one front end, :class:`_Assignment`, is a solved assignment
-of some rows of a cost matrix onto as many columns: solved from scratch,
+One sparse integer kernel, :class:`_Assignment`, solves it: a
+maximum-weight matching of rows (jobs) onto columns (resources) over the
+positive cells only, by successive shortest paths with a heap (Fredman &
+Tarjan, *JACM* 34, 1987).  Zero cells and the padding that would square
+the matrix are simply "unmatched".  Its weights are the plain integer
+durations and its duals ``a`` (rows) and ``b`` (columns) stay
+non-negative, with ``a + b >= w`` on every cell, equality on matched
+cells and 0 on free rows and columns: these complementary-slackness
+conditions prove the matching optimal.  The kernel is solved from scratch
 or repaired after one row and one column are deactivated, every other
-row and column keeping its number.  Invoked with the direct
-blocking sets this reproduces the classic single-resource-at-a-time
-bound; with the relevant (nesting-aware) sets it bounds the general case;
-over leftover job/resource subsets, unperturbed, it is the admissible
-heuristic of the exact search, which solves only its root from scratch
-and repairs each child from its parent (see :mod:`~pipblock.search`).
-Reported values are exact ``Fraction``; no floats are involved.
+row and column keeping its number.
+
+:func:`max_assignment` reports the first maximum-duration permutation of
+the zero-padded square matrix in ``itertools.permutations`` order,
+without perturbing a cost.  Give the padding rows and columns dual 0:
+non-negative duals cover every zero cell too, and they sum to the matched
+weight, so they are optimal for the square problem, and a permutation is
+optimal iff it uses only tight cells (Burkard, Dell'Amico & Martello,
+*Assignment Problems*, SIAM 2009): the positive cells with ``a + b = w``,
+and the complete block of the zero-dual rows against the zero-dual
+columns, padding included.  Fixing the real rows in order, each to the
+smallest tight column that some perfect matching of the tight cells
+extending the rows fixed so far still allows, gives the lexicographically
+smallest optimal permutation (:func:`_first_best`).  The pairs are that
+permutation's positive cells.
+
+Invoked with the direct blocking sets this reproduces the classic
+single-resource-at-a-time bound; with the relevant (nesting-aware) sets
+it bounds the general case; over leftover job/resource subsets it is the
+admissible heuristic of the exact search, which solves only its root from
+scratch and repairs each child from its parent (see
+:mod:`~pipblock.search`).  Reported values are exact ``Fraction``; no floats are involved.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from heapq import heappop, heappush
+from typing import Iterable
 
 from .deadlock import require_acyclic
 from .relevance import blocking_scope
@@ -108,131 +119,235 @@ def blocking_time_matrix(
 
 
 def max_assignment(matrix: BlockingMatrix) -> AssignmentSet:
-    """Maximum-duration assignment of ``matrix`` by the integer kernel.
+    """Maximum-duration assignment of ``matrix`` by the sparse kernel.
 
     Among equally-optimal assignments it returns the first maximizing
     permutation of the zero-padded square matrix in
     ``itertools.permutations`` order (see the module docstring).
     """
     jobs, resources, weights = matrix.jobs, matrix.resources, matrix.weights
-    n = max(len(jobs), len(resources))
-    unit = n**n  # exceeds every sum of perturbation terms
-    cost = [[c * n ** (n - 1 - r) for c in range(n)] for r in range(n)]
-    for r, row in enumerate(weights):
-        for c, w in enumerate(row):
-            cost[r][c] -= w * unit
-    owner = _Assignment(cost, range(1, n + 1), range(1, n + 1)).owner
-    cells = sorted(
-        (owner[c] - 1, c - 1)
-        for c in range(1, len(resources) + 1)
-        if owner[c] <= len(jobs) and weights[owner[c] - 1][c - 1] > 0
-    )
+    kernel = _Assignment(map(enumerate, weights), len(resources))
+    columns = _first_best(kernel, len(jobs), len(resources))
+    cells = [
+        (r, c)
+        for r, c in enumerate(columns)
+        if c < len(resources) and weights[r][c] > 0
+    ]
     return AssignmentSet(
         pairs=tuple((jobs[r], resources[c]) for r, c in cells),
         value=Fraction(sum(weights[r][c] for r, c in cells), matrix.scale),
     )
 
 
+_FREE, _GONE = -1, -2  # mate of an unmatched, and of a deactivated, number
+
+
 class _Assignment:
-    """A minimum-cost perfect matching of some rows of the integer matrix
-    ``cost`` onto as many of its columns, with its dual potentials.
+    """A maximum-weight matching of rows onto columns over the positive
+    cells of an integer matrix, with its non-negative duals.
 
-    Rows and columns are 1-based, ``cost[r - 1][c - 1]`` being cell
-    (r, c); the rest of the matrix is never read.  ``u`` and ``v`` are
-    the row and column potentials and ``owner[c]`` is the row matched to
-    column c, 0 when c is inactive (index 0 is the virtual source column
-    of :func:`_augment`).  The reduced costs ``cost - u - v`` are
-    non-negative on the active cells and zero on the matched ones.  The
-    constructor matches each of ``rows`` in turn over ``columns``.
+    ``cells[r]`` maps row r's columns to their positive weights (rows 0
+    to ``len(cells) - 1``, columns 0 to ``width - 1``), and
+    ``transpose`` holds the same cells by column.
+    ``mate[r]`` is row r's column and ``comate[c]`` column c's row,
+    ``_FREE`` when unmatched.  ``a`` and ``b`` are the row and column
+    duals: ``a[r] + b[c] >= w`` on every cell, with equality on matched
+    cells, and 0 on every free row and column (complementary slackness).
+    So ``value``, the matched weight, equals the sum of the active rows'
+    and columns' duals and is the maximum.  The constructor grows each
+    row in turn (:func:`_grow`).
+
+    :meth:`without` deactivates a row and a column by marking them
+    ``_GONE`` in a child's copies of ``mate`` and ``comate``, which every
+    grow skips; the child shares ``cells``, ``transpose`` and, unless it
+    grows, ``a`` and ``b`` with its parent.
     """
 
-    __slots__ = ("cost", "u", "v", "owner")
+    __slots__ = ("cells", "transpose", "a", "b", "mate", "comate", "value")
 
-    def __init__(
-        self, cost: list[list[int]], rows: Iterable[int], columns: Sequence[int]
-    ) -> None:
-        self.cost = cost
-        self.u = [0] * (len(cost) + 1)
-        self.v = [0] * (max(columns, default=0) + 1)
-        self.owner = self.v[:]
-        for i in rows:
-            _augment(cost, self.u, self.v, self.owner, i, list(columns))
+    def __init__(self, cells: Iterable[Iterable[tuple[int, int]]], width: int) -> None:
+        """Solve the matching of the given rows' ``(column, weight)``
+        pairs, dropping those of weight 0."""
+        self.cells = [{c: w for c, w in row if w > 0} for row in cells]
+        self.transpose: list[dict[int, int]] = [{} for _ in range(width)]
+        for r, row in enumerate(self.cells):
+            for c, w in row.items():
+                self.transpose[c][r] = w
+        self.a, self.b = [0] * len(self.cells), [0] * width
+        self.mate, self.comate = [_FREE] * len(self.cells), [_FREE] * width
+        self.value = 0
+        a, b = self.a, self.b
+        for r, row in enumerate(self.cells):
+            top = max((w - b[c] for c, w in row.items()), default=0)
+            if top > 0:
+                a[r] = top
+                self.value += _grow(r, a, b, self.mate, self.comate, self.cells)
 
-    def without(self, r: int, c: int) -> tuple[int, _Assignment]:
-        """Minimum cost and solved assignment once the active row ``r`` and
-        column ``c`` are deactivated; every other number stays.
+    def without(self, r: int, c: int) -> _Assignment:
+        """The solved assignment once the active row ``r`` and column ``c``
+        are deactivated; ``self`` stays as it is.
 
-        The deletion leaves the potentials feasible and the matching
-        tight; the row that lost column ``c`` (if not row ``r``) is
-        re-matched by one augmenting path, ending at the column row ``r``
-        held, in O(n²) (the dynamic Hungarian update of Mills-Tettey,
-        Stentz & Dias, CMU-RI-TR-07-27, 2007).  The minimum cost is the
-        child's :meth:`total`.
+        Deleting them keeps the duals feasible, and breaks complementary
+        slackness at most twice: the row that held ``c`` is free with
+        ``a > 0``, and the column ``r`` held is free with ``b > 0``.  The
+        child grows from that row, then, if still free, from that column,
+        the same step with rows and columns swapped (a dynamic Hungarian
+        update: Mills-Tettey, Stentz & Dias, CMU-RI-TR-07-27, 2007).  When
+        ``r`` owns ``c``, or neither breaks, no grow runs and the child
+        keeps its parent's duals.
         """
-        u, v, owner = self.u, self.v, self.owner[:]
-        i, owner[c] = owner[c], 0
-        if i != r:
-            u, v = u[:], v[:]
-            free = [j for j in range(1, len(owner)) if owner[j]]
-            owner[owner.index(r, 1)] = 0
-            _augment(self.cost, u, v, owner, i, free)
+        mate, comate = self.mate[:], self.comate[:]
+        y, x = mate[r], comate[c]
+        mate[r] = comate[c] = _GONE
+        a, b, value = self.a, self.b, self.value
+        if y == c:
+            value -= self.cells[r][c]
+        else:
+            if y >= 0:
+                comate[y] = _FREE
+                value -= self.cells[r][y]
+            if x >= 0:
+                mate[x] = _FREE
+                value -= self.cells[x][c]
+            if (x >= 0 and a[x]) or (y >= 0 and b[y]):
+                a, b = a[:], b[:]
+                if x >= 0 and a[x]:
+                    value += _grow(x, a, b, mate, comate, self.cells)
+                if y >= 0 and comate[y] == _FREE and b[y]:
+                    value += _grow(y, b, a, comate, mate, self.transpose)
         child = _Assignment.__new__(_Assignment)
-        child.cost, child.u, child.v, child.owner = self.cost, u, v, owner
-        return child.total(), child
-
-    def total(self) -> int:
-        """The assignment's cost: the sum of its matched cells."""
-        return sum(self.cost[o - 1][c - 1] for c, o in enumerate(self.owner) if c and o)
+        child.cells, child.transpose = self.cells, self.transpose
+        child.a, child.b, child.mate, child.comate, child.value = a, b, mate, comate, value
+        return child
 
 
-def _augment(
-    cost: list[list[int]],
-    row_pot: list[int],
-    col_pot: list[int],
-    owner: list[int],
-    i: int,
-    free: list[int],
-) -> None:
-    """Match the unmatched row ``i`` along a cheapest alternating path.
+def _grow(
+    source: int,
+    duals: list[int],
+    coduals: list[int],
+    mates: list[int],
+    comates: list[int],
+    cells: list[dict[int, int]],
+) -> int:
+    """Restore complementary slackness at the free ``source`` of one side
+    (rows, or columns with every argument swapped) and return the change
+    of the matched weight.
 
-    The path is found Dijkstra-style over the reduced costs
-    ``cost - row_pot - col_pot``, which the potentials keep non-negative,
-    and it is zero on every matched cell; the potentials are updated so
-    that this still holds afterwards, which makes the enlarged matching a
-    minimum-cost one.  Rows and columns are 1-based, ``cost[r - 1][j - 1]``
-    being cell (r, j); ``free`` lists the columns the path may use, some
-    of them unmatched (``owner[j] == 0``), and is consumed.  Column 0 is
-    the virtual source of the path.
+    One Dijkstra from ``source`` over the slacks ``duals + coduals - w``,
+    which are non-negative; a settled node of the other side leads on to
+    its mate at the same distance.  The search stops at the first of two
+    events: a free node of the other side at distance D, or a node of the
+    source's side at key ``distance + dual``, where its dual would reach 0.
+    Every settled node's dual then moves by D minus its distance (down on
+    the source's side, up on the other), which keeps every slack
+    non-negative and makes the path tight.  The path is flipped: the
+    source gains a mate, and either the free node at its end gains one
+    too or the node at its end loses its own (its dual now 0).  Nodes
+    mated ``_GONE`` are skipped.
     """
-    owner[0] = i
-    j0 = 0
-    dist = [math.inf] * len(owner)
-    via = [0] * len(owner)
-    visited = [0]
-    while owner[j0]:
-        i0 = owner[j0]
-        row, u = cost[i0 - 1], row_pot[i0]
-        delta, j1 = math.inf, 0
-        for j in free:
-            reduced = row[j - 1] - u - col_pot[j]
-            d = dist[j]
-            if reduced < d:
-                dist[j] = d = reduced
-                via[j] = j0
-            if d < delta:
-                delta, j1 = d, j
-        for j in visited:
-            row_pot[owner[j]] += delta
-            col_pot[j] -= delta
-        for j in free:
-            dist[j] -= delta
-        free.remove(j1)
-        visited.append(j1)
-        j0 = j1
-    while j0:
-        j1 = via[j0]
-        owner[j0] = owner[j1]
-        j0 = j1
+    heap = [(duals[source], ~source)]
+    reached = {source: 0}  # the source's side in the tree, by distance
+    best: dict[int, int] = {}  # the other side, tentative; -1 once settled
+    via: dict[int, int] = {}
+    settled: list[tuple[int, int]] = []
+    x, d = source, 0
+    while True:
+        base = d + duals[x]
+        for y, w in cells[x].items():
+            if comates[y] != _GONE:
+                key = base + coduals[y] - w
+                old = best.get(y)
+                if old is None or key < old:
+                    best[y], via[y] = key, x
+                    heappush(heap, (key, y))
+        while True:
+            d, node = heappop(heap)
+            if node < 0 or best[node] == d:
+                break
+        if node < 0 or comates[node] == _FREE:
+            break
+        best[node] = -1
+        settled.append((node, d))
+        x = comates[node]
+        reached[x] = d
+        heappush(heap, (d + duals[x], ~x))
+    for x, dx in reached.items():
+        duals[x] -= d - dx
+    for y, dy in settled:
+        coduals[y] += d - dy
+    gain = 0
+    if node < 0:
+        x = ~node
+        if x == source:
+            return 0
+        node, mates[x] = mates[x], _FREE
+        gain -= cells[x][node]
+    while True:
+        x = via[node]
+        prev, mates[x], comates[node] = mates[x], node, x
+        gain += cells[x][node]
+        if x == source:
+            return gain
+        gain -= cells[x][prev]
+        node = prev
+
+
+def _first_best(kernel: _Assignment, m: int, k: int) -> list[int]:
+    """The columns of the first maximum-weight permutation, in
+    ``itertools.permutations`` order, of the ``m`` × ``k`` matrix that
+    ``kernel`` solved, zero-padded square; one per real row.
+
+    A permutation is optimal iff every cell it uses is tight for the
+    kernel's duals (padding rows and columns have dual 0): the positive
+    cells with ``a + b = w`` and the complete block of the zero-dual rows
+    against the zero-dual columns.  Starting from the kernel's matching,
+    completed inside the block, each real row in turn takes the smallest
+    tight column that an alternating cycle through its current column
+    and the rows not yet fixed allows.  One backward breadth-first search
+    from the current column finds them all; the block enters it once, as
+    a whole, at the first zero-dual column reached.
+    """
+    n = max(m, k)
+    a, b = kernel.a + [0] * (n - m), kernel.b + [0] * (n - k)
+    column, owner = kernel.mate + [_FREE] * (n - m), kernel.comate + [_FREE] * (n - k)
+    spare = (c for c in range(n) if owner[c] == _FREE)
+    for r in range(n):
+        if column[r] == _FREE:
+            column[r] = c = next(spare)
+            owner[c] = r
+    tight = [sorted(c for c, w in kernel.cells[r].items() if a[r] + b[c] == w) for r in range(m)]
+    into: list[list[int]] = [[] for _ in range(n)]
+    for r, row in enumerate(tight):
+        for c in row:
+            into[c].append(r)
+    zero_rows = [r for r in range(n) if a[r] == 0]
+    open_zero = [c for c in range(n) if b[c] == 0]  # not held by a fixed row
+    for r in range(m):
+        t = column[r]
+        block = a[r] == 0 and bool(open_zero) and open_zero[0] < t
+        if block or (tight[r] and tight[r][0] < t):
+            after = [q for q in zero_rows if q > r]
+            nxt = {t: t}  # column -> the column its owner moves to
+            queue = [t]
+            for y in queue:
+                rows = [q for q in into[y] if q > r]
+                if after and b[y] == 0:
+                    rows += after
+                    after = []
+                for q in rows:
+                    if column[q] not in nxt:
+                        nxt[column[q]] = y
+                        queue.append(column[q])
+            c = min([c for c in tight[r] if c in nxt] + [c for c in nxt if block and b[c] == 0] + [t])
+            q, x = r, c
+            while True:
+                prev, column[q], owner[x] = owner[x], x, q
+                if x == t:
+                    break
+                q, x = prev, nxt[x]
+        if b[column[r]] == 0:
+            open_zero.remove(column[r])
+    return column[:m]
 
 
 def hungarian_bound(

@@ -79,20 +79,20 @@ gain and heuristic are integers in units of ``1/index.scale``, so the
 fringe orders by exact integer keys.  Only the returned result (and the
 expansion records, on reading) hold ``Fraction`` values.
 
-Heuristics are inherited, not solved afresh.  One cost matrix serves
-the whole search: :func:`_root` builds it with row j for job j, column
-k + 1 for resource bit ``1 << k`` and zero padding after them, and
-solves the root's assignment over the relevant rows and columns and as
-much padding as squares them.  A child's problem is its parent's minus
-the row of the added section's job and the column of its resource, so
+Heuristics are inherited, not solved afresh.  :func:`_root` solves one
+sparse :class:`~pipblock.bound._Assignment` per search, read from the
+index's longest durations: row j - 1 for job j, column k for resource
+bit ``1 << k``, and cells only between relevant jobs and relevant
+resources.  A child's problem is its parent's minus the row of the added
+section's job and the column of its resource, so
 :meth:`~pipblock.bound._Assignment.without` deactivates exactly those
-two numbers and repairs the optimum with one augmenting path in O(n²).
-Every estimate, the root's too, is minus the solved assignment's
-:meth:`~pipblock.bound._Assignment.total`; the maximum value is unique,
-so it equals a fresh ``hungarian_bound`` over the node's sets, and with
-it every fringe key, node count and witness.  The deletion is well
-defined because an extension is eligible: its job and resource are
-still active rows and columns.
+two numbers and repairs the optimum with at most two shortest-path grows
+over the positive cells, and none when the job held the resource.  Every
+estimate, the root's too, is the solved assignment's ``value``; the
+maximum value is unique, so it equals a fresh ``hungarian_bound`` over
+the node's sets, and with it every fringe key, node count and witness.
+The deletion is well defined because an extension is eligible: its job
+and resource are still active rows and columns.
 """
 
 from __future__ import annotations
@@ -130,7 +130,7 @@ class SearchNode:
     the fringe's tie-break keys, set by :func:`blocking_time`.
     ``assignment`` is the solved :class:`~pipblock.bound._Assignment`
     behind ``heuristic`` (active: the relevant jobs and resources the
-    chain has not used, and their padding), or None on a leaf: a node
+    chain has not used), or None on a leaf: a node
     with no eligible maximal section on creation, or one
     :func:`blocking_time` re-marked as a leaf.
     """
@@ -275,16 +275,17 @@ def expand(ts: TaskSet, i: int, node: SearchNode, fringe: Fringe) -> list[Search
             continue
         fringe.record(live, induced, gain)
         eligible = node.eligible & ~(index.keys(1 << z.job) | index.on[s.bit])
-        cost, assignment = 0, None
+        heuristic, assignment = 0, None
         if eligible & _maximal_keys(index, induced):
-            cost, assignment = node.assignment.without(z.job, s.bit.bit_length())
+            assignment = node.assignment.without(z.job - 1, s.bit.bit_length() - 1)
+            heuristic = assignment.value
         successor = SearchNode(
             chain=node.chain + (z,),
             members=node.members | 1 << s.key,
             induced=induced,
             eligible=eligible,
             gain=gain,
-            heuristic=-cost,
+            heuristic=heuristic,
             live=live,
             assignment=assignment,
         )
@@ -298,28 +299,28 @@ def _root(ts: TaskSet, i: int) -> SearchNode:
     """The search's root for job ``i``: the empty chain, inducing the
     direct mask, with every section of the relevant jobs (of
     :mod:`~pipblock.relevance`) eligible and live, and the assignment
-    over them solved on the search's matrix, minus its cost as the
-    estimate.  A cell costs minus the job's longest duration on the
-    resource, unperturbed: the search needs only values."""
+    over them solved from the index's longest durations, its value as the
+    estimate.  Row j - 1 is job j and column k is resource bit ``1 << k``;
+    only the relevant jobs and resources get cells."""
     index = _compiled(ts)
     direct = _direct(index, i)
     resources = _fixpoint(index, i, direct, None)[-1]
     jobs = _jobs_using(index, i, resources)
-    rows = _positions(jobs)
-    columns = [k + 1 for k in _positions(resources)]
-    pad = [0] * (len(rows) - len(columns))
-    cost = [[-longest.get(r, 0) for r in index.ids] + pad for longest in index.longest]
-    cost += [[0] * len(cost[0]) for _ in range(len(columns) - len(rows))]
-    rows += range(ts.n + 1, len(cost) + 1)
-    columns += range(len(index.ids) + 1, len(cost[0]) + 1)
-    assignment = _Assignment(cost, rows, columns)
+    bits = index.bits
+    cells = [
+        [(bits[r].bit_length() - 1, w) for r, w in longest.items() if bits[r] & resources]
+        if jobs >> j & 1
+        else []
+        for j, longest in enumerate(index.longest, 1)
+    ]
+    assignment = _Assignment(cells, len(index.ids))
     return SearchNode(
         chain=(),
         members=0,
         induced=direct,
         eligible=index.keys(jobs),
         gain=0,
-        heuristic=-assignment.total(),
+        heuristic=assignment.value,
         live=index.keys(jobs),
         seq=0,
         batch=0,

@@ -20,7 +20,7 @@ from pipblock import (
     relevant_resources,
     serialize_taskset,
 )
-from pipblock.bound import BlockingMatrix, _Assignment
+from pipblock.bound import AssignmentSet, BlockingMatrix, _Assignment
 
 
 def brute_force_assignment_value(matrix: BlockingMatrix) -> Fraction:
@@ -160,56 +160,70 @@ def test_hungarian_matches_permutation_brute_force():
 
 
 def _check_solved(
-    cost: list[list[int]], assignment: _Assignment, rows: list[int], columns: list[int]
+    cells: list[list[int]], assignment: _Assignment, rows: list[int], columns: list[int]
 ) -> int:
-    """``assignment`` matches the active ``rows`` perfectly onto the active
-    ``columns`` (1-based numbers into ``cost``), its duals prove it
-    optimal, and its cost, returned, is the brute-force minimum."""
-    u, v, owner = assignment.u, assignment.v, assignment.owner
-    assert [c for c in range(1, len(owner)) if owner[c]] == sorted(columns)
-    assert sorted(owner[c] for c in columns) == sorted(rows)
+    """``assignment`` matches the active ``rows`` onto the active ``columns``
+    (indices into ``cells``) over positive cells only, its duals certify
+    it, and its value, returned, is the brute-force maximum."""
+    a, b, mate, comate = assignment.a, assignment.b, assignment.mate, assignment.comate
+    matched = [(r, mate[r]) for r in rows if mate[r] >= 0]
+    assert all(c in columns and comate[c] == r and cells[r][c] > 0 for r, c in matched)
+    assert all(comate[c] in rows for c in columns if comate[c] >= 0)
     for r in rows:
+        assert a[r] >= 0 and (a[r] == 0 or mate[r] >= 0)
         for c in columns:
-            reduced = cost[r - 1][c - 1] - u[r] - v[c]
-            assert reduced >= 0
-            assert reduced == 0 or owner[c] != r
-    value = sum(cost[owner[c] - 1][c - 1] for c in columns)
-    permutations = itertools.permutations(columns)
-    assert value == min(sum(cost[r - 1][c - 1] for r, c in zip(rows, p)) for p in permutations)
+            assert a[r] + b[c] >= cells[r][c]
+    for c in columns:
+        assert b[c] >= 0 and (b[c] == 0 or comate[c] >= 0)
+    assert all(a[r] + b[c] == cells[r][c] for r, c in matched)
+    value = sum(cells[r][c] for r, c in matched)
+    assert assignment.value == value
+    if len(rows) <= len(columns):
+        picks = (zip(rows, p) for p in itertools.permutations(columns, len(rows)))
+    else:
+        picks = (zip(p, columns) for p in itertools.permutations(rows, len(columns)))
+    best = max((sum(cells[r][c] for r, c in pick) for pick in picks), default=0)
+    assert value == best
     return value
 
 
-_CELLS = st.one_of(st.integers(-9, 9), st.integers(-(2**70), 2**70))
+_CELLS = st.one_of(st.integers(0, 9), st.integers(0, 2**70))
 
 
 @settings(max_examples=150, deadline=None)
 @given(n=st.integers(min_value=1, max_value=6), data=st.data())
 def test_assignment_kernel_solves_and_repairs(n, data):
-    # Solve some rows of a random matrix over as many of its columns, then
-    # deactivate random active (row, column) pairs down to nothing.  Each
-    # repair is an optimal perfect matching of what is still active, at
-    # the value it returns; deactivated numbers never come back; and the
-    # parent, which the search repairs once per child, is left intact.
+    # Solve a random matrix, then deactivate random active (row, column)
+    # pairs, sometimes a row with its own column, down to an empty side.
+    # After the solve and each repair the value is the brute-force
+    # maximum over what is still active and the duals certify it; the
+    # parent, which the search repairs once per child, is left intact;
+    # and deactivated numbers never come back.
     width = data.draw(st.integers(1, 6))
-    row = st.lists(_CELLS, min_size=width, max_size=width)
-    cost = data.draw(st.lists(row, min_size=n, max_size=n))
-    k = data.draw(st.integers(0, min(n, width)))
-    rows = data.draw(st.permutations(range(1, n + 1)))[:k]
-    columns = data.draw(st.permutations(range(1, width + 1)))[:k]
-    assignment = _Assignment(cost, rows, columns)
-    _check_solved(cost, assignment, rows, columns)
+    cells = data.draw(st.lists(st.lists(_CELLS, min_size=width, max_size=width), min_size=n, max_size=n))
+    assignment = _Assignment(map(enumerate, cells), width)
+    rows, columns = list(range(n)), list(range(width))
+    _check_solved(cells, assignment, rows, columns)
     gone_rows, gone_columns = set(), set()
-    while rows:
+    while rows and columns:
         r = data.draw(st.sampled_from(rows))
-        c = data.draw(st.sampled_from(columns))
-        value, child = assignment.without(r, c)
-        _check_solved(cost, assignment, rows, columns)
+        own = assignment.mate[r]
+        if own >= 0 and data.draw(st.booleans()):
+            c = own
+        else:
+            c = data.draw(st.sampled_from(columns))
+        before = assignment.a[:], assignment.b[:], assignment.mate[:], assignment.comate[:]
+        value = assignment.value
+        child = assignment.without(r, c)
+        assert (assignment.a, assignment.b, assignment.mate, assignment.comate) == before
+        assert assignment.value == value
+        _check_solved(cells, assignment, rows, columns)
         rows, columns = [x for x in rows if x != r], [x for x in columns if x != c]
         gone_rows.add(r)
         gone_columns.add(c)
-        assert value == _check_solved(cost, child, rows, columns)
-        assert gone_rows.isdisjoint(child.owner[1:])
-        assert not any(child.owner[c] for c in gone_columns)
+        _check_solved(cells, child, rows, columns)
+        assert gone_columns.isdisjoint(child.mate[x] for x in rows)
+        assert gone_rows.isdisjoint(child.comate[x] for x in columns)
         assignment = child
 
 
@@ -236,6 +250,25 @@ def first_best_permutation_pairs(matrix: BlockingMatrix):
     )
 
 
+def _tie_heavy_matrix(rng: random.Random, n_rows: int, n_cols: int) -> BlockingMatrix:
+    """A matrix built to exercise the tie-break: all-zero rows and
+    columns, many equal cells or a block of zeros."""
+    kind = rng.randrange(4)
+    if kind == 0:  # whole rows and columns of zeros
+        matrix = _random_matrix(rng, n_rows, n_cols, [0, 1, 2, 3])
+        for r in rng.sample(range(n_rows), rng.randint(0, n_rows)):
+            matrix.weights[r] = [0] * n_cols
+        for c in rng.sample(range(n_cols), rng.randint(0, n_cols)):
+            for row in matrix.weights:
+                row[c] = 0
+        return matrix
+    if kind == 1:  # nearly all cells equal
+        return _random_matrix(rng, n_rows, n_cols, [2] * 6 + [0, 1])
+    if kind == 2:  # mostly zero-duration cells
+        return _random_matrix(rng, n_rows, n_cols, [0] * 8 + [1, 5])
+    return _random_matrix(rng, n_rows, n_cols, [0, 1, 1, 2])
+
+
 def test_tie_break_is_first_best_permutation():
     rng = random.Random(2024)
     shapes = [(1, 1), (1, 4), (4, 1), (2, 5), (5, 2), (3, 3), (5, 5)]
@@ -248,6 +281,24 @@ def test_tie_break_is_first_best_permutation():
         assignment = max_assignment(matrix)
         assert assignment.pairs == first_best_permutation_pairs(matrix)
         assert assignment.value == brute_force_assignment_value(matrix)
+    # Inputs where the zero-dual block and the alternating-path search
+    # decide: every shape up to 7 x 7, both orientations.
+    for n_rows, n_cols in itertools.product(range(1, 8), repeat=2):
+        for _ in range(4 if n_rows * n_cols <= 36 else 1):
+            matrix = _tie_heavy_matrix(rng, n_rows, n_cols)
+            assignment = max_assignment(matrix)
+            assert assignment.pairs == first_best_permutation_pairs(matrix)
+            assert assignment.value == brute_force_assignment_value(matrix)
+    for n_rows, n_cols in [(7, 7), (7, 3), (3, 7), (6, 7), (7, 6)]:
+        zeros = BlockingMatrix(
+            tuple(range(1, n_rows + 1)),
+            tuple(range(1, n_cols + 1)),
+            [[0] * n_cols for _ in range(n_rows)],
+            1,
+        )
+        assert max_assignment(zeros) == AssignmentSet((), Fraction(0))
+        equal = BlockingMatrix(zeros.jobs, zeros.resources, [[4] * n_cols for _ in range(n_rows)], 1)
+        assert max_assignment(equal).pairs == first_best_permutation_pairs(equal)
 
 
 def with_fractional_durations(ts, rng: random.Random):

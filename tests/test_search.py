@@ -169,12 +169,12 @@ def test_fractional_durations_scale_the_result(seed, k):
 )
 def test_repaired_assignment_matches_fresh_bound(seed, shape, fractional):
     # A child's heuristic repairs its parent's optimal assignment after
-    # deactivating one job row and one resource column of the search's
-    # matrix (row j is job j, column k + 1 is resource bit 1 << k, zero
-    # padding after).  Delete random pairs, and sometimes a row with its
-    # own matched column (no augmenting path), down to an empty side:
-    # every repaired value must equal a fresh hungarian_bound over the
-    # remaining sets.
+    # deactivating one job row and one resource column (row j - 1 is job
+    # j, column k is resource bit 1 << k, cells from the index's longest
+    # durations).  Delete random pairs, and sometimes a row with its own
+    # matched column (no grow), down to an empty side: every
+    # repaired value must equal a fresh hungarian_bound over the remaining
+    # sets.
     import random
     import re
 
@@ -188,28 +188,26 @@ def test_repaired_assignment_matches_fresh_bound(seed, shape, fractional):
         k = rng.randint(2, 9)
         ts = parse_taskset(re.sub(r"(R\d+: )(\d+)", rf"\g<1>\g<2>/{k}", serialize_taskset(ts)))
     index = _compiled(ts)
-    jobs = sorted(rng.sample(range(1, ts.n + 1), shape[0]))
-    resources = rng.sample(sorted(ts.resources), min(shape[1], len(ts.resources)))
-    columns = sorted(index.bits[r].bit_length() for r in resources)
-    pad = [0] * max(len(jobs) - len(columns), 0)
-    cost = [[-longest.get(r, 0) for r in index.ids] + pad for longest in index.longest]
-    cost += [[0] * len(cost[0]) for _ in range(len(columns) - len(jobs))]
-    rows = jobs + list(range(ts.n + 1, len(cost) + 1))
-    columns += range(len(index.ids) + 1, len(cost[0]) + 1)
-    assignment = _Assignment(cost, rows, columns)
-    jobs, resources = set(jobs), set(resources)
+    jobs = set(rng.sample(range(1, ts.n + 1), shape[0]))
+    resources = set(rng.sample(sorted(ts.resources), min(shape[1], len(ts.resources))))
+    column = {r: index.bits[r].bit_length() - 1 for r in index.ids}
+    cells = [
+        [(column[r], w) for r, w in longest.items() if r in resources] if j in jobs else []
+        for j, longest in enumerate(index.longest, 1)
+    ]
+    assignment = _Assignment(cells, len(index.ids))
     while jobs and resources:
         job = rng.choice(sorted(jobs))
-        column = assignment.owner.index(job, 1)
-        if column <= len(index.ids) and rng.random() < 0.4:
-            resource = index.ids[column - 1]
+        own = assignment.mate[job - 1]
+        if own >= 0 and rng.random() < 0.4:
+            resource = index.ids[own]
         else:
             resource = rng.choice(sorted(resources))
-        cost, assignment = assignment.without(job, index.bits[resource].bit_length())
+        assignment = assignment.without(job - 1, column[resource])
         jobs.discard(job)
         resources.discard(resource)
         fresh, _ = hungarian_bound(ts, jobs, resources)
-        assert -cost == index.scaled(fresh)
+        assert assignment.value == index.scaled(fresh)
 
 
 @settings(max_examples=40, deadline=None)
@@ -218,10 +216,11 @@ def test_repaired_assignment_matches_fresh_bound(seed, shape, fractional):
     shape=st.sampled_from([(8, 4), (4, 8), (6, 6)]),
 )
 def test_root_assignment_value_is_the_root_estimate(seed, shape):
-    # The root solves its assignment over the relevant jobs, the relevant
-    # resources and the padding that squares them; whichever side is
-    # larger, its estimate equals the perturbed hungarian_bound over the
-    # relevant sets, an independent solve.
+    # The root solves its assignment over the relevant jobs and the
+    # relevant resources, whichever side is larger; it matches only
+    # relevant rows to relevant columns, and its estimate equals
+    # hungarian_bound over the relevant sets, a solve of the blocking
+    # matrix built on its own.
     from pipblock import blocking_scope
     from pipblock.search import _root
     from pipblock.taskset import _compiled, _positions
@@ -231,13 +230,11 @@ def test_root_assignment_value_is_the_root_estimate(seed, shape):
     for i in range(1, ts.n + 1):
         root = _root(ts, i)
         scope = blocking_scope(ts, i)
-        owner = root.assignment.owner
-        matched = [(o, c) for c, o in enumerate(owner) if c and o]
-        jobs = sorted(scope.relevant_jobs)
-        columns = [k + 1 for k in _positions(index.mask(scope.relevant_resources))]
-        assert len(matched) == max(len(jobs), len(columns))
-        assert {o for o, _ in matched} >= set(jobs)
-        assert {c for _, c in matched} >= set(columns)
+        mate = root.assignment.mate
+        matched = [(r + 1, c) for r, c in enumerate(mate) if c >= 0]
+        columns = _positions(index.mask(scope.relevant_resources))
+        assert {j for j, _ in matched} <= set(scope.relevant_jobs)
+        assert {c for _, c in matched} <= set(columns)
         bound, _ = hungarian_bound(ts, scope.relevant_jobs, scope.relevant_resources)
         assert root.heuristic == index.scaled(bound)
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import sys
+from fractions import Fraction
 from pathlib import Path
 from typing import Iterable
 
@@ -23,7 +24,7 @@ import click
 
 from .admissibility import is_admissible_chain
 from .analysis import _fmt_jobs, _fmt_resources, analyze, render_report
-from .bound import blocking_time_matrix, max_assignment
+from .bound import BlockingMatrix, blocking_time_matrix, max_assignment
 from .deadlock import CyclicResourceOrderError, check_deadlock_free, require_acyclic
 from .oracle import (
     OracleLimitError,
@@ -152,7 +153,7 @@ def cmd_bound(file, job, as_json) -> None:
                         "job": i,
                         "rows": [str(j) for j in matrix.jobs],
                         "cols": [f"R{r}" for r in matrix.resources],
-                        "matrix": [[str(c) for c in row] for row in matrix.rows],
+                        "matrix": _cells(matrix),
                         "bound": str(assignment.value),
                         "assignment": [[j, r] for j, r in assignment.pairs],
                     }
@@ -167,11 +168,18 @@ def cmd_bound(file, job, as_json) -> None:
         if matrix.jobs:
             header = "      " + " ".join(f"R{r:<4}" for r in matrix.resources)
             click.echo(header)
-            for j, row in zip(matrix.jobs, matrix.rows):
-                cells = " ".join(f"{str(c):<5}" for c in row)
+            for j, row in zip(matrix.jobs, _cells(matrix)):
+                cells = " ".join(f"{c:<5}" for c in row)
                 click.echo(f"  J{j:<3} {cells}")
         pairs = ", ".join(f"(J{j}, R{r})" for j, r in assignment.pairs) or "-"
         click.echo(f"  assignment: {pairs}")
+
+
+def _cells(matrix: BlockingMatrix) -> list[list[str]]:
+    """The matrix's cells as exact durations in text; each distinct
+    weight is formatted once."""
+    text = {w: str(Fraction(w, matrix.scale)) for w in set().union(*matrix.weights)}
+    return [[text[w] for w in row] for row in matrix.weights]
 
 
 @cli.command("blocking-time")

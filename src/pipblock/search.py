@@ -38,14 +38,21 @@ reports).
 LSM is a mask too: the sections maximal w.r.t. a resource mask I are
 those on a resource of I (the index's ``on``) and not strictly inside a
 section on one (its ``inside``), since a resource is never re-locked
-inside its own section.  The extensions are the keys of ``live`` &
-maximal(``induced``), ascending, which is job then position order.
-The leaf test on creation reads ``eligible`` (NBJ and NBR alone), not
-``live``: a node is a leaf when none of its eligible sections is
-maximal.  Reading ``live`` would make leaves on creation of nodes that
-are now expanded and re-marked, and so change which optimal leaf pops
-first; that waits until the witness no longer depends on search order
-(ROADMAP item 1).
+inside its own section.  Each node stores ``maximal``, its eligible
+sections maximal w.r.t. its induced set, computed once when the node is
+created.  The leaf test on creation reads it: a node is a leaf when none
+of its eligible sections (NBJ and NBR alone) is maximal.  It reads
+``eligible``, not ``live``: reading ``live`` would make leaves on
+creation of nodes that are now expanded and re-marked, and so change
+which optimal leaf pops first; that waits until the witness no longer
+depends on search order (ROADMAP item 1).  Since ``live`` lies within
+``eligible``, the extensions are the keys of ``live & maximal``,
+ascending, which is job then position order; one generator walks them
+straight to index rows, for :func:`expand` and :func:`successors` alike.
+The sections maximal w.r.t. an induced set are computed once per search:
+the fringe keeps a memo of :func:`~pipblock.taskset._maximal_keys` keyed
+by the induced mask.  A row with no nested resource adds nothing to the
+induced set, so it never calls :func:`~pipblock.relevance._induced`.
 
 Dominance.  A live section misses every current member's conflict mask,
 so whether a later member obstructs it depends on that member alone;
@@ -77,7 +84,8 @@ Nodes live on the task set's compiled index: the chain's section set,
 its live and eligible sections and its induced set are bit masks, and
 gain and heuristic are integers in units of ``1/index.scale``, so the
 fringe orders by exact integer keys.  Only the returned result (and the
-expansion records, on reading) hold ``Fraction`` values.
+expansion records, on reading) hold ``Fraction`` values.  A record keeps
+the created successors' last sections and labels them only when read.
 
 Heuristics are inherited, not solved afresh.  :func:`_root` solves one
 sparse :class:`~pipblock.bound._Assignment` per search, read from the
@@ -100,11 +108,20 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterator
 
 from .bound import _Assignment, hungarian_bound  # noqa: F401 (bench/spans.py traces it)
 from .deadlock import require_acyclic
 from .relevance import _direct, _fixpoint, _induced, _jobs_using
-from .taskset import CriticalSection, TaskSet, ZChain, _compiled, _maximal_keys, _positions
+from .taskset import (
+    CriticalSection,
+    TaskSet,
+    ZChain,
+    _compiled,
+    _Index,
+    _maximal_keys,
+    _Section,
+)
 
 __all__ = [
     "ExpansionRecord",
@@ -116,23 +133,24 @@ __all__ = [
     "successors",
 ]
 
-@dataclass
+@dataclass(slots=True)
 class SearchNode:
     """One search-tree node: a partial chain and its derived sets.
 
     ``members`` is the chain's section set, the OR of ``1 << key`` over
     its sections' index rows.  In the same bits, ``eligible`` holds the
     relevant jobs' sections off the chain's jobs and resources (NBJ,
-    NBR), and ``live`` those of them that no member conflicts with.
+    NBR), ``live`` those of them that no member conflicts with, and
+    ``maximal`` the eligible sections maximal w.r.t. ``induced`` (LSM),
+    stored on creation: the node's extensions are ``live & maximal``.
     ``induced`` is the chain's induced set, a resource mask of the task
     set's index.  ``gain`` (the chain's duration) and ``heuristic`` are
     integers in units of ``1/index.scale``.  ``seq`` and ``batch`` are
     the fringe's tie-break keys, set by :func:`blocking_time`.
     ``assignment`` is the solved :class:`~pipblock.bound._Assignment`
     behind ``heuristic`` (active: the relevant jobs and resources the
-    chain has not used), or None on a leaf: a node
-    with no eligible maximal section on creation, or one
-    :func:`blocking_time` re-marked as a leaf.
+    chain has not used), or None on a leaf: a node whose ``maximal`` is
+    empty on creation, or one :func:`blocking_time` re-marked as a leaf.
     """
 
     chain: ZChain
@@ -142,6 +160,7 @@ class SearchNode:
     gain: int
     heuristic: int
     live: int
+    maximal: int
     seq: int = -1
     batch: int = -1
     assignment: _Assignment | None = None
@@ -158,28 +177,34 @@ class SearchNode:
 class Fringe:
     """Generated-but-unexpanded nodes, ordered for Remove-First.
 
-    Also keeps two permanent records of the search: every chain set
+    Also keeps three permanent records of one search: every chain set
     generated so far, as the ``members`` masks of the pushed nodes, which
-    the duplicate guard queries; and the dominance table, the largest
-    gain generated for each ``(live, induced)`` key.
+    the duplicate guard queries; the dominance table, the largest gain
+    generated for each ``(live, induced)`` key; and the maximal-section
+    mask of each induced set met (:meth:`maximal`).
     """
 
     def __init__(self) -> None:
-        self._heap: list[tuple[tuple, SearchNode]] = []
+        self._heap: list[tuple[int, int, int, int, SearchNode]] = []
         self._queued: set[int] = set()
         self._generated: set[int] = set()
         self._best: dict[tuple[int, int], int] = {}
+        self._maximal: dict[int, int] = {}
 
     def push(self, node: SearchNode) -> None:
-        if node.seq < 0 or node.seq in self._queued:
+        """Queue ``node`` under the key (-estimate, leaf flag, -batch, seq);
+        ``seq`` is unique, so the node itself is never compared."""
+        seq = node.seq
+        if seq < 0 or seq in self._queued:
             raise ValueError("nodes need a fresh non-negative seq before insertion")
-        key = (-node.estimate, 0 if node.is_leaf else 1, -node.batch, node.seq)
-        heapq.heappush(self._heap, (key, node))
-        self._queued.add(node.seq)
+        heuristic = node.heuristic
+        entry = (-node.gain - heuristic, 1 if heuristic else 0, -node.batch, seq, node)
+        heapq.heappush(self._heap, entry)
+        self._queued.add(seq)
         self._generated.add(node.members)
 
     def pop(self) -> SearchNode:
-        _, node = heapq.heappop(self._heap)
+        node = heapq.heappop(self._heap)[-1]
         self._queued.remove(node.seq)
         return node
 
@@ -199,26 +224,39 @@ class Fringe:
         was ever pushed."""
         return sections in self._generated
 
+    def maximal(self, index: _Index, induced: int) -> int:
+        """``_maximal_keys(index, induced)``, computed once per induced set;
+        a fringe serves one search, so ``index`` is always the same."""
+        keys = self._maximal.get(induced)
+        if keys is None:
+            keys = self._maximal[induced] = _maximal_keys(index, induced)
+        return keys
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, slots=True)
 class ExpansionRecord:
     """One Remove-First step, for traces and instrumentation.  The expanded
     node's gain and heuristic are integers in units of ``1/scale``;
-    ``estimate`` reads their sum as an exact duration.  ``extensions``
-    labels the last sections of the created successors (dominated ones
-    are not created); ``releafed`` reads true when none was created and
-    the node went back as a leaf."""
+    ``estimate`` reads their sum as an exact duration.  ``created`` holds
+    the last sections of the created successors (dominated ones are not
+    created), and ``extensions`` their labels; ``releafed`` reads true
+    when none was created and the node went back as a leaf.  Both are
+    derived on reading."""
 
     seq: int
     chain: ZChain
     gain_units: int
     heuristic_units: int
     scale: int
-    extensions: tuple[str, ...]
+    created: tuple[CriticalSection, ...]
+
+    @property
+    def extensions(self) -> tuple[str, ...]:
+        return tuple(z.label for z in self.created)
 
     @property
     def releafed(self) -> bool:
-        return not self.extensions
+        return not self.created
 
     @property
     def estimate(self) -> Fraction:
@@ -236,6 +274,20 @@ class SearchResult:
     expansions: tuple[ExpansionRecord, ...] = ()
 
 
+def _extensions(index: _Index, node: SearchNode, fringe: Fringe) -> Iterator[_Section]:
+    """The index rows of ``node``'s admissible extensions, in key order:
+    the sections of ``node.live`` (NBJ, NBR, FHO and FLO) in
+    ``node.maximal`` (LSM) whose chain set the duplicate guard has not
+    seen."""
+    rows, members, seen = index.rows, node.members, fringe.already_generated
+    keys = node.live & node.maximal
+    while keys:
+        bit = keys & -keys
+        if not seen(members | bit):
+            yield rows[bit.bit_length() - 1]
+        keys ^= bit
+
+
 def successors(
     ts: TaskSet, node: SearchNode, fringe: Fringe
 ) -> tuple[CriticalSection, ...]:
@@ -243,12 +295,7 @@ def successors(
     ``node`` and ``fringe`` stay as they are.  They are the sections of
     ``node.live`` (NBJ, NBR, FHO and FLO) maximal w.r.t. ``node.induced``
     (LSM) whose chain set the duplicate guard has not seen."""
-    index = _compiled(ts)
-    return tuple(
-        index.rows[k].z
-        for k in _positions(node.live & _maximal_keys(index, node.induced))
-        if not fringe.already_generated(node.members | 1 << k)
-    )
+    return tuple(s.z for s in _extensions(_compiled(ts), node, fringe))
 
 
 def expand(ts: TaskSet, i: int, node: SearchNode, fringe: Fringe) -> list[SearchNode]:
@@ -263,34 +310,40 @@ def expand(ts: TaskSet, i: int, node: SearchNode, fringe: Fringe) -> list[Search
     early when a successor is a leaf matching the parent's estimate: that
     leaf already proves the branch's optimum.
     """
-    created: list[SearchNode] = []
     index = _compiled(ts)
-    conflict = index.conflict
-    for z in successors(ts, node, fringe):
-        s = index.entry(z)
-        live = node.live & ~conflict[s.key]
-        induced = node.induced | _induced(index, i, s, node.induced)
-        gain = node.gain + s.duration
+    conflict, on, job_keys = index.conflict, index.on, index.job_keys
+    chain, members, gain0 = node.chain, node.members, node.gain
+    live0, induced0, eligible0 = node.live, node.induced, node.eligible
+    estimate = gain0 + node.heuristic
+    created: list[SearchNode] = []
+    for s in _extensions(index, node, fringe):
+        live = live0 & ~conflict[s.key]
+        induced = induced0 | _induced(index, i, s, induced0) if s.nested else induced0
+        gain = gain0 + s.duration
         if fringe.dominated(live, induced, gain):
             continue
         fringe.record(live, induced, gain)
-        eligible = node.eligible & ~(index.keys(1 << z.job) | index.on[s.bit])
+        z = s.z
+        eligible = eligible0 & ~(job_keys[z.job] | on[s.bit])
+        maximal = eligible & fringe.maximal(index, induced)
         heuristic, assignment = 0, None
-        if eligible & _maximal_keys(index, induced):
+        if maximal:
             assignment = node.assignment.without(z.job - 1, s.bit.bit_length() - 1)
             heuristic = assignment.value
-        successor = SearchNode(
-            chain=node.chain + (z,),
-            members=node.members | 1 << s.key,
-            induced=induced,
-            eligible=eligible,
-            gain=gain,
-            heuristic=heuristic,
-            live=live,
-            assignment=assignment,
+        created.append(
+            SearchNode(
+                chain=chain + (z,),
+                members=members | 1 << s.key,
+                induced=induced,
+                eligible=eligible,
+                gain=gain,
+                heuristic=heuristic,
+                live=live,
+                maximal=maximal,
+                assignment=assignment,
+            )
         )
-        created.append(successor)
-        if successor.is_leaf and successor.estimate == node.estimate:
+        if not heuristic and gain == estimate:
             break
     return created
 
@@ -314,14 +367,16 @@ def _root(ts: TaskSet, i: int) -> SearchNode:
         for j, longest in enumerate(index.longest, 1)
     ]
     assignment = _Assignment(cells, len(index.ids))
+    eligible = index.keys(jobs)
     return SearchNode(
         chain=(),
         members=0,
         induced=direct,
-        eligible=index.keys(jobs),
+        eligible=eligible,
         gain=0,
         heuristic=assignment.value,
-        live=index.keys(jobs),
+        live=eligible,
+        maximal=eligible & _maximal_keys(index, direct),
         seq=0,
         batch=0,
         assignment=assignment,
@@ -335,7 +390,7 @@ def blocking_time(ts: TaskSet, i: int) -> SearchResult:
     resource order is cyclic (blocking is unbounded).
     """
     require_acyclic(ts)
-    index = _compiled(ts)
+    scale = _compiled(ts).scale
     fringe = Fringe()
     fringe.push(_root(ts, i))
     generated, expanded = 1, 0
@@ -343,9 +398,9 @@ def blocking_time(ts: TaskSet, i: int) -> SearchResult:
 
     while True:
         node = fringe.pop()
-        if node.is_leaf:
+        if not node.heuristic:
             return SearchResult(
-                blocking_time=Fraction(node.gain, index.scale),
+                blocking_time=Fraction(node.gain, scale),
                 witness=node.chain,
                 nodes_generated=generated,
                 nodes_expanded=expanded,
@@ -361,8 +416,8 @@ def blocking_time(ts: TaskSet, i: int) -> SearchResult:
                 chain=node.chain,
                 gain_units=node.gain,
                 heuristic_units=node.heuristic,
-                scale=index.scale,
-                extensions=tuple(s.chain[-1].label for s in created),
+                scale=scale,
+                created=tuple([successor.chain[-1] for successor in created]),
             )
         )
         if not created:

@@ -280,8 +280,8 @@ class _Index:
     order, ``rows[key]`` is the row of each section key, and ``users``
     maps each resource bit to the mask of the jobs using it (bit ``j`` for
     job j).  The exact search's masks over section keys, ``conflict``,
-    ``on`` and ``inside`` (see :meth:`_conflicts`), are built together on
-    first use: nothing else reads them.
+    ``on``, ``inside`` and ``job_keys`` (see :meth:`_conflicts`), are built
+    together on first use: nothing else reads them.
     """
 
     __slots__ = ("scale", "bits", "ids", "longest", "sections", "rows", "users", "_masks")
@@ -315,7 +315,7 @@ class _Index:
             self.longest.append(longest)
             self.sections.append(rows)
         self.rows = [s for job in self.sections for s in job]
-        self._masks: tuple[list[int], dict[int, int], dict[int, int]] | None = None
+        self._masks: tuple[list[int], dict[int, int], dict[int, int], list[int]] | None = None
 
     def scaled(self, duration: Fraction) -> int:
         """``duration`` in units of ``1/scale`` (exact for the set's durations)."""
@@ -336,14 +336,13 @@ class _Index:
     def keys(self, jobs: int) -> int:
         """The mask of the section keys of the jobs in ``jobs`` (bit j for
         job j)."""
+        job_keys = self.job_keys
         out = 0
         for j in _positions(jobs):
-            rows = self.sections[j - 1]
-            if rows:
-                out |= ((1 << len(rows)) - 1) << rows[0].key
+            out |= job_keys[j]
         return out
 
-    def _search_masks(self) -> tuple[list[int], dict[int, int], dict[int, int]]:
+    def _search_masks(self) -> tuple[list[int], dict[int, int], dict[int, int], list[int]]:
         if self._masks is None:
             self._masks = self._conflicts()
         return self._masks
@@ -363,11 +362,17 @@ class _Index:
         """Per resource bit, the keys strictly inside a section on it."""
         return self._search_masks()[2]
 
-    def _conflicts(self) -> tuple[list[int], dict[int, int], dict[int, int]]:
-        """``conflict``, ``on`` and ``inside``.  Row m's conflict mask holds
-        section s when s has m's job or m's resource (NBJ, NBR), when m's
-        job has higher priority and ``m.earlier & s.held`` (FHO), or when
-        m's job has lower priority and ``s.earlier & m.held`` (FLO).
+    @property
+    def job_keys(self) -> list[int]:
+        """Per job j (entry 0 unused), the keys of its sections."""
+        return self._search_masks()[3]
+
+    def _conflicts(self) -> tuple[list[int], dict[int, int], dict[int, int], list[int]]:
+        """``conflict``, ``on``, ``inside`` and ``job_keys``.  Row m's
+        conflict mask holds section s when s has m's job (the job's
+        ``job_keys`` range) or m's resource (NBJ, NBR), when m's job has
+        higher priority and ``m.earlier & s.held`` (FHO), or when m's job
+        has lower priority and ``s.earlier & m.held`` (FLO).
 
         No pair is tested.  Per resource, ``holds`` masks the sections
         holding it (the key ranges of the subtrees of the sections on it:
@@ -399,11 +404,12 @@ class _Index:
                 if not s.earlier & s.bit:
                     after[s.bit] |= ((1 << end - s.key - 1) - 1) << s.key + 1
         conflict: list[int] = []
-        for rows in self.sections:
+        job_keys = [0] * (len(self.sections) + 1)
+        for j, rows in enumerate(self.sections, 1):
             if not rows:
                 continue
             first, end = rows[0].key, rows[-1].key + 1
-            own = ((1 << end - first) - 1) << first
+            own = job_keys[j] = ((1 << end - first) - 1) << first
             reach = 0
             held: list[int] = []
             for s in rows:
@@ -416,7 +422,7 @@ class _Index:
                     | held[-1] & (1 << first) - 1
                 )
                 reach |= holds[s.bit]
-        return conflict, uses, {bit: holds[bit] & ~uses[bit] for bit in uses}
+        return conflict, uses, {bit: holds[bit] & ~uses[bit] for bit in uses}, job_keys
 
 
 def _positions(mask: int) -> list[int]:

@@ -62,6 +62,30 @@ def test_bound_text_and_json(tmp_path, capsys):
     assert doc[0]["assignment"] == [[3, 4], [4, 2], [5, 3]]
 
 
+def test_bound_matrix_cells_are_exact_durations(tmp_path, capsys):
+    # Both renderings print each matrix cell as its exact duration, the
+    # same text as str() of the matrix's Fraction cells, repeated weights
+    # and zero cells included.
+    from pipblock import blocking_scope, blocking_time_matrix, parse_taskset
+
+    text = "J1: [R1: 1/2] [R2: 1]\nJ2: [R1: 3/4] [R2: 1/6]\nJ3: [R2: 1/3 [R1: 3/4]]\nJ4: [R3: 2.5]\n"
+    path = tmp_path / "fractional.txt"
+    path.write_text(text)
+    ts = parse_taskset(text)
+    assert main(["bound", str(path), "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert main(["bound", str(path)]) == 0
+    out = capsys.readouterr().out
+    for entry in doc:
+        scope = blocking_scope(ts, entry["job"])
+        matrix = blocking_time_matrix(ts, scope.relevant_jobs, scope.relevant_resources)
+        cells = [[str(c) for c in row] for row in matrix.rows]
+        assert entry["matrix"] == cells
+        for j, row in zip(matrix.jobs, cells):
+            assert f"  J{j:<3} " + " ".join(f"{c:<5}" for c in row) + "\n" in out
+    assert any("3/4" in row for entry in doc for row in entry["matrix"])
+
+
 def test_bound_refuses_cyclic(cyclic_file, capsys):
     assert main(["bound", cyclic_file]) == 2
     assert "cyclic" in capsys.readouterr().err

@@ -339,6 +339,7 @@ def test_fringe_ordering_and_duplicate_guard(five_jobs_deep):
             gain=gain,
             heuristic=heuristic,
             live=0,
+            maximal=0,
             seq=seq,
             batch=batch,
         )
@@ -567,24 +568,26 @@ def test_live_matches_the_definitions(seed, shape):
     # be the set of the relevant jobs' sections that pass NBJ and NBR, and
     # the live mask the part of it that FHO/FLO do not reject against the
     # node's chain, both computed from scratch with the chain check's
-    # priority masks.
+    # priority masks.  The stored maximal mask must be the eligible
+    # sections maximal w.r.t. the node's induced set, recomputed from
+    # scratch.
     from unittest import mock
 
     import pipblock.search
     from pipblock import blocking_scope
     from pipblock.admissibility import _obstructed, _priority_masks
-    from pipblock.taskset import _compiled
+    from pipblock.taskset import _compiled, _maximal_keys
 
     ts = _shaped(shape, seed)
     index = _compiled(ts)
     for i in range(1, ts.n + 1):
         expanded = []
 
-        def recording(ts, node, fringe, successors=pipblock.search.successors):
+        def recording(ts, i, node, fringe, expand=pipblock.search.expand):
             expanded.append(node)
-            return successors(ts, node, fringe)
+            return expand(ts, i, node, fringe)
 
-        with mock.patch.object(pipblock.search, "successors", recording):
+        with mock.patch.object(pipblock.search, "expand", recording):
             result = blocking_time(ts, i)
         assert len(expanded) == result.nodes_expanded
         jobs = blocking_scope(ts, i).relevant_jobs
@@ -602,6 +605,7 @@ def test_live_matches_the_definitions(seed, shape):
                         live |= 1 << s.key
             assert node.eligible == eligible
             assert node.live == live
+            assert node.maximal == node.eligible & _maximal_keys(index, node.induced)
 
 
 @settings(max_examples=40, deadline=None)
@@ -621,3 +625,35 @@ def test_witnesses_are_admissible_on_shapes(seed, shape):
         result = blocking_time(ts, i)
         assert is_admissible_chain(ts, i, result.witness).admissible
         assert chain_duration(result.witness) == result.blocking_time
+
+
+def test_search_outputs_and_records_are_pinned():
+    # Every job of antidiagonal widths 1-7 and of five random 12-job sets:
+    # the value, witness labels, node counts and every expansion record
+    # (seq, chain labels, gain and heuristic units, extensions, releafed)
+    # hash to this digest.  A change meant to leave the search's outputs
+    # byte-identical must leave it unchanged; one that moves a witness,
+    # a count or a record has to update it on purpose.
+    import hashlib
+
+    from pipblock import generate_antidiagonal_family
+
+    sets = [generate_antidiagonal_family(w + 1, 1, 10, 1) for w in range(1, 8)]
+    sets += [
+        random_taskset(s, jobs=12, resources=12, sections_per_job=6, nesting_depth=3)
+        for s in range(5)
+    ]
+    digest = hashlib.sha256()
+    for ts in sets:
+        for i in range(1, ts.n + 1):
+            r = blocking_time(ts, i)
+            labels = [z.label for z in r.witness]
+            fields = (str(r.blocking_time), labels, r.nodes_generated, r.nodes_expanded)
+            digest.update(repr(fields).encode())
+            for e in r.expansions:
+                chain = [z.label for z in e.chain]
+                fields = (e.seq, chain, e.gain_units, e.heuristic_units, e.extensions, e.releafed)
+                digest.update(repr(fields).encode())
+    assert digest.hexdigest() == (
+        "b670fecdcbff7cc3522a115c3406eeae78935782a0699244109f667b60ee1aa5"
+    )

@@ -24,9 +24,11 @@ are one predicate, :func:`_obstructed`, over the extension's row and two
 masks of the chain: ``above``, the OR of ``earlier`` over the members of
 higher priority than the extension's job, and ``below``, the OR of
 ``held`` over those of lower priority; :func:`_priority_masks` builds
-both, for the chain check and the exact search.  Only a failure that
-has to be reported walks the chain, to name the witness pair; the
-search drops rejected extensions and calls the predicate alone.
+both, for the chain check and the oracle's enumeration.  Only a failure
+that has to be reported walks the chain, to name the witness pair.  The
+exact search calls none of these: it reads NBJ, NBR, FHO and FLO from
+the index's ``conflict`` masks and LSM from its ``on`` and ``inside``
+masks (:mod:`~pipblock.search`).
 
 ``quick_admissibility_verdict`` is the fast screen run after the
 assignment bound: it tries to realize the bound as a chain by always

@@ -13,7 +13,6 @@ in parallel.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -23,7 +22,6 @@ from .taskset import (
     TaskSet,
     _compiled,
     _Index,
-    _maximal,
     _positions,
     _Section,
 )
@@ -138,52 +136,62 @@ def induced_set(
     return index.resources_of(_induced(index, i, index.entry(z), index.mask(scope)))
 
 
-def _fixpoint(
-    index: _Index, i: int, scope: int, rng: random.Random | None
-) -> list[int]:
+def _fixpoint(index: _Index, i: int, scope: int) -> list[int]:
     """Mask iterates of the relevant-resource fixpoint, starting from the
     direct-set mask ``scope`` and adding one non-empty induced set per step.
 
-    One scan finds the candidates in ascending job and section order; the
-    deterministic pick is the first, and passing ``rng`` picks uniformly
-    among all of them (the least fixpoint is the same either way).  The
-    iteration stops when there is none, as once every resource is in scope.
+    Each step adds the set induced by the first section of a job below i,
+    in key order, that is maximal w.r.t. the scope and induces something.
+    The maximal sections are ``hit & ~out``: ``hit`` ORs the index's ``on``
+    and ``out`` its ``inside`` over the scope's resources, each grown by
+    the resources a step adds.  Every section is tried at most once: the
+    scope only grows, so an induced set only shrinks, and a section that
+    induced nothing, or whose induced set is now in scope, never induces
+    again.  The iteration stops when no untried maximal section is left.
     """
+    on, inside, rows = index.on, index.inside, index.rows
+    tried = index.keys((1 << i + 1) - 2)  # job i's keys and those above
+    hit = out = 0
     trace = [scope]
+    fresh = scope
     while True:
-        found = (
-            induced
-            for rows in index.sections[i:]
-            for s in rows
-            if _maximal(s, scope) and (induced := _induced(index, i, s, scope))
-        )
-        pick = next(found, 0) if rng is None else rng.choice([*found] or [0])
-        if not pick:
+        while fresh:
+            bit = fresh & -fresh
+            hit |= on[bit]
+            out |= inside[bit]
+            fresh ^= bit
+        untried = hit & ~out & ~tried
+        while untried:
+            low = untried & -untried
+            tried |= low
+            untried ^= low
+            fresh = _induced(index, i, rows[low.bit_length() - 1], scope)
+            if fresh:
+                break
+        else:
             return trace
-        scope |= pick
+        scope |= fresh
         trace.append(scope)
 
 
-def relevant_resources(
-    ts: TaskSet, i: int, *, rng: random.Random | None = None
-) -> frozenset[ResourceId]:
+def relevant_resources(ts: TaskSet, i: int) -> frozenset[ResourceId]:
     """All resources that can block job ``i`` once nesting and transitive
     inheritance are accounted for (least fixpoint of the induced sets)."""
     index = _compiled(ts)
-    return index.resources_of(_fixpoint(index, i, _direct(index, i), rng)[-1])
+    return index.resources_of(_fixpoint(index, i, _direct(index, i))[-1])
 
 
 def fixpoint_trace(ts: TaskSet, i: int) -> list[frozenset[ResourceId]]:
     """The deterministic iterate sequence of :func:`relevant_resources`."""
     index = _compiled(ts)
-    trace = _fixpoint(index, i, _direct(index, i), None)
+    trace = _fixpoint(index, i, _direct(index, i))
     return [index.resources_of(mask) for mask in trace]
 
 
 def relevant_jobs(ts: TaskSet, i: int) -> frozenset[int]:
     """Lower-priority jobs using any relevant resource of job ``i``."""
     index = _compiled(ts)
-    relevant = _fixpoint(index, i, _direct(index, i), None)[-1]
+    relevant = _fixpoint(index, i, _direct(index, i))[-1]
     return frozenset(_positions(_jobs_using(index, i, relevant)))
 
 
@@ -191,7 +199,7 @@ def blocking_scope(ts: TaskSet, i: int) -> BlockingScope:
     """Bundle all four blocking sets for job ``i``."""
     index = _compiled(ts)
     direct = _direct(index, i)
-    relevant = _fixpoint(index, i, direct, None)[-1]
+    relevant = _fixpoint(index, i, direct)[-1]
     return BlockingScope(
         target=i,
         direct_resources=index.resources_of(direct),

@@ -357,7 +357,7 @@ def _root(ts: TaskSet, i: int) -> SearchNode:
     only the relevant jobs and resources get cells."""
     index = _compiled(ts)
     direct = _direct(index, i)
-    resources = _fixpoint(index, i, direct, None)[-1]
+    resources = _fixpoint(index, i, direct)[-1]
     jobs = _jobs_using(index, i, resources)
     bits = index.bits
     cells = [

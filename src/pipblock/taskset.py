@@ -22,6 +22,12 @@ and job 2 with two disjoint sections on R1.  Lines starting with ``#`` are
 comments.  Durations are decimal literals; exact fractions such as ``1/3``
 are accepted as an extension.
 
+Positions follow wait order: outer before inner, left to right, so a
+section's parent is still open when the section starts and the sections
+inside one form a contiguous run of positions.  The parser numbers them
+so; a set built in code from :class:`Job` and :class:`CriticalSection`
+must list them so too, or :class:`TaskSet` raises :class:`TaskSetError`.
+
 The analyses read a task set through its compiled index (``_Index``):
 integer durations and resource bit masks, built once on first use.
 """
@@ -177,6 +183,10 @@ class TaskSet:
                     f"jobs must be numbered J1..Jn in priority order "
                     f"(expected J{rank}, found J{job.index})"
                 )
+            # The open path: the last section and the sections enclosing
+            # it, with the open section on each of their resources.
+            path: list[CriticalSection] = []
+            open_on: dict[ResourceId, CriticalSection] = {}
             for pos, z in enumerate(job.sections, start=1):
                 if z.job != job.index or z.position != pos:
                     raise TaskSetError(
@@ -191,12 +201,21 @@ class TaskSet:
                         )
                     if job.sections[z.parent.position - 1] is not z.parent:
                         raise TaskSetError(f"{z.label}: parent link is stale")
-                for a in z.ancestors():
-                    if a.resource == z.resource:
-                        raise NestingError(
-                            f"R{z.resource} locked again inside its own "
-                            f"section ({a.label} contains {z.label})"
-                        )
+                while path and path[-1] is not z.parent:
+                    del open_on[path.pop().resource]
+                if z.parent is not None and not path:
+                    raise TaskSetError(
+                        f"{z.label}: sections must be listed in wait order "
+                        f"(its parent {z.parent.label} has already closed)"
+                    )
+                a = open_on.get(z.resource)
+                if a is not None:
+                    raise NestingError(
+                        f"R{z.resource} locked again inside its own "
+                        f"section ({a.label} contains {z.label})"
+                    )
+                path.append(z)
+                open_on[z.resource] = z
                 if z.duration == 0:
                     warnings.warn(
                         f"{z.label} has duration 0", ZeroDurationWarning, stacklevel=3
@@ -279,35 +298,53 @@ class _Index:
     duration, ``sections[j-1]`` holds job j's section rows in position
     order, ``rows[key]`` is the row of each section key, and ``users``
     maps each resource bit to the mask of the jobs using it (bit ``j`` for
-    job j).  The exact search's masks over section keys, ``conflict``,
-    ``on``, ``inside`` and ``job_keys`` (see :meth:`_conflicts`), are built
-    together on first use: nothing else reads them.
+    job j).
+
+    Three masks over section keys are built with the rows: ``on`` maps
+    each resource bit to the keys of the sections on it, ``inside`` to the
+    keys strictly inside a section on it, and ``job_keys[j]`` holds the
+    keys of job j's sections (entry 0 unused).  Positions are in wait
+    order, so a subtree is a contiguous key range.  The relevance fixpoint
+    and the exact search read maximality from ``on`` and ``inside``
+    (:func:`_maximal_keys`).  ``conflict``, one mask of S bits for each of
+    the S sections, is built on first read: only the exact search reads it.
     """
 
-    __slots__ = ("scale", "bits", "ids", "longest", "sections", "rows", "users", "_masks")
+    __slots__ = (
+        "scale", "bits", "ids", "longest", "sections", "rows", "users",
+        "on", "inside", "job_keys", "_conflict",
+    )
 
     def __init__(self, ts: TaskSet) -> None:
         self.scale = math.lcm(*(z.duration.denominator for z in ts.iter_sections()))
         self.ids = sorted(ts.resources)
         self.bits = {r: 1 << k for k, r in enumerate(self.ids)}
         self.users = dict.fromkeys(self.bits.values(), 0)
+        self.on = dict.fromkeys(self.bits.values(), 0)
+        self.inside = dict.fromkeys(self.bits.values(), 0)
+        self.job_keys = [0] * (len(ts.jobs) + 1)
         self.longest: list[dict[ResourceId, int]] = []
         self.sections: list[list[_Section]] = []
         key = 0
         for job in ts.jobs:
             nested = [0] * len(job.sections)
+            last = list(range(key, key + len(job.sections)))  # each subtree's last key
             for z in reversed(job.sections):
                 if z.parent is not None:
-                    inner = self.bits[z.resource] | nested[z.position - 1]
-                    nested[z.parent.position - 1] |= inner
+                    p, up = z.position - 1, z.parent.position - 1
+                    nested[up] |= self.bits[z.resource] | nested[p]
+                    last[up] = max(last[up], last[p])
+            self.job_keys[job.index] = ((1 << len(job.sections)) - 1) << key
             longest: dict[ResourceId, int] = {}
             rows: list[_Section] = []
             earlier = 0
-            for z, inner in zip(job.sections, nested):
+            for z, inner, stop in zip(job.sections, nested, last):
                 bit = self.bits[z.resource]
                 held = bit | (rows[z.parent.position - 1].held if z.parent else 0)
                 duration = self.scaled(z.duration)
                 rows.append(_Section(z, bit, held, earlier, inner, duration, key))
+                self.on[bit] |= 1 << key
+                self.inside[bit] |= ((1 << stop - key) - 1) << key + 1
                 key += 1
                 longest[z.resource] = max(duration, longest.get(z.resource, 0))
                 self.users[bit] |= 1 << job.index
@@ -315,7 +352,7 @@ class _Index:
             self.longest.append(longest)
             self.sections.append(rows)
         self.rows = [s for job in self.sections for s in job]
-        self._masks: tuple[list[int], dict[int, int], dict[int, int], list[int]] | None = None
+        self._conflict: list[int] | None = None
 
     def scaled(self, duration: Fraction) -> int:
         """``duration`` in units of ``1/scale`` (exact for the set's durations)."""
@@ -336,93 +373,53 @@ class _Index:
     def keys(self, jobs: int) -> int:
         """The mask of the section keys of the jobs in ``jobs`` (bit j for
         job j)."""
-        job_keys = self.job_keys
-        out = 0
-        for j in _positions(jobs):
-            out |= job_keys[j]
-        return out
-
-    def _search_masks(self) -> tuple[list[int], dict[int, int], dict[int, int], list[int]]:
-        if self._masks is None:
-            self._masks = self._conflicts()
-        return self._masks
+        return sum(self.job_keys[j] for j in _positions(jobs))
 
     @property
     def conflict(self) -> list[int]:
-        """Per row, the keys no chain holding that row can take."""
-        return self._search_masks()[0]
+        """Per row, the keys no chain holding that row can take (built on
+        first read)."""
+        if self._conflict is None:
+            self._conflict = self._conflicts()
+        return self._conflict
 
-    @property
-    def on(self) -> dict[int, int]:
-        """Per resource bit, the keys of the sections on that resource."""
-        return self._search_masks()[1]
+    def _conflicts(self) -> list[int]:
+        """Row m's conflict mask holds section s when s has m's job (the
+        job's ``job_keys`` range) or m's resource (NBJ, NBR), when m's job
+        has higher priority and ``m.earlier & s.held`` (FHO), or when m's
+        job has lower priority and ``s.earlier & m.held`` (FLO).
 
-    @property
-    def inside(self) -> dict[int, int]:
-        """Per resource bit, the keys strictly inside a section on it."""
-        return self._search_masks()[2]
-
-    @property
-    def job_keys(self) -> list[int]:
-        """Per job j (entry 0 unused), the keys of its sections."""
-        return self._search_masks()[3]
-
-    def _conflicts(self) -> tuple[list[int], dict[int, int], dict[int, int], list[int]]:
-        """``conflict``, ``on``, ``inside`` and ``job_keys``.  Row m's
-        conflict mask holds section s when s has m's job (the job's
-        ``job_keys`` range) or m's resource (NBJ, NBR), when m's job has
-        higher priority and ``m.earlier & s.held`` (FHO), or when m's job
-        has lower priority and ``s.earlier & m.held`` (FLO).
-
-        No pair is tested.  Per resource, ``holds`` masks the sections
-        holding it (the key ranges of the subtrees of the sections on it:
-        positions are in wait order, so a subtree is a contiguous range)
-        and ``after`` the sections whose job used it earlier (the rest of
-        the job after its first section on it).  Walking a job in position
-        order, the FHO mask of a row is the OR of ``holds`` over its
-        earlier resources, grown one row at a time, and its FLO mask the
-        OR of ``after`` over its held resources, its parent's plus its own.
-        Each is then cut to the jobs below, or above, the row's own.
-        ``uses`` is ``on``, and ``holds & ~uses`` is ``inside``: a resource
-        is never re-locked inside its own section.
+        No pair is tested.  Per resource, ``on | inside`` masks the sections
+        holding it and ``after`` the sections whose job used it earlier (the
+        rest of the job after its first section on it).  Walking a job in
+        position order, the FHO mask of a row is the OR of the holding masks
+        over its earlier resources, grown one row at a time, and its FLO
+        mask the OR of ``after`` over its held resources, its parent's plus
+        its own.  Each is then cut to the jobs below, or above, the row's
+        own; the FLO cut reads ``after`` only for the jobs already walked,
+        so it grows in the same walk.
         """
-        uses = dict.fromkeys(self.bits.values(), 0)
-        holds = dict.fromkeys(self.bits.values(), 0)
-        after = dict.fromkeys(self.bits.values(), 0)
-        for rows in self.sections:
-            if not rows:
-                continue
-            end = rows[-1].key + 1
-            last = [s.key for s in rows]  # the last key of each row's subtree
-            for s in reversed(rows):
-                if s.z.parent is not None:
-                    up = s.z.parent.position - 1
-                    last[up] = max(last[up], last[s.z.position - 1])
-            for s, stop in zip(rows, last):
-                uses[s.bit] |= 1 << s.key
-                holds[s.bit] |= ((1 << stop - s.key + 1) - 1) << s.key
-                if not s.earlier & s.bit:
-                    after[s.bit] |= ((1 << end - s.key - 1) - 1) << s.key + 1
+        on, inside, after = self.on, self.inside, dict.fromkeys(self.on, 0)
         conflict: list[int] = []
-        job_keys = [0] * (len(self.sections) + 1)
         for j, rows in enumerate(self.sections, 1):
             if not rows:
                 continue
-            first, end = rows[0].key, rows[-1].key + 1
-            own = job_keys[j] = ((1 << end - first) - 1) << first
+            own, first, end = self.job_keys[j], rows[0].key, rows[-1].key + 1
             reach = 0
             held: list[int] = []
             for s in rows:
+                if not s.earlier & s.bit:
+                    after[s.bit] |= ((1 << end - s.key - 1) - 1) << s.key + 1
                 parent = s.z.parent
                 held.append(after[s.bit] | (held[parent.position - 1] if parent else 0))
                 conflict.append(
                     own
-                    | uses[s.bit]
+                    | on[s.bit]
                     | reach >> end << end
                     | held[-1] & (1 << first) - 1
                 )
-                reach |= holds[s.bit]
-        return conflict, uses, {bit: holds[bit] & ~uses[bit] for bit in uses}, job_keys
+                reach |= on[s.bit] | inside[s.bit]
+        return conflict
 
 
 def _positions(mask: int) -> list[int]:

@@ -1,10 +1,36 @@
-"""Shared fixtures: the six benchmark task sets used across the suite."""
+"""Shared fixtures: the six benchmark task sets used across the suite, and
+a reference fixpoint written from the public definitions."""
 
 from __future__ import annotations
 
 import pytest
 
-from pipblock import TaskSet, parse_taskset
+from pipblock import (
+    TaskSet,
+    direct_blocking_resources,
+    induced_set,
+    is_maximal,
+    parse_taskset,
+)
+
+
+def random_order_fixpoint(ts: TaskSet, i: int, rng) -> frozenset[int]:
+    """Job ``i``'s relevant resources from the definitions: grow the direct
+    set by the set one maximal lower-job section induces, picked uniformly
+    among all non-empty ones, until none is left (the least fixpoint does
+    not depend on the pick order)."""
+    scope = direct_blocking_resources(ts, i)
+    while True:
+        found = [
+            induced
+            for job in ts.jobs[i:]
+            for z in job.sections
+            if is_maximal(z, scope) and (induced := induced_set(ts, i, z, scope))
+        ]
+        if not found:
+            return scope
+        scope |= rng.choice(found)
+
 
 # Four jobs, four resources, nesting three levels deep in J2.  The worst
 # blocking of J1 (11) needs a job and two resources outside its direct sets.

@@ -44,17 +44,17 @@ def test_bound_only_leaves_exact_open():
 
 
 def test_bound_only_builds_no_search_masks():
-    # The index's masks for the exact search are built on first use; the
-    # bound-only path and per_job_bounds never read them.  J1 of the deep
-    # fixture goes to search, so the exact pipeline does build them.
+    # The index's one lazy table, the search's conflict masks, is built on
+    # first read; the bound-only path and per_job_bounds never read it.
+    # J1 of the deep fixture goes to search, so the exact pipeline does.
     from pipblock.taskset import _compiled
 
     ts = parse_taskset(FIVE_JOBS_DEEP)
     analyze(ts, exact=False)
     per_job_bounds(ts)
-    assert _compiled(ts)._masks is None
+    assert _compiled(ts)._conflict is None
     analyze(ts)
-    assert _compiled(ts)._masks is not None
+    assert _compiled(ts)._conflict is not None
 
 
 def test_cyclic_report_shape():

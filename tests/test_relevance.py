@@ -12,10 +12,13 @@ from pipblock import (
     induced_set,
     is_maximal,
     maximal_sequence,
+    parse_taskset,
     random_taskset,
     relevant_jobs,
     relevant_resources,
 )
+
+from conftest import random_order_fixpoint
 
 
 def test_direct_sets(nested_four_jobs, six_jobs_disjoint):
@@ -153,7 +156,7 @@ def test_fixpoint_invariant_under_pick_order(seed, order_seed):
     ts = random_taskset(seed)
     for i in range(1, ts.n + 1):
         deterministic = relevant_resources(ts, i)
-        randomized = relevant_resources(ts, i, rng=random.Random(order_seed))
+        randomized = random_order_fixpoint(ts, i, random.Random(order_seed))
         assert deterministic == randomized
 
 
@@ -164,3 +167,31 @@ def test_flat_sets_have_no_transitive_growth(seed):
     for i in range(1, ts.n + 1):
         assert relevant_resources(ts, i) == direct_blocking_resources(ts, i)
         assert relevant_jobs(ts, i) == direct_blocking_jobs(ts, i)
+
+
+def test_fixpoint_tries_each_section_once(monkeypatch):
+    # A transitive chain: J{j}'s section on R{j-1} nests R{j}, so J1's
+    # fixpoint adds one resource per step.  The scope only grows, so no
+    # section of a lower job needs its induced set computed twice, and
+    # only the outer sections are ever maximal: J{j}'s inner section on
+    # R{j} sits inside a section on R{j-1}, in scope first.
+    from pipblock import relevance
+
+    n = 300
+    ts = parse_taskset(
+        "J1: [R1: 1]\n"
+        + "".join(f"J{j}: [R{j - 1}: 2 [R{j}: 1]]\n" for j in range(2, n + 1))
+    )
+    calls = 0
+    induced = relevance._induced
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return induced(*args)
+
+    monkeypatch.setattr(relevance, "_induced", counting)
+    trace = fixpoint_trace(ts, 1)
+    assert len(trace) == n - 1
+    assert trace[-1] == frozenset(range(1, n))
+    assert calls == n - 1

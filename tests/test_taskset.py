@@ -5,11 +5,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pipblock import (
+    CriticalSection,
+    Job,
     NestingError,
     ParseError,
+    TaskSet,
     TaskSetError,
     ZeroDurationWarning,
+    blocking_time,
+    brute_force_blocking_time,
     chain_duration,
+    check_deadlock_free,
     contains,
     format_chain,
     parse_chain,
@@ -52,8 +58,30 @@ def test_parse_positions_follow_wait_order(five_jobs_deep):
 def test_same_resource_inside_own_section_rejected():
     with pytest.raises(NestingError):
         parse_taskset("J1: [R1: 2 [R1: 1]]")
-    with pytest.raises(NestingError):
+    with pytest.raises(NestingError, match=r"\(z1,1 contains z1,3\)"):
         parse_taskset("J1: [R3: 2 [R2: 1 [R3: 1]]]")
+
+
+def test_building_a_deep_job_walks_no_ancestors(monkeypatch):
+    # The re-lock check reads the open path, so building a job nested
+    # 3,000 deep takes at most one ancestor step per section (walking each
+    # section's ancestors would take about 4.5 million).
+    steps = 0
+    ancestors = CriticalSection.ancestors
+
+    def counting(self):
+        nonlocal steps
+        for a in ancestors(self):
+            steps += 1
+            yield a
+
+    monkeypatch.setattr(CriticalSection, "ancestors", counting)
+    depth = 3000
+    ts = parse_taskset(
+        "J1: " + "".join(f"[R{k}: 1 " for k in range(1, depth + 1)) + "]" * depth
+    )
+    assert len(ts.job(1).sections) == depth
+    assert steps <= depth
 
 
 def test_same_resource_in_disjoint_sections_allowed():
@@ -185,11 +213,9 @@ def test_section_lookup_errors(nested_four_jobs):
 
 def test_taskset_checks_the_jobs_it_is_given():
     # Jobs built in code rather than parsed go through the same checks:
-    # numbering, section placement and parent links.
-    from pipblock import CriticalSection, Job, TaskSet
-
-    def z(job, position, resource, parent=None):
-        return CriticalSection(job, position, resource, 1, parent)
+    # numbering, section placement, parent links and wait order.
+    def z(job, position, resource, parent=None, duration=1):
+        return CriticalSection(job, position, resource, duration, parent)
 
     with pytest.raises(TaskSetError, match="at least one job"):
         TaskSet([])
@@ -205,6 +231,15 @@ def test_taskset_checks_the_jobs_it_is_given():
         TaskSet([Job(1, (z(1, 1, 1), z(1, 2, 2, parent=other))), Job(2, (other,))])
     with pytest.raises(TaskSetError, match="stale"):
         TaskSet([Job(1, (z(1, 1, 1), z(1, 2, 2, parent=z(1, 1, 1))))])
+    # z3,3 names z3,1 as its parent, which closed when z3,2 started; the
+    # search would give J1 4 with <z3,1>, where the oracle gives 5
+    z11, z31 = z(1, 1, 3), z(3, 1, 1, duration=4)
+    with pytest.raises(TaskSetError, match=r"z3,3: .*wait order.*z3,1"):
+        TaskSet([
+            Job(1, (z11, z(1, 2, 1, parent=z11))),
+            Job(2, ()),
+            Job(3, (z31, z(3, 2, 3, duration=5), z(3, 3, 2, parent=z31, duration=3))),
+        ])
 
 
 def test_duration_literals_and_resource_numbers_are_checked():
@@ -217,6 +252,64 @@ def test_duration_literals_and_resource_numbers_are_checked():
     assert type(negative.value) is TaskSetError
     with pytest.raises(TaskSetError, match="1-based"):
         parse_taskset("J1: [R0: 1]")
+
+
+@st.composite
+def coded_jobs(draw):
+    """Jobs built in code: each section's parent is drawn from no parent
+    and every earlier section of its job, so some are out of wait order."""
+    jobs = []
+    for j in range(1, draw(st.integers(1, 4)) + 1):
+        sections: list[CriticalSection] = []
+        for p in range(1, draw(st.integers(0, 4)) + 1):
+            parent = draw(st.sampled_from([None, *sections]))
+            resource, duration = draw(st.integers(1, 4)), draw(st.integers(1, 9))
+            sections.append(CriticalSection(j, p, resource, duration, parent))
+        jobs.append(Job(j, tuple(sections)))
+    return jobs
+
+
+def _in_wait_order(job: Job) -> bool:
+    """Whether a depth-first walk of the job's nesting forest, children in
+    position order, visits the sections in position order."""
+    children: dict[int, list[int]] = {z.position: [] for z in job.sections}
+    roots: list[int] = []
+    for z in job.sections:
+        (children[z.parent.position] if z.parent else roots).append(z.position)
+    order: list[int] = []
+    stack = roots[::-1]
+    while stack:
+        order.append(stack.pop())
+        stack.extend(children[order[-1]][::-1])
+    return order == sorted(order)
+
+
+@settings(max_examples=150, deadline=None)
+@given(jobs=coded_jobs())
+def test_coded_sets_are_refused_or_in_wait_order(jobs):
+    # A set built in code is refused unless it is in wait order without a
+    # re-lock; an accepted set round-trips through the text format, and,
+    # unless its resource order is cyclic, its search agrees with the
+    # oracle.
+    relocked = any(
+        a.resource == z.resource
+        for job in jobs
+        for z in job.sections
+        for a in z.ancestors()
+    )
+    if relocked or not all(_in_wait_order(job) for job in jobs):
+        with pytest.raises(TaskSetError):
+            TaskSet(jobs)
+        return
+    ts = TaskSet(jobs)
+    assert parse_taskset(serialize_taskset(ts)) == ts
+    if not check_deadlock_free(ts).acyclic:
+        return
+    for i in range(1, ts.n + 1):
+        assert (
+            blocking_time(ts, i).blocking_time
+            == brute_force_blocking_time(ts, i).best_duration
+        ), i
 
 
 @settings(max_examples=40, deadline=None)

@@ -1,128 +1,27 @@
 """Blocking-time analysis for fixed-priority jobs under basic priority
 inheritance: deadlock precheck, polynomial assignment bound, admissibility
 screening and exact best-first search, plus a brute-force oracle for
-desk-scale verification."""
+desk-scale verification.  Each public name is listed once, in its
+module's ``__all__``; the package re-exports those eight lists."""
 
-from .admissibility import (
-    AdmissibilityVerdict,
-    QuickCheckResult,
-    is_admissible_chain,
-    quick_admissibility_verdict,
-)
-from .analysis import AnalysisReport, JobAnalysis, analyze, render_report
-from .bound import (
-    AssignmentSet,
-    BlockingMatrix,
-    blocking_time_matrix,
-    hungarian_bound,
-    max_assignment,
-    per_job_bounds,
-)
-from .deadlock import (
-    CyclicResourceOrderError,
-    DeadlockVerdict,
-    ResourceOrderGraph,
-    build_order_graph,
-    check_deadlock_free,
-    require_acyclic,
-)
-from .oracle import (
-    OracleLimitError,
-    OracleResult,
-    brute_force_blocking_time,
-    generate_antidiagonal_family,
-    iter_admissible_chains,
-    random_taskset,
-    uninformed_space_size,
-)
-from .relevance import (
-    BlockingScope,
-    blocking_scope,
-    direct_blocking_jobs,
-    direct_blocking_resources,
-    fixpoint_trace,
-    induced_set,
-    is_maximal,
-    maximal_sequence,
-    relevant_jobs,
-    relevant_resources,
-)
-from .search import Fringe, SearchNode, SearchResult, blocking_time, expand, successors
-from .taskset import (
-    CriticalSection,
-    Job,
-    NestingError,
-    ParseError,
-    TaskSet,
-    TaskSetError,
-    ZChain,
-    ZeroDurationWarning,
-    chain_duration,
-    contains,
-    format_chain,
-    parse_chain,
-    parse_taskset,
-    serialize_taskset,
-)
+from . import admissibility, analysis, bound, deadlock, oracle, relevance, search, taskset
+from .admissibility import *
+from .analysis import *
+from .bound import *
+from .deadlock import *
+from .oracle import *
+from .relevance import *
+from .search import *
+from .taskset import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AdmissibilityVerdict",
-    "AnalysisReport",
-    "AssignmentSet",
-    "BlockingMatrix",
-    "BlockingScope",
-    "CriticalSection",
-    "CyclicResourceOrderError",
-    "DeadlockVerdict",
-    "Fringe",
-    "Job",
-    "JobAnalysis",
-    "NestingError",
-    "OracleLimitError",
-    "OracleResult",
-    "ParseError",
-    "QuickCheckResult",
-    "ResourceOrderGraph",
-    "SearchNode",
-    "SearchResult",
-    "TaskSet",
-    "TaskSetError",
-    "ZChain",
-    "ZeroDurationWarning",
-    "analyze",
-    "blocking_scope",
-    "blocking_time",
-    "blocking_time_matrix",
-    "brute_force_blocking_time",
-    "build_order_graph",
-    "chain_duration",
-    "check_deadlock_free",
-    "contains",
-    "direct_blocking_jobs",
-    "direct_blocking_resources",
-    "expand",
-    "fixpoint_trace",
-    "format_chain",
-    "generate_antidiagonal_family",
-    "hungarian_bound",
-    "induced_set",
-    "is_admissible_chain",
-    "is_maximal",
-    "iter_admissible_chains",
-    "max_assignment",
-    "maximal_sequence",
-    "parse_chain",
-    "parse_taskset",
-    "per_job_bounds",
-    "quick_admissibility_verdict",
-    "random_taskset",
-    "relevant_jobs",
-    "relevant_resources",
-    "render_report",
-    "require_acyclic",
-    "serialize_taskset",
-    "successors",
-    "uninformed_space_size",
-]
+__all__ = []
+__all__ += admissibility.__all__
+__all__ += analysis.__all__
+__all__ += bound.__all__
+__all__ += deadlock.__all__
+__all__ += oracle.__all__
+__all__ += relevance.__all__
+__all__ += search.__all__
+__all__ += taskset.__all__

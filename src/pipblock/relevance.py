@@ -136,9 +136,10 @@ def induced_set(
     return index.resources_of(_induced(index, i, index.entry(z), index.mask(scope)))
 
 
-def _fixpoint(index: _Index, i: int, scope: int) -> list[int]:
-    """Mask iterates of the relevant-resource fixpoint, starting from the
-    direct-set mask ``scope`` and adding one non-empty induced set per step.
+def _fixpoint(index: _Index, i: int) -> list[int]:
+    """Mask iterates of job ``i``'s relevant-resource fixpoint: the first
+    is the direct-set mask (:func:`_direct`), and each step adds one
+    non-empty induced set.
 
     Each step adds the set induced by the first section of a job below i,
     in key order, that is maximal w.r.t. the scope and induces something.
@@ -149,11 +150,11 @@ def _fixpoint(index: _Index, i: int, scope: int) -> list[int]:
     induced nothing, or whose induced set is now in scope, never induces
     again.  The iteration stops when no untried maximal section is left.
     """
+    scope = fresh = _direct(index, i)
     on, inside, rows = index.on, index.inside, index.rows
     tried = index.keys((1 << i + 1) - 2)  # job i's keys and those above
     hit = out = 0
     trace = [scope]
-    fresh = scope
     while True:
         while fresh:
             bit = fresh & -fresh
@@ -177,29 +178,33 @@ def _fixpoint(index: _Index, i: int, scope: int) -> list[int]:
 def relevant_resources(ts: TaskSet, i: int) -> frozenset[ResourceId]:
     """All resources that can block job ``i`` once nesting and transitive
     inheritance are accounted for (least fixpoint of the induced sets)."""
-    index = _compiled(ts)
-    return index.resources_of(_fixpoint(index, i, _direct(index, i))[-1])
+    return blocking_scope(ts, i).relevant_resources
 
 
 def fixpoint_trace(ts: TaskSet, i: int) -> list[frozenset[ResourceId]]:
-    """The deterministic iterate sequence of :func:`relevant_resources`."""
+    """The deterministic iterate sequence of :func:`relevant_resources`,
+    each iterate built as the previous one plus the resources its step added."""
     index = _compiled(ts)
-    trace = _fixpoint(index, i, _direct(index, i))
-    return [index.resources_of(mask) for mask in trace]
+    ids, before = index.ids, 0
+    resources: frozenset[ResourceId] = frozenset()
+    trace = []
+    for after in _fixpoint(index, i):
+        resources = resources.union(ids[k] for k in _positions(after & ~before))
+        trace.append(resources)
+        before = after
+    return trace
 
 
 def relevant_jobs(ts: TaskSet, i: int) -> frozenset[int]:
     """Lower-priority jobs using any relevant resource of job ``i``."""
-    index = _compiled(ts)
-    relevant = _fixpoint(index, i, _direct(index, i))[-1]
-    return frozenset(_positions(_jobs_using(index, i, relevant)))
+    return blocking_scope(ts, i).relevant_jobs
 
 
 def blocking_scope(ts: TaskSet, i: int) -> BlockingScope:
     """Bundle all four blocking sets for job ``i``."""
     index = _compiled(ts)
-    direct = _direct(index, i)
-    relevant = _fixpoint(index, i, direct)[-1]
+    trace = _fixpoint(index, i)
+    direct, relevant = trace[0], trace[-1]
     return BlockingScope(
         target=i,
         direct_resources=index.resources_of(direct),

@@ -112,7 +112,7 @@ from typing import Iterator
 
 from .bound import _Assignment, hungarian_bound  # noqa: F401 (bench/spans.py traces it)
 from .deadlock import require_acyclic
-from .relevance import _direct, _fixpoint, _induced, _jobs_using
+from .relevance import _fixpoint, _induced, _jobs_using
 from .taskset import (
     CriticalSection,
     TaskSet,
@@ -213,11 +213,15 @@ class Fringe:
         strictly larger than ``gain``."""
         return self._best.get((live, induced), -1) > gain
 
-    def record(self, live: int, induced: int, gain: int) -> None:
-        """Make ``gain`` the key's record if it is larger than the one held."""
+    def claim(self, live: int, induced: int, gain: int) -> bool:
+        """False iff the key ``(live, induced)`` was reached with a gain
+        strictly larger than ``gain``; otherwise make ``gain`` the key's
+        record and return True."""
         key = live, induced
-        if self._best.get(key, -1) < gain:
-            self._best[key] = gain
+        if self._best.get(key, -1) > gain:
+            return False
+        self._best[key] = gain
+        return True
 
     def already_generated(self, sections: int) -> bool:
         """True iff a node with exactly this chain set (a ``members`` mask)
@@ -320,9 +324,8 @@ def expand(ts: TaskSet, i: int, node: SearchNode, fringe: Fringe) -> list[Search
         live = live0 & ~conflict[s.key]
         induced = induced0 | _induced(index, i, s, induced0) if s.nested else induced0
         gain = gain0 + s.duration
-        if fringe.dominated(live, induced, gain):
+        if not fringe.claim(live, induced, gain):
             continue
-        fringe.record(live, induced, gain)
         z = s.z
         eligible = eligible0 & ~(job_keys[z.job] | on[s.bit])
         maximal = eligible & fringe.maximal(index, induced)
@@ -356,8 +359,8 @@ def _root(ts: TaskSet, i: int) -> SearchNode:
     estimate.  Row j - 1 is job j and column k is resource bit ``1 << k``;
     only the relevant jobs and resources get cells."""
     index = _compiled(ts)
-    direct = _direct(index, i)
-    resources = _fixpoint(index, i, direct)[-1]
+    trace = _fixpoint(index, i)
+    direct, resources = trace[0], trace[-1]
     jobs = _jobs_using(index, i, resources)
     bits = index.bits
     cells = [

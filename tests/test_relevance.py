@@ -195,3 +195,43 @@ def test_fixpoint_tries_each_section_once(monkeypatch):
     assert len(trace) == n - 1
     assert trace[-1] == frozenset(range(1, n))
     assert calls == n - 1
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10**9))
+def test_fixpoint_trace_matches_whole_conversion(seed):
+    # The reference converts each mask iterate whole; the trace builds
+    # each iterate from the previous one and the resources its step added.
+    from pipblock.relevance import _fixpoint
+    from pipblock.taskset import _compiled
+
+    ts = random_taskset(seed, jobs=10, resources=8, sections_per_job=5, nesting_depth=4)
+    index = _compiled(ts)
+    for i in range(1, ts.n + 1):
+        expected = [index.resources_of(mask) for mask in _fixpoint(index, i)]
+        assert fixpoint_trace(ts, i) == expected
+
+
+def test_fixpoint_trace_converts_no_iterate_whole(monkeypatch):
+    # On the transitive chain of 299 iterates, converting each iterate with
+    # resources_of would test every resource bit once per iterate.
+    from pipblock.taskset import _compiled, _Index
+
+    n = 300
+    ts = parse_taskset(
+        "J1: [R1: 1]\n"
+        + "".join(f"J{j}: [R{j - 1}: 2 [R{j}: 1]]\n" for j in range(2, n + 1))
+    )
+    _compiled(ts)
+    calls = 0
+    resources_of = _Index.resources_of
+
+    def counting(self, mask):
+        nonlocal calls
+        calls += 1
+        return resources_of(self, mask)
+
+    monkeypatch.setattr(_Index, "resources_of", counting)
+    trace = fixpoint_trace(ts, 1)
+    assert trace == [frozenset(range(1, k + 1)) for k in range(1, n)]
+    assert calls <= 1

@@ -23,7 +23,7 @@ J5: [R1:4] [R5:13 [R2:12]] [R1:7]
 """
 )
 
-result = blocking_time(ts, 1)
+result = blocking_time(ts, 1, trace=True)
 print("worst-case blocking of J1:", result.blocking_time)
 print("witness:", format_chain(result.witness))
 print(f"nodes: {result.nodes_generated} generated, "

@@ -93,7 +93,7 @@ class AnalysisReport:
         return doc
 
 
-def _analyze_job(ts: TaskSet, i: int, exact: bool) -> JobAnalysis:
+def _analyze_job(ts: TaskSet, i: int, exact: bool, trace: bool) -> JobAnalysis:
     started = time.perf_counter()
     scope = blocking_scope(ts, i)
     matrix = blocking_time_matrix(ts, scope.relevant_jobs, scope.relevant_resources)
@@ -108,7 +108,7 @@ def _analyze_job(ts: TaskSet, i: int, exact: bool) -> JobAnalysis:
         exact_value = bound
         witness = quick.chain
     elif exact:
-        search = blocking_time(ts, i)
+        search = blocking_time(ts, i, trace=trace)
         exact_value = search.blocking_time
         witness = search.witness
     return JobAnalysis(
@@ -124,8 +124,11 @@ def _analyze_job(ts: TaskSet, i: int, exact: bool) -> JobAnalysis:
     )
 
 
-def analyze(ts: TaskSet, *, job: int | None = None, exact: bool = True) -> AnalysisReport:
-    """Run the pipeline for one job or all jobs.
+def analyze(
+    ts: TaskSet, *, job: int | None = None, exact: bool = True, trace: bool = False
+) -> AnalysisReport:
+    """Run the pipeline for one job or all jobs; ``trace`` keeps each
+    search's expansion records (see :func:`~pipblock.search.blocking_time`).
 
     A cyclic resource order short-circuits: the report carries the witness
     cycle and no per-job entries (blocking is unbounded).
@@ -136,7 +139,7 @@ def analyze(ts: TaskSet, *, job: int | None = None, exact: bool = True) -> Analy
     targets = [job] if job is not None else list(range(1, ts.n + 1))
     for i in targets:
         ts.job(i)
-    analyses = tuple(_analyze_job(ts, i, exact) for i in targets)
+    analyses = tuple(_analyze_job(ts, i, exact, trace) for i in targets)
     return AnalysisReport(deadlock=verdict, jobs=analyses)
 
 

@@ -154,8 +154,11 @@ class _Assignment:
     duals: ``a[r] + b[c] >= w`` on every cell, with equality on matched
     cells, and 0 on every free row and column (complementary slackness).
     So ``value``, the matched weight, equals the sum of the active rows'
-    and columns' duals and is the maximum.  The constructor grows each
-    row in turn (:func:`_grow`).
+    and columns' duals and is the maximum.  The constructor takes each
+    row in turn: its dual becomes its largest reduced weight, and it
+    takes the first column of that weight when the column is free (the
+    greedy start of Jonker & Volgenant, *Computing* 38, 1987), exactly
+    the path :func:`_grow` would find; otherwise it grows.
 
     :meth:`without` deactivates a row and a column by marking them
     ``_GONE`` in a child's copies of ``mate`` and ``comate``, which every
@@ -176,12 +179,17 @@ class _Assignment:
         self.a, self.b = [0] * len(self.cells), [0] * width
         self.mate, self.comate = [_FREE] * len(self.cells), [_FREE] * width
         self.value = 0
-        a, b = self.a, self.b
+        a, b, mate, comate = self.a, self.b, self.mate, self.comate
         for r, row in enumerate(self.cells):
             top = max((w - b[c] for c, w in row.items()), default=0)
             if top > 0:
                 a[r] = top
-                self.value += _grow(r, a, b, self.mate, self.comate, self.cells)
+                c = min(c for c, w in row.items() if w - b[c] == top)
+                if comate[c] == _FREE:
+                    mate[r], comate[c] = c, r
+                    self.value += row[c]
+                else:
+                    self.value += _grow(r, a, b, mate, comate, self.cells)
 
     def without(self, r: int, c: int) -> _Assignment:
         """The solved assignment once the active row ``r`` and column ``c``
@@ -243,12 +251,13 @@ def _grow(
     non-negative and makes the path tight.  The path is flipped: the
     source gains a mate, and either the free node at its end gains one
     too or the node at its end loses its own (its dual now 0).  Nodes
-    mated ``_GONE`` are skipped.
+    mated ``_GONE`` are skipped.  The other side's tentative distances
+    and tree links are lists indexed by node, made afresh by each call.
     """
     heap = [(duals[source], ~source)]
-    reached = {source: 0}  # the source's side in the tree, by distance
-    best: dict[int, int] = {}  # the other side, tentative; -1 once settled
-    via: dict[int, int] = {}
+    reached = [(source, 0)]  # the source's side in the tree, with distances
+    best: list[int | None] = [None] * len(comates)  # the other side; -1 once settled
+    via = [_FREE] * len(comates)
     settled: list[tuple[int, int]] = []
     x, d = source, 0
     while True:
@@ -256,7 +265,7 @@ def _grow(
         for y, w in cells[x].items():
             if comates[y] != _GONE:
                 key = base + coduals[y] - w
-                old = best.get(y)
+                old = best[y]
                 if old is None or key < old:
                     best[y], via[y] = key, x
                     heappush(heap, (key, y))
@@ -269,9 +278,9 @@ def _grow(
         best[node] = -1
         settled.append((node, d))
         x = comates[node]
-        reached[x] = d
+        reached.append((x, d))
         heappush(heap, (d + duals[x], ~x))
-    for x, dx in reached.items():
+    for x, dx in reached:
         duals[x] -= d - dx
     for y, dy in settled:
         coduals[y] += d - dy

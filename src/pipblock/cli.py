@@ -4,9 +4,10 @@ Subcommands follow the analysis pipeline: ``check-deadlock``, ``scope``,
 ``bound``, ``blocking-time``, ``check-chain``, ``oracle``, the fixture
 generators under ``gen``, and the all-in-one ``analyze``.
 
-``--trace`` appends the search's expansion log to the text output of
-``analyze`` and ``blocking-time``; the JSON documents have no place for
-it, so ``--json --trace`` is a usage error rather than a silent drop.
+``--trace`` runs the searches traced and appends their expansion log to
+the text output of ``analyze`` and ``blocking-time``; the JSON documents
+have no place for it, so ``--json --trace`` is a usage error rather than
+a silent drop.
 
 Exit codes: 0 ok, 1 usage or parse problem, 2 cyclic resource order,
 3 oracle limit exceeded.
@@ -67,9 +68,9 @@ def cmd_analyze(ctx, file, job, bound_only, as_json, trace) -> None:
     """Deadlock check, bound, quick screen and (by default) exact search."""
     _refuse_json_trace(as_json, trace)
     ts = _load(file)
-    report = analyze(ts, job=job, exact=not bound_only)
+    report = analyze(ts, job=job, exact=not bound_only, trace=trace)
     if as_json:
-        click.echo(json.dumps(report.to_dict(), indent=2))
+        click.echo(_indented_json(report.to_dict()))
     else:
         click.echo(render_report(report))
         if trace:
@@ -79,6 +80,28 @@ def cmd_analyze(ctx, file, job, bound_only, as_json, trace) -> None:
                     _echo_expansions(a.search.expansions, "    ")
     if not report.deadlock.acyclic:
         ctx.exit(2)
+
+
+def _indented_json(value: object, pad: str = "") -> str:
+    """``json.dumps(value, indent=2)``, byte for byte, for documents
+    whose lists hold only scalars or only containers (the first item
+    decides).  With ``indent`` set, ``json.dumps`` takes the pure-Python
+    encoder for the whole document; here each list of scalars goes
+    through the C encoder in one call, its items separated by a comma, a
+    newline and the padding, and only the containers around such lists
+    are laid out in Python."""
+    inner = pad + "  "
+    gap = ",\n" + inner
+    if isinstance(value, dict) and value:
+        body = gap.join(f"{json.dumps(k)}: {_indented_json(v, inner)}" for k, v in value.items())
+        return "{\n" + inner + body + "\n" + pad + "}"
+    if isinstance(value, (list, tuple)) and value:
+        if isinstance(value[0], (dict, list, tuple)):
+            body = gap.join(_indented_json(v, inner) for v in value)
+        else:
+            body = json.dumps(value, separators=(gap, ": "))[1:-1]
+        return "[\n" + inner + body + "\n" + pad + "]"
+    return json.dumps(value)
 
 
 def _refuse_json_trace(as_json: bool, trace: bool) -> None:
@@ -147,7 +170,7 @@ def cmd_bound(file, job, as_json) -> None:
         doc.append((i, matrix, assignment))
     if as_json:
         click.echo(
-            json.dumps(
+            _indented_json(
                 [
                     {
                         "job": i,
@@ -158,8 +181,7 @@ def cmd_bound(file, job, as_json) -> None:
                         "assignment": [[j, r] for j, r in assignment.pairs],
                     }
                     for i, matrix, assignment in doc
-                ],
-                indent=2,
+                ]
             )
         )
         return
@@ -179,7 +201,7 @@ def _cells(matrix: BlockingMatrix) -> list[list[str]]:
     """The matrix's cells as exact durations in text; each distinct
     weight is formatted once."""
     text = {w: str(Fraction(w, matrix.scale)) for w in set().union(*matrix.weights)}
-    return [[text[w] for w in row] for row in matrix.weights]
+    return [list(map(text.__getitem__, row)) for row in matrix.weights]
 
 
 @cli.command("blocking-time")
@@ -192,10 +214,10 @@ def cmd_blocking_time(file, job, trace, as_json) -> None:
     _refuse_json_trace(as_json, trace)
     ts = _load(file)
     targets = [job] if job is not None else list(range(1, ts.n + 1))
-    results = [(i, blocking_time(ts, i)) for i in targets]
+    results = [(i, blocking_time(ts, i, trace=trace)) for i in targets]
     if as_json:
         click.echo(
-            json.dumps(
+            _indented_json(
                 [
                     {
                         "job": i,
@@ -205,8 +227,7 @@ def cmd_blocking_time(file, job, trace, as_json) -> None:
                         "nodes_expanded": res.nodes_expanded,
                     }
                     for i, res in results
-                ],
-                indent=2,
+                ]
             )
         )
         return

@@ -47,12 +47,14 @@ creation of nodes that are now expanded and re-marked, and so change
 which optimal leaf pops first; that waits until the witness no longer
 depends on search order (ROADMAP item 1).  Since ``live`` lies within
 ``eligible``, the extensions are the keys of ``live & maximal``,
-ascending, which is job then position order; one generator walks them
-straight to index rows, for :func:`expand` and :func:`successors` alike.
+ascending, which is job then position order; one walk turns them into a
+list of index rows, for :func:`expand` and :func:`successors` alike.
 The sections maximal w.r.t. an induced set are computed once per search:
 the fringe keeps a memo of :func:`~pipblock.taskset._maximal_keys` keyed
-by the induced mask.  A row with no nested resource adds nothing to the
-induced set, so it never calls :func:`~pipblock.relevance._induced`.
+by the induced mask.  The walk reads the duplicate guard's set, and
+:func:`expand` that memo and the dominance table, as local names, with
+no method call per candidate.  A row with no nested resource adds nothing to the induced
+set, so it never calls :func:`~pipblock.relevance._induced`.
 
 Dominance.  A live section misses every current member's conflict mask,
 so whether a later member obstructs it depends on that member alone;
@@ -84,8 +86,15 @@ Nodes live on the task set's compiled index: the chain's section set,
 its live and eligible sections and its induced set are bit masks, and
 gain and heuristic are integers in units of ``1/index.scale``, so the
 fringe orders by exact integer keys.  Only the returned result (and the
-expansion records, on reading) hold ``Fraction`` values.  A record keeps
-the created successors' last sections and labels them only when read.
+expansion records, on reading) hold ``Fraction`` values.
+
+Expansion records exist only when traced: ``blocking_time(ts, i,
+trace=True)`` keeps one :class:`ExpansionRecord` per expanded node, and
+an untraced search (the default, and what
+:func:`~pipblock.analysis.analyze` runs unless asked) builds none, so a
+large search leaves no long-lived record for the cyclic garbage
+collector to walk.  A record keeps the created successors' last sections
+and labels them only when read.
 
 Heuristics are inherited, not solved afresh.  :func:`_root` solves one
 sparse :class:`~pipblock.bound._Assignment` per search, read from the
@@ -108,7 +117,6 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator
 
 from .bound import _Assignment, hungarian_bound  # noqa: F401 (bench/spans.py traces it)
 from .deadlock import require_acyclic
@@ -177,11 +185,12 @@ class SearchNode:
 class Fringe:
     """Generated-but-unexpanded nodes, ordered for Remove-First.
 
-    Also keeps three permanent records of one search: every chain set
-    generated so far, as the ``members`` masks of the pushed nodes, which
-    the duplicate guard queries; the dominance table, the largest gain
-    generated for each ``(live, induced)`` key; and the maximal-section
-    mask of each induced set met (:meth:`maximal`).
+    Also keeps three permanent records of one search, which
+    :func:`expand` reads directly: every chain set generated so far, as
+    the ``members`` masks of the pushed nodes (``_generated``, the
+    duplicate guard); the dominance table, the largest gain generated
+    for each ``(live, induced)`` key (``_best``); and the maximal-section
+    mask of each induced set met (``_maximal``).
     """
 
     def __init__(self) -> None:
@@ -213,28 +222,10 @@ class Fringe:
         strictly larger than ``gain``."""
         return self._best.get((live, induced), -1) > gain
 
-    def claim(self, live: int, induced: int, gain: int) -> bool:
-        """False iff the key ``(live, induced)`` was reached with a gain
-        strictly larger than ``gain``; otherwise make ``gain`` the key's
-        record and return True."""
-        key = live, induced
-        if self._best.get(key, -1) > gain:
-            return False
-        self._best[key] = gain
-        return True
-
     def already_generated(self, sections: int) -> bool:
         """True iff a node with exactly this chain set (a ``members`` mask)
         was ever pushed."""
         return sections in self._generated
-
-    def maximal(self, index: _Index, induced: int) -> int:
-        """``_maximal_keys(index, induced)``, computed once per induced set;
-        a fringe serves one search, so ``index`` is always the same."""
-        keys = self._maximal.get(induced)
-        if keys is None:
-            keys = self._maximal[induced] = _maximal_keys(index, induced)
-        return keys
 
 
 @dataclass(frozen=True, slots=True)
@@ -269,7 +260,8 @@ class ExpansionRecord:
 
 @dataclass(frozen=True)
 class SearchResult:
-    """Exact blocking time with a witness chain and search statistics."""
+    """Exact blocking time with a witness chain and search statistics;
+    ``expansions`` is empty unless the search was traced."""
 
     blocking_time: Fraction
     witness: ZChain
@@ -278,18 +270,20 @@ class SearchResult:
     expansions: tuple[ExpansionRecord, ...] = ()
 
 
-def _extensions(index: _Index, node: SearchNode, fringe: Fringe) -> Iterator[_Section]:
+def _extensions(index: _Index, node: SearchNode, fringe: Fringe) -> list[_Section]:
     """The index rows of ``node``'s admissible extensions, in key order:
     the sections of ``node.live`` (NBJ, NBR, FHO and FLO) in
     ``node.maximal`` (LSM) whose chain set the duplicate guard has not
     seen."""
-    rows, members, seen = index.rows, node.members, fringe.already_generated
+    rows, members, seen = index.rows, node.members, fringe._generated
+    found = []
     keys = node.live & node.maximal
     while keys:
         bit = keys & -keys
-        if not seen(members | bit):
-            yield rows[bit.bit_length() - 1]
+        if (members | bit) not in seen:
+            found.append(rows[bit.bit_length() - 1])
         keys ^= bit
+    return found
 
 
 def successors(
@@ -316,6 +310,7 @@ def expand(ts: TaskSet, i: int, node: SearchNode, fringe: Fringe) -> list[Search
     """
     index = _compiled(ts)
     conflict, on, job_keys = index.conflict, index.on, index.job_keys
+    best, memo = fringe._best, fringe._maximal
     chain, members, gain0 = node.chain, node.members, node.gain
     live0, induced0, eligible0 = node.live, node.induced, node.eligible
     estimate = gain0 + node.heuristic
@@ -324,26 +319,24 @@ def expand(ts: TaskSet, i: int, node: SearchNode, fringe: Fringe) -> list[Search
         live = live0 & ~conflict[s.key]
         induced = induced0 | _induced(index, i, s, induced0) if s.nested else induced0
         gain = gain0 + s.duration
-        if not fringe.claim(live, induced, gain):
+        state = live, induced
+        if best.get(state, -1) > gain:
             continue
+        best[state] = gain
         z = s.z
         eligible = eligible0 & ~(job_keys[z.job] | on[s.bit])
-        maximal = eligible & fringe.maximal(index, induced)
+        lsm = memo.get(induced)
+        if lsm is None:
+            lsm = memo[induced] = _maximal_keys(index, induced)
+        maximal = eligible & lsm
         heuristic, assignment = 0, None
         if maximal:
             assignment = node.assignment.without(z.job - 1, s.bit.bit_length() - 1)
             heuristic = assignment.value
         created.append(
             SearchNode(
-                chain=chain + (z,),
-                members=members | 1 << s.key,
-                induced=induced,
-                eligible=eligible,
-                gain=gain,
-                heuristic=heuristic,
-                live=live,
-                maximal=maximal,
-                assignment=assignment,
+                chain + (z,), members | 1 << s.key, induced, eligible,
+                gain, heuristic, live, maximal, -1, -1, assignment,
             )
         )
         if not heuristic and gain == estimate:
@@ -386,8 +379,12 @@ def _root(ts: TaskSet, i: int) -> SearchNode:
     )
 
 
-def blocking_time(ts: TaskSet, i: int) -> SearchResult:
+def blocking_time(ts: TaskSet, i: int, *, trace: bool = False) -> SearchResult:
     """Exact maximum blocking time of job ``i`` with a witness chain.
+
+    With ``trace``, the result's ``expansions`` holds one
+    :class:`ExpansionRecord` per expanded node, in expansion order;
+    without it, ``expansions`` is empty and no record is built.
 
     Raises :class:`~pipblock.deadlock.CyclicResourceOrderError` when the
     resource order is cyclic (blocking is unbounded).
@@ -413,16 +410,17 @@ def blocking_time(ts: TaskSet, i: int) -> SearchResult:
             continue
         expanded += 1
         created = expand(ts, i, node, fringe)
-        records.append(
-            ExpansionRecord(
-                seq=node.seq,
-                chain=node.chain,
-                gain_units=node.gain,
-                heuristic_units=node.heuristic,
-                scale=scale,
-                created=tuple([successor.chain[-1] for successor in created]),
+        if trace:
+            records.append(
+                ExpansionRecord(
+                    seq=node.seq,
+                    chain=node.chain,
+                    gain_units=node.gain,
+                    heuristic_units=node.heuristic,
+                    scale=scale,
+                    created=tuple([successor.chain[-1] for successor in created]),
+                )
             )
-        )
         if not created:
             node.heuristic, node.batch, node.assignment = 0, expanded, None
             fringe.push(node)

@@ -97,3 +97,26 @@ def test_report_invariants_random(seed):
             assert a.exact == a.bound and not a.searched
         else:
             assert a.searched
+
+
+def test_traced_analysis_gives_the_same_document():
+    # analyze(trace=True) keeps each search's records and changes nothing
+    # in the report: its document equals the untraced one, less the
+    # measured wall times, and every searched job has one record per
+    # expanded node.
+    from pipblock import generate_antidiagonal_family
+
+    sets = [parse_taskset(FIVE_JOBS_DEEP), generate_antidiagonal_family(6, 1, 10, 1)]
+    sets += [random_taskset(s, jobs=8, resources=8, sections_per_job=4) for s in range(4)]
+    for ts in sets:
+        plain, traced = analyze(ts), analyze(ts, trace=True)
+        docs = [plain.to_dict(), traced.to_dict()]
+        for doc in docs:
+            for entry in doc["jobs"]:
+                del entry["wall_time_s"]
+        assert docs[0] == docs[1]
+        for a, b in zip(plain.jobs, traced.jobs):
+            assert a.searched == b.searched
+            if a.searched:
+                assert a.search.expansions == ()
+                assert len(b.search.expansions) == b.search.nodes_expanded

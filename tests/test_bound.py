@@ -227,6 +227,30 @@ def test_assignment_kernel_solves_and_repairs(n, data):
         assignment = child
 
 
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(min_value=1, max_value=7), data=st.data())
+def test_greedy_start_takes_the_grow_path(n, data):
+    # The constructor lets a row take its first best column directly when
+    # that column is free.  That is the path a grow from the row finds,
+    # so the solved state (duals, matching, value) equals the one of
+    # growing every row, written out here as the reference.
+    from pipblock.bound import _FREE, _grow
+
+    width = data.draw(st.integers(1, 7))
+    row = st.lists(st.integers(0, 6), min_size=width, max_size=width)
+    cells = data.draw(st.lists(row, min_size=n, max_size=n))
+    solved = _Assignment(map(enumerate, cells), width)
+    rows = [{c: w for c, w in enumerate(row) if w > 0} for row in cells]
+    a, b, mate, comate, value = [0] * n, [0] * width, [_FREE] * n, [_FREE] * width, 0
+    for r, row in enumerate(rows):
+        top = max((w - b[c] for c, w in row.items()), default=0)
+        if top > 0:
+            a[r] = top
+            value += _grow(r, a, b, mate, comate, rows)
+    state = solved.a, solved.b, solved.mate, solved.comate, solved.value
+    assert state == (a, b, mate, comate, value)
+
 def first_best_permutation_pairs(matrix: BlockingMatrix):
     """Reference tie-break: the first maximum-value permutation of the
     zero-padded square matrix in ``itertools.permutations`` order, with

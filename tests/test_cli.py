@@ -292,3 +292,35 @@ def test_check_chain_names_the_conflicting_pair(nested_file, capsys):
         "inadmissible: z3,1 fails NBR",
         "  conflicting sections: z2,1, z3,1",
     ]
+
+
+@pytest.mark.parametrize("command", ["analyze", "blocking-time", "bound"])
+def test_json_output_is_the_indent_2_layout(command, tmp_path, capsys):
+    # The JSON documents are laid out without json.dumps(indent=2), whose
+    # pure-Python encoder dominated `bound --json` on large sets; the text
+    # must still be exactly what json.dumps(doc, indent=2) prints, empty
+    # lists, nested matrices and escaped strings included.
+    from pipblock import random_taskset, serialize_taskset
+
+    texts = [FIVE_JOBS_DEEP, SIX_JOBS_NESTED, "J1: [R1: 1]\nJ2: [R2: 3]\n"]
+    texts += [serialize_taskset(random_taskset(s, jobs=7, resources=6)) for s in range(3)]
+    for k, text in enumerate(texts):
+        path = tmp_path / f"set{k}.txt"
+        path.write_text(text)
+        assert main([command, str(path), "--json"]) == 0
+        out = capsys.readouterr().out
+        assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+
+def test_indented_json_matches_the_standard_layout():
+    from pipblock.cli import _indented_json
+
+    docs = [
+        [], {}, [[]], [{}], {"a": []}, "é\n\"", 3, None,
+        [1, "x", None, True, 2.5],
+        {"k": [[1, 2], [3]], "s": "é\n\"", "n": None, "e": {}},
+        [{"job": 1, "rows": [], "matrix": [[]], "assignment": [[1, 2]]}],
+        [[[1]], [[3, 4], []]],
+    ]
+    for doc in docs:
+        assert _indented_json(doc) == json.dumps(doc, indent=2)

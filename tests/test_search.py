@@ -24,7 +24,7 @@ def test_deep_fixture_exact_value_and_witness(five_jobs_deep):
 
 
 def test_deep_fixture_expansion_trace(five_jobs_deep):
-    result = blocking_time(five_jobs_deep, 1)
+    result = blocking_time(five_jobs_deep, 1, trace=True)
     records = result.expansions
     # root offers exactly the sections maximal w.r.t. the direct set
     assert records[0].chain == ()
@@ -44,14 +44,14 @@ def test_deep_fixture_expansion_trace(five_jobs_deep):
 
 def test_popped_estimates_never_increase(five_jobs_deep, nested_four_jobs):
     for ts in (five_jobs_deep, nested_four_jobs):
-        result = blocking_time(ts, 1)
+        result = blocking_time(ts, 1, trace=True)
         estimates = [r.estimate for r in result.expansions]
         assert all(a >= b for a, b in zip(estimates, estimates[1:]))
 
 
 def test_heuristic_never_underestimates(five_jobs_deep, nested_four_jobs):
     for ts in (five_jobs_deep, nested_four_jobs):
-        result = blocking_time(ts, 1)
+        result = blocking_time(ts, 1, trace=True)
         assert all(r.estimate >= result.blocking_time for r in result.expansions)
 
 
@@ -99,7 +99,7 @@ def test_cyclic_task_set_refused(cross_nesting):
 def test_no_chain_expanded_twice(five_jobs_deep, nested_four_jobs):
     for ts in (five_jobs_deep, nested_four_jobs):
         for i in range(1, ts.n + 1):
-            result = blocking_time(ts, i)
+            result = blocking_time(ts, i, trace=True)
             seen = [frozenset(r.chain) for r in result.expansions]
             assert len(seen) == len(set(seen))
 
@@ -282,7 +282,7 @@ def test_releafed_node_joins_the_newest_batch():
     # leaf.  It is re-marked with the current batch, 2, so it pops before
     # z4,1 and is the witness; left in batch 1 it would lose on seq.
     ts = random_taskset(35, jobs=5, resources=5, sections_per_job=3, nesting_depth=2)
-    result = blocking_time(ts, 3)
+    result = blocking_time(ts, 3, trace=True)
     assert result.blocking_time == 6
     assert [z.label for z in result.witness] == ["z4,3"]
     assert (result.nodes_generated, result.nodes_expanded) == (3, 2)
@@ -299,7 +299,7 @@ def test_beaten_node_is_dropped_on_pop():
     # Every expanded node has an expansion record.
     from pipblock import generate_antidiagonal_family
 
-    result = blocking_time(generate_antidiagonal_family(5, 1, 10, 1), 1)
+    result = blocking_time(generate_antidiagonal_family(5, 1, 10, 1), 1, trace=True)
     assert result.blocking_time == 12
     assert (result.nodes_generated, result.nodes_expanded) == (53, 41)
     assert len(result.expansions) == result.nodes_expanded
@@ -646,7 +646,7 @@ def test_search_outputs_and_records_are_pinned():
     digest = hashlib.sha256()
     for ts in sets:
         for i in range(1, ts.n + 1):
-            r = blocking_time(ts, i)
+            r = blocking_time(ts, i, trace=True)
             labels = [z.label for z in r.witness]
             fields = (str(r.blocking_time), labels, r.nodes_generated, r.nodes_expanded)
             digest.update(repr(fields).encode())
@@ -657,3 +657,44 @@ def test_search_outputs_and_records_are_pinned():
     assert digest.hexdigest() == (
         "b670fecdcbff7cc3522a115c3406eeae78935782a0699244109f667b60ee1aa5"
     )
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10**9), shape=SHAPES)
+def test_traced_and_untraced_searches_agree(seed, shape):
+    # Tracing only keeps records: the value, witness and both counts are
+    # the same either way, the traced search keeps one record per
+    # expanded node and the untraced one keeps none.
+    ts = _shaped(shape, seed)
+    for i in range(1, ts.n + 1):
+        plain = blocking_time(ts, i)
+        traced = blocking_time(ts, i, trace=True)
+        assert plain.blocking_time == traced.blocking_time
+        assert plain.witness == traced.witness
+        assert plain.nodes_generated == traced.nodes_generated
+        assert plain.nodes_expanded == traced.nodes_expanded
+        assert len(traced.expansions) == traced.nodes_expanded
+        assert plain.expansions == ()
+
+
+def test_untraced_search_builds_no_record(monkeypatch):
+    # Antidiagonal width 6, J1, with a counter on record construction:
+    # the traced search builds one record per expansion (so the counter
+    # sees the construction the search makes), the untraced one none.
+    import pipblock.search
+    from pipblock import generate_antidiagonal_family
+
+    built = []
+
+    def counting(*args, record=pipblock.search.ExpansionRecord, **kwargs):
+        built.append(1)
+        return record(*args, **kwargs)
+
+    monkeypatch.setattr(pipblock.search, "ExpansionRecord", counting)
+    ts = generate_antidiagonal_family(7, 1, 10, 1)
+    traced = blocking_time(ts, 1, trace=True)
+    assert len(built) == traced.nodes_expanded > 0
+    built.clear()
+    plain = blocking_time(ts, 1)
+    assert plain.nodes_expanded == traced.nodes_expanded
+    assert built == []

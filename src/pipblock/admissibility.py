@@ -177,10 +177,11 @@ def _obstruction(
 def is_admissible_chain(
     ts: TaskSet, i: int, chain: Sequence[CriticalSection]
 ) -> AdmissibilityVerdict:
-    """Check a whole chain: every prefix extension, in the stated order."""
-    _check_members(ts, i, chain)
+    """Check a whole chain: every prefix extension, in the stated order.
+    The target index is checked before the chain's members."""
     index = _compiled(ts)
     in_set = _direct(index, i)
+    _check_members(ts, i, chain)
     prefix: list[CriticalSection] = []
     jobs = resources = 0
     for z in chain:

@@ -7,9 +7,11 @@ A passing screen already proves the bound exact, so the search is skipped
 and the screen's chain serves as witness.  Jobs are analyzed one after
 another in ascending index order.
 
-The text rendering and the JSON document are produced from the same
-report object and contain identical values; durations are serialized as
-exact rational strings.
+The report is a document first: :meth:`AnalysisReport.to_dict` is what
+``--json`` prints, and :func:`render_report` renders the text from that
+same dict, so both carry identical values; durations are exact rational
+strings.  The bound stage (scope, matrix, assignment) of a job is
+:func:`_bound_stage`, shared with ``pipblock bound``.
 """
 
 from __future__ import annotations
@@ -17,13 +19,14 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterable
 
 from .admissibility import QuickCheckResult, quick_admissibility_verdict
-from .bound import AssignmentSet, blocking_time_matrix, max_assignment
+from .bound import AssignmentSet, BlockingMatrix, blocking_time_matrix, max_assignment
 from .deadlock import DeadlockVerdict, check_deadlock_free
 from .relevance import BlockingScope, blocking_scope
 from .search import SearchResult, blocking_time
-from .taskset import TaskSet, ZChain, format_chain
+from .taskset import TaskSet, ZChain
 
 __all__ = ["AnalysisReport", "JobAnalysis", "analyze", "render_report"]
 
@@ -93,28 +96,38 @@ class AnalysisReport:
         return doc
 
 
-def _analyze_job(ts: TaskSet, i: int, exact: bool, trace: bool) -> JobAnalysis:
-    started = time.perf_counter()
+def _targets(ts: TaskSet, job: int | None) -> list[int]:
+    """The requested job, or every job in ascending index order."""
+    return [job] if job is not None else list(range(1, ts.n + 1))
+
+
+def _bound_stage(
+    ts: TaskSet, i: int
+) -> tuple[BlockingScope, BlockingMatrix, AssignmentSet]:
+    """Job ``i``'s scope, blocking matrix and maximum assignment.  The
+    stage functions are read from this module's globals at call time:
+    ``bench/spans.py`` times each stage by replacing those names."""
     scope = blocking_scope(ts, i)
     matrix = blocking_time_matrix(ts, scope.relevant_jobs, scope.relevant_resources)
-    assignment = max_assignment(matrix)
-    bound = assignment.value
-    quick = quick_admissibility_verdict(ts, i, assignment)
+    return scope, matrix, max_assignment(matrix)
 
+
+def _analyze_job(ts: TaskSet, i: int, exact: bool, trace: bool) -> JobAnalysis:
+    started = time.perf_counter()
+    scope, _, assignment = _bound_stage(ts, i)
+    quick = quick_admissibility_verdict(ts, i, assignment)
+    search: SearchResult | None = None
     exact_value: Fraction | None = None
     witness: ZChain | None = None
-    search: SearchResult | None = None
     if quick.passed:
-        exact_value = bound
-        witness = quick.chain
+        exact_value, witness = assignment.value, quick.chain
     elif exact:
         search = blocking_time(ts, i, trace=trace)
-        exact_value = search.blocking_time
-        witness = search.witness
+        exact_value, witness = search.blocking_time, search.witness
     return JobAnalysis(
         job=i,
         scope=scope,
-        bound=bound,
+        bound=assignment.value,
         assignment=assignment,
         quick=quick,
         exact=exact_value,
@@ -136,7 +149,7 @@ def analyze(
     verdict = check_deadlock_free(ts)
     if not verdict.acyclic:
         return AnalysisReport(deadlock=verdict, jobs=())
-    targets = [job] if job is not None else list(range(1, ts.n + 1))
+    targets = _targets(ts, job)
     for i in targets:
         ts.job(i)
     analyses = tuple(_analyze_job(ts, i, exact, trace) for i in targets)
@@ -144,47 +157,46 @@ def analyze(
 
 
 def render_report(report: AnalysisReport) -> str:
-    """Plain-text rendering of exactly the values in :meth:`to_dict`."""
-    lines: list[str] = []
-    if not report.deadlock.acyclic:
-        assert report.deadlock.cycle is not None
-        pretty = " -> ".join(f"R{r}" for r in report.deadlock.cycle)
-        lines.append("deadlock risk: resource order is cyclic")
-        lines.append(f"  witness cycle: {pretty}")
-        lines.append("  blocking time: infinite")
-        return "\n".join(lines)
-    lines.append("deadlock-free: resource order is acyclic")
-    for a in report.jobs:
-        lines.append(f"J{a.job}:")
-        lines.append(
-            "  direct:   resources "
-            f"{_fmt_resources(a.scope.direct_resources)}, "
-            f"jobs {_fmt_jobs(a.scope.direct_jobs)}"
-        )
-        lines.append(
-            "  relevant: resources "
-            f"{_fmt_resources(a.scope.relevant_resources)}, "
-            f"jobs {_fmt_jobs(a.scope.relevant_jobs)}"
-        )
-        pairs = ", ".join(f"(J{j}, R{r})" for j, r in a.assignment.pairs) or "-"
-        lines.append(f"  bound:    {a.bound}  via {pairs}")
-        lines.append(f"  quick check: {'pass' if a.quick.passed else 'fail'}")
-        if a.exact is None:
+    """Plain-text rendering of :meth:`AnalysisReport.to_dict`."""
+    doc = report.to_dict()
+    if not doc["deadlock_free"]:
+        return "\n".join([
+            "deadlock risk: resource order is cyclic",
+            f"  witness cycle: {' -> '.join(doc['cycle'])}",
+            f"  blocking time: {doc['blocking_time']}",
+        ])
+    lines = ["deadlock-free: resource order is acyclic"]
+    for a in doc["jobs"]:
+        lines += [
+            f"J{a['job']}:",
+            f"  direct:   resources {_fmt_resources(a['direct_resources'])}, "
+            f"jobs {_fmt_jobs(a['direct_jobs'])}",
+            f"  relevant: resources {_fmt_resources(a['relevant_resources'])}, "
+            f"jobs {_fmt_jobs(a['relevant_jobs'])}",
+            f"  bound:    {a['bound']}  via {_fmt_pairs(a['assignment'])}",
+            f"  quick check: {'pass' if a['quick_check'] else 'fail'}",
+        ]
+        if a["exact"] is None:
             lines.append("  exact:    not computed (bound only)")
-        else:
-            how = "quick check" if a.search is None else (
-                f"search ({a.search.nodes_generated} nodes generated, "
-                f"{a.search.nodes_expanded} expanded)"
-            )
-            lines.append(f"  exact:    {a.exact}  [{how}]")
-            if a.witness is not None:
-                lines.append(f"  witness:  {format_chain(a.witness)}")
+            continue
+        how = (
+            f"search ({a['nodes_generated']} nodes generated, "
+            f"{a['nodes_expanded']} expanded)"
+            if a["searched"]
+            else "quick check"
+        )
+        lines.append(f"  exact:    {a['exact']}  [{how}]")
+        lines.append(f"  witness:  <{', '.join(a['witness'])}>")
     return "\n".join(lines)
 
 
-def _fmt_resources(resources: frozenset[int]) -> str:
+def _fmt_pairs(pairs: Iterable[Iterable[int]]) -> str:
+    return ", ".join(f"(J{j}, R{r})" for j, r in pairs) or "-"
+
+
+def _fmt_resources(resources: Iterable[int]) -> str:
     return "{" + ", ".join(f"R{r}" for r in sorted(resources)) + "}"
 
 
-def _fmt_jobs(jobs: frozenset[int]) -> str:
+def _fmt_jobs(jobs: Iterable[int]) -> str:
     return "{" + ", ".join(f"J{j}" for j in sorted(jobs)) + "}"

@@ -4,10 +4,12 @@ Subcommands follow the analysis pipeline: ``check-deadlock``, ``scope``,
 ``bound``, ``blocking-time``, ``check-chain``, ``oracle``, the fixture
 generators under ``gen``, and the all-in-one ``analyze``.
 
-``--trace`` runs the searches traced and appends their expansion log to
-the text output of ``analyze`` and ``blocking-time``; the JSON documents
-have no place for it, so ``--json --trace`` is a usage error rather than
-a silent drop.
+``analyze``, ``bound`` and ``blocking-time`` build the document that
+``--json`` prints first, and render their text from it, so the two forms
+carry the same values.  ``--trace`` runs the searches traced and appends
+their expansion log, read from the search results, to the text of
+``analyze`` and ``blocking-time``; the JSON documents have no place for
+it, so ``--json --trace`` is a usage error rather than a silent drop.
 
 Exit codes: 0 ok, 1 usage or parse problem, 2 cyclic resource order,
 3 oracle limit exceeded.
@@ -24,8 +26,9 @@ from typing import Iterable
 import click
 
 from .admissibility import is_admissible_chain
-from .analysis import _fmt_jobs, _fmt_resources, analyze, render_report
-from .bound import BlockingMatrix, blocking_time_matrix, max_assignment
+from .analysis import _bound_stage, _fmt_jobs, _fmt_pairs, _fmt_resources, _targets
+from .analysis import analyze, render_report
+from .bound import BlockingMatrix
 from .deadlock import CyclicResourceOrderError, check_deadlock_free, require_acyclic
 from .oracle import (
     OracleLimitError,
@@ -159,42 +162,27 @@ def cmd_bound(file, job, as_json) -> None:
     """Blocking-time matrix, bound and realizing assignment per job."""
     ts = _load(file)
     require_acyclic(ts)
-    targets = [job] if job is not None else list(range(1, ts.n + 1))
     doc = []
-    for i in targets:
-        scope = blocking_scope(ts, i)
-        matrix = blocking_time_matrix(
-            ts, scope.relevant_jobs, scope.relevant_resources
-        )
-        assignment = max_assignment(matrix)
-        doc.append((i, matrix, assignment))
+    for i in _targets(ts, job):
+        _, matrix, assignment = _bound_stage(ts, i)
+        doc.append({
+            "job": i,
+            "rows": [str(j) for j in matrix.jobs],
+            "cols": [f"R{r}" for r in matrix.resources],
+            "matrix": _cells(matrix),
+            "bound": str(assignment.value),
+            "assignment": [[j, r] for j, r in assignment.pairs],
+        })
     if as_json:
-        click.echo(
-            _indented_json(
-                [
-                    {
-                        "job": i,
-                        "rows": [str(j) for j in matrix.jobs],
-                        "cols": [f"R{r}" for r in matrix.resources],
-                        "matrix": _cells(matrix),
-                        "bound": str(assignment.value),
-                        "assignment": [[j, r] for j, r in assignment.pairs],
-                    }
-                    for i, matrix, assignment in doc
-                ]
-            )
-        )
+        click.echo(_indented_json(doc))
         return
-    for i, matrix, assignment in doc:
-        click.echo(f"J{i}: bound {assignment.value}")
-        if matrix.jobs:
-            header = "      " + " ".join(f"R{r:<4}" for r in matrix.resources)
-            click.echo(header)
-            for j, row in zip(matrix.jobs, _cells(matrix)):
-                cells = " ".join(f"{c:<5}" for c in row)
-                click.echo(f"  J{j:<3} {cells}")
-        pairs = ", ".join(f"(J{j}, R{r})" for j, r in assignment.pairs) or "-"
-        click.echo(f"  assignment: {pairs}")
+    for entry in doc:
+        click.echo(f"J{entry['job']}: bound {entry['bound']}")
+        if entry["rows"]:
+            click.echo("      " + " ".join(f"{r:<5}" for r in entry["cols"]))
+            for j, row in zip(entry["rows"], entry["matrix"]):
+                click.echo(f"  J{j:<3} " + " ".join(f"{c:<5}" for c in row))
+        click.echo(f"  assignment: {_fmt_pairs(entry['assignment'])}")
 
 
 def _cells(matrix: BlockingMatrix) -> list[list[str]]:
@@ -213,30 +201,27 @@ def cmd_blocking_time(file, job, trace, as_json) -> None:
     """Exact worst-case blocking time with witness chain."""
     _refuse_json_trace(as_json, trace)
     ts = _load(file)
-    targets = [job] if job is not None else list(range(1, ts.n + 1))
-    results = [(i, blocking_time(ts, i, trace=trace)) for i in targets]
+    targets = _targets(ts, job)
+    results = [blocking_time(ts, i, trace=trace) for i in targets]
+    doc = [
+        {
+            "job": i,
+            "blocking_time": str(res.blocking_time),
+            "witness": [z.label for z in res.witness],
+            "nodes_generated": res.nodes_generated,
+            "nodes_expanded": res.nodes_expanded,
+        }
+        for i, res in zip(targets, results)
+    ]
     if as_json:
-        click.echo(
-            _indented_json(
-                [
-                    {
-                        "job": i,
-                        "blocking_time": str(res.blocking_time),
-                        "witness": [z.label for z in res.witness],
-                        "nodes_generated": res.nodes_generated,
-                        "nodes_expanded": res.nodes_expanded,
-                    }
-                    for i, res in results
-                ]
-            )
-        )
+        click.echo(_indented_json(doc))
         return
-    for i, res in results:
+    for entry, res in zip(doc, results):
         click.echo(
-            f"J{i}: blocking time {res.blocking_time}  "
-            f"witness {format_chain(res.witness)}  "
-            f"({res.nodes_generated} nodes generated, "
-            f"{res.nodes_expanded} expanded)"
+            f"J{entry['job']}: blocking time {entry['blocking_time']}  "
+            f"witness <{', '.join(entry['witness'])}>  "
+            f"({entry['nodes_generated']} nodes generated, "
+            f"{entry['nodes_expanded']} expanded)"
         )
         if trace:
             _echo_expansions(res.expansions, "  ")

@@ -157,36 +157,28 @@ def _cyclic_vertices(successors: list[int]) -> int:
 
 
 def _witness_cycle(successors: list[int], cyclic: int) -> list[int]:
-    """Deterministic witness: the shortest cycle through the smallest cyclic
-    vertex, choosing the smallest successors.
+    """Deterministic witness: the lexicographically smallest of the
+    shortest cycles through the smallest cyclic vertex.
 
-    A minimal closed walk through the start is simple, so, given each
-    vertex's distance to the start (reverse BFS over the ``cyclic``
-    vertices), the walk greedily takes the smallest successor exactly one
-    step closer: O(V + E) over the cyclic vertices, no recursion.
+    One forward BFS from the start over the ``cyclic`` vertices, visiting
+    successors in ascending order and keeping the first parent found, so
+    vertices leave the queue in order of distance and then of their path;
+    the first one with an edge back to the start closes the cycle.
+    O(V + E) over the cyclic vertices, no recursion.
     """
     start = (cyclic & -cyclic).bit_length() - 1
-    predecessors: dict[int, list[int]] = {v: [] for v in _positions(cyclic)}
-    for v in predecessors:
-        for w in _positions(successors[v] & cyclic):
-            predecessors[w].append(v)
-    to_start = {start: 0}
+    parent = {start: start}
     queue = deque([start])
-    while queue:
+    while True:
         vertex = queue.popleft()
-        for parent in predecessors[vertex]:
-            if parent not in to_start:
-                to_start[parent] = to_start[vertex] + 1
-                queue.append(parent)
-    children = [w for w in _positions(successors[start] & cyclic) if w in to_start]
-    remaining = 1 + min(to_start[w] for w in children)
-    cycle = [start]
-    vertex = start
-    while remaining:
-        vertex = next(
-            w for w in _positions(successors[vertex] & cyclic)
-            if to_start.get(w) == remaining - 1
-        )
-        cycle.append(vertex)
-        remaining -= 1
-    return cycle
+        if successors[vertex] >> start & 1:
+            break
+        for w in _positions(successors[vertex] & cyclic):
+            if w not in parent:
+                parent[w] = vertex
+                queue.append(w)
+    path = []
+    while vertex != start:
+        path.append(vertex)
+        vertex = parent[vertex]
+    return [start, *reversed(path), start]

@@ -174,6 +174,12 @@ def test_chain_rejects_foreign_sections(nested_four_jobs):
         is_admissible_chain(nested_four_jobs, 2, (nested_four_jobs.section(2, 1),))
 
 
+def test_chain_checks_the_target_before_its_members(nested_four_jobs):
+    # z2,1 is not below J9, but J9 does not exist: the index is the error
+    with pytest.raises(ValueError, match=r"^target job index 9 out of range 1\.\.4$"):
+        is_admissible_chain(nested_four_jobs, 9, (nested_four_jobs.section(2, 1),))
+
+
 def test_chain_rejects_sections_of_an_equal_looking_set():
     # sections compare equal by (job, position), so membership must be
     # identity: b's z2,1 lasts 50 where a's lasts 5

@@ -294,6 +294,13 @@ def test_check_chain_names_the_conflicting_pair(nested_file, capsys):
     ]
 
 
+def test_check_chain_target_out_of_range(nested_file, capsys):
+    assert main(["check-chain", nested_file, "--job", "9", "--chain", "z2,1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: target job index 9 out of range 1..4\n"
+
+
 @pytest.mark.parametrize("command", ["analyze", "blocking-time", "bound"])
 def test_json_output_is_the_indent_2_layout(command, tmp_path, capsys):
     # The JSON documents are laid out without json.dumps(indent=2), whose

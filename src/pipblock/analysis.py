@@ -10,8 +10,11 @@ another in ascending index order.
 The report is a document first: :meth:`AnalysisReport.to_dict` is what
 ``--json`` prints, and :func:`render_report` renders the text from that
 same dict, so both carry identical values; durations are exact rational
-strings.  The bound stage (scope, matrix, assignment) of a job is
-:func:`_bound_stage`, shared with ``pipblock bound``.
+strings.  The bound stage of a job, its scope and the assignment over its
+relevant jobs and resources (:func:`~pipblock.bound.hungarian_bound`,
+which builds no dense matrix), is :func:`_bound_stage`, shared with
+``pipblock bound``.  A requested job is checked against the set's size
+(:func:`_targets`) before anything else, the deadlock check included.
 """
 
 from __future__ import annotations
@@ -22,9 +25,10 @@ from fractions import Fraction
 from typing import Iterable
 
 from .admissibility import QuickCheckResult, quick_admissibility_verdict
-from .bound import AssignmentSet, BlockingMatrix, blocking_time_matrix, max_assignment
+from .bound import AssignmentSet, hungarian_bound
+from .bound import blocking_time_matrix, max_assignment  # noqa: F401 (bench/spans.py looks both up)
 from .deadlock import DeadlockVerdict, check_deadlock_free
-from .relevance import BlockingScope, blocking_scope
+from .relevance import BlockingScope, _check_target, blocking_scope
 from .search import SearchResult, blocking_time
 from .taskset import TaskSet, ZChain
 
@@ -97,24 +101,26 @@ class AnalysisReport:
 
 
 def _targets(ts: TaskSet, job: int | None) -> list[int]:
-    """The requested job, or every job in ascending index order."""
-    return [job] if job is not None else list(range(1, ts.n + 1))
+    """The requested job, or every job in ascending index order; raises
+    ``ValueError`` on a job index outside ``1..n``."""
+    if job is None:
+        return list(range(1, ts.n + 1))
+    _check_target(ts.n, job)
+    return [job]
 
 
-def _bound_stage(
-    ts: TaskSet, i: int
-) -> tuple[BlockingScope, BlockingMatrix, AssignmentSet]:
-    """Job ``i``'s scope, blocking matrix and maximum assignment.  The
-    stage functions are read from this module's globals at call time:
-    ``bench/spans.py`` times each stage by replacing those names."""
+def _bound_stage(ts: TaskSet, i: int) -> tuple[BlockingScope, AssignmentSet]:
+    """Job ``i``'s scope and the maximum assignment over its relevant jobs
+    and resources.  Both stage functions are read from this module's
+    globals at call time, so a tracer times a stage by replacing its name."""
     scope = blocking_scope(ts, i)
-    matrix = blocking_time_matrix(ts, scope.relevant_jobs, scope.relevant_resources)
-    return scope, matrix, max_assignment(matrix)
+    _, assignment = hungarian_bound(ts, scope.relevant_jobs, scope.relevant_resources)
+    return scope, assignment
 
 
 def _analyze_job(ts: TaskSet, i: int, exact: bool, trace: bool) -> JobAnalysis:
     started = time.perf_counter()
-    scope, _, assignment = _bound_stage(ts, i)
+    scope, assignment = _bound_stage(ts, i)
     quick = quick_admissibility_verdict(ts, i, assignment)
     search: SearchResult | None = None
     exact_value: Fraction | None = None
@@ -143,15 +149,14 @@ def analyze(
     """Run the pipeline for one job or all jobs; ``trace`` keeps each
     search's expansion records (see :func:`~pipblock.search.blocking_time`).
 
-    A cyclic resource order short-circuits: the report carries the witness
-    cycle and no per-job entries (blocking is unbounded).
+    A job index outside ``1..n`` raises ``ValueError`` first.  A cyclic
+    resource order short-circuits: the report carries the witness cycle
+    and no per-job entries (blocking is unbounded).
     """
+    targets = _targets(ts, job)
     verdict = check_deadlock_free(ts)
     if not verdict.acyclic:
         return AnalysisReport(deadlock=verdict, jobs=())
-    targets = _targets(ts, job)
-    for i in targets:
-        ts.job(i)
     analyses = tuple(_analyze_job(ts, i, exact, trace) for i in targets)
     return AnalysisReport(deadlock=verdict, jobs=analyses)
 

@@ -10,8 +10,23 @@ carry the same values.  ``--trace`` runs the searches traced and appends
 their expansion log, read from the search results, to the text of
 ``analyze`` and ``blocking-time``; the JSON documents have no place for
 it, so ``--json --trace`` is a usage error rather than a silent drop.
+``bound`` builds the dense blocking-time matrix only to print it; its
+bounds and assignments, like those of ``analyze``, come from the sparse
+kernel (:mod:`~pipblock.bound`).
 
-Exit codes: 0 ok, 1 usage or parse problem, 2 cyclic resource order,
+Every subcommand that reads a file keeps the same input rules, in this
+order (:func:`_load_checked`; ``analyze`` through
+:func:`~pipblock.analysis.analyze`, which checks the job index with the
+same :func:`~pipblock.analysis._targets`):
+
+- a malformed file, or one without jobs, is an input error;
+- ``--job`` outside ``1..n`` is an input error, ``error: target job
+  index N out of range 1..n``, whatever else the set holds;
+- a cyclic resource order refuses the set with ``error: resource
+  acquisition order is cyclic: ...``, except in ``check-deadlock`` and
+  ``analyze``, whose reports print the witness cycle on stdout.
+
+Exit codes: 0 ok, 1 usage or input problem, 2 cyclic resource order,
 3 oracle limit exceeded.
 """
 
@@ -28,7 +43,7 @@ import click
 from .admissibility import is_admissible_chain
 from .analysis import _bound_stage, _fmt_jobs, _fmt_pairs, _fmt_resources, _targets
 from .analysis import analyze, render_report
-from .bound import BlockingMatrix
+from .bound import BlockingMatrix, blocking_time_matrix
 from .deadlock import CyclicResourceOrderError, check_deadlock_free, require_acyclic
 from .oracle import (
     OracleLimitError,
@@ -53,6 +68,16 @@ __all__ = ["cli", "main"]
 
 def _load(path: str) -> TaskSet:
     return parse_taskset(Path(path).read_text(encoding="utf-8-sig"))
+
+
+def _load_checked(path: str, job: int | None) -> tuple[TaskSet, list[int]]:
+    """The task set in ``path`` and its target jobs (:func:`_targets`),
+    after the module docstring's input rules: the job index is checked
+    first, then a cyclic set is refused."""
+    ts = _load(path)
+    targets = _targets(ts, job)
+    require_acyclic(ts)
+    return ts, targets
 
 
 @click.group()
@@ -143,7 +168,7 @@ def cmd_check_deadlock(ctx, file) -> None:
 @click.option("--job", type=int, required=True)
 def cmd_scope(file, job) -> None:
     """Print the direct and relevant blocking sets with the fixpoint trace."""
-    ts = _load(file)
+    ts, _ = _load_checked(file, job)
     scope = blocking_scope(ts, job)
     click.echo(f"direct resources:   {_fmt_resources(scope.direct_resources)}")
     click.echo(f"direct jobs:        {_fmt_jobs(scope.direct_jobs)}")
@@ -160,11 +185,11 @@ def cmd_scope(file, job) -> None:
 @click.option("--json", "as_json", is_flag=True)
 def cmd_bound(file, job, as_json) -> None:
     """Blocking-time matrix, bound and realizing assignment per job."""
-    ts = _load(file)
-    require_acyclic(ts)
+    ts, targets = _load_checked(file, job)
     doc = []
-    for i in _targets(ts, job):
-        _, matrix, assignment = _bound_stage(ts, i)
+    for i in targets:
+        scope, assignment = _bound_stage(ts, i)
+        matrix = blocking_time_matrix(ts, scope.relevant_jobs, scope.relevant_resources)
         doc.append({
             "job": i,
             "rows": [str(j) for j in matrix.jobs],
@@ -200,8 +225,7 @@ def _cells(matrix: BlockingMatrix) -> list[list[str]]:
 def cmd_blocking_time(file, job, trace, as_json) -> None:
     """Exact worst-case blocking time with witness chain."""
     _refuse_json_trace(as_json, trace)
-    ts = _load(file)
-    targets = _targets(ts, job)
+    ts, targets = _load_checked(file, job)
     results = [blocking_time(ts, i, trace=trace) for i in targets]
     doc = [
         {
@@ -233,7 +257,7 @@ def cmd_blocking_time(file, job, trace, as_json) -> None:
 @click.option("--chain", "chain_text", required=True, help='e.g. "z4,1 z3,2 z2,1"')
 def cmd_check_chain(file, job, chain_text) -> None:
     """Check a chain's admissibility and report the failing condition."""
-    ts = _load(file)
+    ts, _ = _load_checked(file, job)
     chain = parse_chain(ts, chain_text)
     verdict = is_admissible_chain(ts, job, chain)
     if verdict.admissible:
@@ -254,7 +278,7 @@ def cmd_check_chain(file, job, chain_text) -> None:
 @click.option("--limit", type=int, default=10**6, show_default=True)
 def cmd_oracle(file, job, limit) -> None:
     """Exhaustive enumeration of admissible chains (small task sets only)."""
-    ts = _load(file)
+    ts, _ = _load_checked(file, job)
     result = brute_force_blocking_time(ts, job, limit=limit)
     click.echo(f"best duration: {result.best_duration}")
     for chain in result.best_chains:

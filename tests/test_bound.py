@@ -1,6 +1,7 @@
 import itertools
 import random
 import re
+import warnings
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from pipblock import (
     CyclicResourceOrderError,
+    ZeroDurationWarning,
     blocking_time_matrix,
     brute_force_blocking_time,
     hungarian_bound,
@@ -69,10 +71,11 @@ def test_matrix_empty_jobs(six_jobs_disjoint):
 def test_matrix_rejects_unknown_inputs(six_jobs_disjoint):
     from pipblock import TaskSetError
 
-    with pytest.raises(TaskSetError):
-        blocking_time_matrix(six_jobs_disjoint, {99}, {1})
-    with pytest.raises(ValueError):
-        blocking_time_matrix(six_jobs_disjoint, {2}, {99})
+    for build in (blocking_time_matrix, hungarian_bound):
+        with pytest.raises(TaskSetError):
+            build(six_jobs_disjoint, {99}, {1})
+        with pytest.raises(ValueError, match=r"resources not in task set: \[99\]"):
+            build(six_jobs_disjoint, {2}, {99})
 
 
 def test_hungarian_goldens(six_jobs_disjoint, two_resource_cross, five_jobs_deep):
@@ -125,6 +128,45 @@ def test_per_job_bounds_double_lock(double_lock):
 def test_per_job_bounds_refuses_cyclic(cross_nesting):
     with pytest.raises(CyclicResourceOrderError):
         per_job_bounds(cross_nesting)
+
+
+_DURATIONS = st.sampled_from(["0", "0", "1", "3", "7", "1/2", "2/3", "5/6", "1.25", "9/4"])
+
+
+@st.composite
+def _subsets(draw):
+    """A task set with fractional and zero durations, some sections nested
+    and some (job, resource) pairs locked more than once, with a random
+    subset of its jobs and one of its resources."""
+    n, width = draw(st.integers(1, 7)), draw(st.integers(1, 7))
+    lines = []
+    for j in range(1, n + 1):
+        parts = []
+        for _ in range(draw(st.integers(0, 4))):
+            outer = draw(st.integers(1, width))
+            inner = draw(st.integers(1, width))
+            nested = f" [R{inner}: {draw(_DURATIONS)}]" if inner != outer else ""
+            parts.append(f"[R{outer}: {draw(_DURATIONS)}{nested}]")
+        lines.append(f"J{j}: " + " ".join(parts))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ZeroDurationWarning)
+        ts = parse_taskset("\n".join(lines))
+    jobs = draw(st.sets(st.integers(1, n)))
+    resources = draw(st.sets(st.sampled_from(sorted(ts.resources)))) if ts.resources else set()
+    return ts, jobs, resources
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_subsets())
+def test_sparse_bound_equals_dense_reference(case):
+    # hungarian_bound poses the kernel from the index without a dense
+    # matrix; max_assignment over blocking_time_matrix is the reference,
+    # pairs (the lex-min tie-break) and value alike.
+    ts, jobs, resources = case
+    value, assignment = hungarian_bound(ts, jobs, resources)
+    reference = max_assignment(blocking_time_matrix(ts, jobs, resources))
+    assert assignment == reference
+    assert value == reference.value
 
 
 def _random_matrix(

@@ -331,3 +331,52 @@ def test_indented_json_matches_the_standard_layout():
     ]
     for doc in docs:
         assert _indented_json(doc) == json.dumps(doc, indent=2)
+
+
+_CYCLIC = "error: resource acquisition order is cyclic: R1 -> R2 -> R1"
+_ROWS = {  # case: (file text, --job)
+    "job out of range": (NESTED_FOUR_JOBS, "99"),
+    "job out of range, cyclic set": (CROSS_NESTING, "99"),
+    "cyclic set": (CROSS_NESTING, "1"),
+    "malformed file": ("J1: [R1: 3", "1"),
+    "no jobs": ("# nothing here\n", "1"),
+}
+# (command, case) -> (exit code, first line of stderr, first line of stdout).
+# check-deadlock takes no --job, so it has no job rows.
+_INPUT_RULES = {
+    **{
+        (command, case): expected
+        for command in ("analyze", "bound", "blocking-time", "scope", "check-chain", "oracle")
+        for case, expected in {
+            "job out of range": (1, "error: target job index 99 out of range 1..4", ""),
+            "job out of range, cyclic set": (1, "error: target job index 99 out of range 1..2", ""),
+            "cyclic set": (2, _CYCLIC, ""),
+            "malformed file": (1, "error: line 1: unbalanced brackets", ""),
+            "no jobs": (1, "error: no jobs found", ""),
+        }.items()
+    },
+    ("analyze", "cyclic set"): (2, "", "deadlock risk: resource order is cyclic"),
+    ("check-deadlock", "cyclic set"): (2, "", "cyclic: R1 -> R2 -> R1"),
+    ("check-deadlock", "malformed file"): (1, "error: line 1: unbalanced brackets", ""),
+    ("check-deadlock", "no jobs"): (1, "error: no jobs found", ""),
+}
+
+
+@pytest.mark.parametrize(("command", "case"), list(_INPUT_RULES))
+def test_input_rules(command, case, tmp_path, capsys):
+    # One rule per input problem for every subcommand that reads a file
+    # (the cli module docstring): the job index is checked before anything
+    # else, then a cyclic set is refused with exit 2, except by analyze and
+    # check-deadlock, whose reports name the cycle.
+    text, job = _ROWS[case]
+    path = tmp_path / "input.txt"
+    path.write_text(text)
+    argv = [command, str(path)]
+    if command != "check-deadlock":
+        argv += ["--job", job]
+    if command == "check-chain":
+        argv += ["--chain", "z2,1"]
+    code = main(argv)
+    captured = capsys.readouterr()
+    err, out = (s.splitlines()[0] if s else "" for s in (captured.err, captured.out))
+    assert (code, err, out) == _INPUT_RULES[command, case]

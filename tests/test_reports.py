@@ -22,6 +22,7 @@ from pipblock import (
     blocking_time,
     blocking_time_matrix,
     parse_taskset,
+    per_job_bounds,
     random_taskset,
     serialize_taskset,
 )
@@ -96,6 +97,37 @@ def golden() -> dict:
 @pytest.mark.parametrize("name", list(CASES))
 def test_full_report_matches_golden(name, golden):
     assert _report(CASES[name]) == golden[name]
+
+
+def test_analysis_builds_no_dense_matrix(golden, monkeypatch):
+    # analyze and per_job_bounds pose the bound's kernel from the index
+    # (hungarian_bound): with the dense matrix builder and its solver made
+    # to raise, they still give the pinned documents and bounds.
+    import pipblock.analysis
+    import pipblock.bound
+
+    def dense(*args, **kwargs):
+        raise AssertionError("a dense blocking matrix was built")
+
+    for module in (pipblock.analysis, pipblock.bound):
+        monkeypatch.setattr(module, "blocking_time_matrix", dense)
+        monkeypatch.setattr(module, "max_assignment", dense)
+    search_only = ("matrix", "blocking_time", "search_witness", "search_nodes")
+    for name, ts in CASES.items():
+        doc = analyze(ts).to_dict()
+        jobs = doc.pop("jobs")
+        assert doc == golden[name]["deadlock"]
+        if not doc["deadlock_free"]:
+            continue
+        for job in jobs:
+            del job["wall_time_s"]
+        pinned = [
+            {k: v for k, v in job.items() if k not in search_only}
+            for job in golden[name]["jobs"]
+        ]
+        assert jobs == pinned
+        bounds = per_job_bounds(ts)
+        assert {i: str(b) for i, b in bounds.items()} == {j["job"]: j["bound"] for j in pinned}
 
 
 if __name__ == "__main__":

@@ -82,6 +82,38 @@ strictly below the gain recorded for that child's key, a generated
 chain's gain and so at most the optimum.  The re-leafed node's estimate
 is strictly below the optimum, and it never pops.
 
+Pruning against a floor.  Before its loop, :func:`blocking_time` dives
+once from the root (:func:`_dive`): each step takes the extension with
+the largest duration plus M of the child's candidates, where M is the
+relaxed bound :func:`~pipblock.taskset._relaxed`, the heaviest
+conflict-free set of sections within a mask.  A node's candidates are
+its live sections on a relevant resource and not strictly inside a
+section on an induced one; every completion of the node is a
+conflict-free set of them, so gain plus M bounds every leaf below the
+node.  The dive's chain is admissible, so its gain, the floor L, is at
+most the exact value.  :func:`expand` drops a child whose gain plus M is
+below L, after the dominance check and before the child enters the
+dominance table, the duplicate guard or the assignment repair
+(branch and bound with a known lower bound; Ibaraki, as above).
+Neither the assignment heuristic nor the fringe key changes, and the
+popped witness is the one the search without pruning pops:
+- a pruned child has no completion reaching L, so it lies on no path
+  to an optimal leaf;
+- the table and guard entries a pruned child would have made could only
+  drop nodes with its ``(live, induced)`` key (a section set fixes both)
+  and no larger gain, which have the same M and are pruned too, so a
+  surviving node is kept or dropped as without pruning;
+- a node whose children are all pruned goes back as a leaf with its
+  gain, which is below L, so it never pops before the optimum;
+- the surviving nodes keep the relative order of their keys, since
+  ``seq`` and ``batch`` still count in generation and expansion order.
+Only node counts move: a pruned child is neither generated nor listed in
+its parent's expansion record (``created``), so traces show fewer
+extensions, and nodes expanded only below pruned children are gone.
+M is memoised on the index, so :func:`~pipblock.analysis.analyze`'s
+searches on one set share its entries.  A root without extensions is a
+leaf, and then the search neither dives nor prunes.
+
 Nodes live on the task set's compiled index: the chain's section set,
 its live and eligible sections and its induced set are bit masks, and
 gain and heuristic are integers in units of ``1/index.scale``, so the
@@ -128,6 +160,8 @@ from .taskset import (
     _compiled,
     _Index,
     _maximal_keys,
+    _on_inside,
+    _relaxed,
     _Section,
 )
 
@@ -189,8 +223,12 @@ class Fringe:
     :func:`expand` reads directly: every chain set generated so far, as
     the ``members`` masks of the pushed nodes (``_generated``, the
     duplicate guard); the dominance table, the largest gain generated
-    for each ``(live, induced)`` key (``_best``); and the maximal-section
-    mask of each induced set met (``_maximal``).
+    for each ``(live, induced)`` key (``_best``); and, for each induced
+    set met, its maximal-section mask and its candidate mask
+    (``_maximal``, see :func:`_masks`).  ``_floor`` is the gain of an
+    admissible chain and ``_relevant`` the ``on`` mask of the target's
+    relevant resources; :func:`blocking_time` sets both.  A fresh fringe
+    has floor 0, under which :func:`expand` prunes nothing.
     """
 
     def __init__(self) -> None:
@@ -198,7 +236,9 @@ class Fringe:
         self._queued: set[int] = set()
         self._generated: set[int] = set()
         self._best: dict[tuple[int, int], int] = {}
-        self._maximal: dict[int, int] = {}
+        self._maximal: dict[int, tuple[int, int]] = {}
+        self._floor = 0
+        self._relevant = 0
 
     def push(self, node: SearchNode) -> None:
         """Queue ``node`` under the key (-estimate, leaf flag, -batch, seq);
@@ -233,10 +273,10 @@ class ExpansionRecord:
     """One Remove-First step, for traces and instrumentation.  The expanded
     node's gain and heuristic are integers in units of ``1/scale``;
     ``estimate`` reads their sum as an exact duration.  ``created`` holds
-    the last sections of the created successors (dominated ones are not
-    created), and ``extensions`` their labels; ``releafed`` reads true
-    when none was created and the node went back as a leaf.  Both are
-    derived on reading."""
+    the last sections of the created successors (dominated and pruned
+    ones are not created), and ``extensions`` their labels; ``releafed``
+    reads true when none was created and the node went back as a leaf.
+    Both are derived on reading."""
 
     seq: int
     chain: ZChain
@@ -302,7 +342,9 @@ def expand(ts: TaskSet, i: int, node: SearchNode, fringe: Fringe) -> list[Search
     successor in its dominance table.
 
     A successor is dropped when its ``(live, induced)`` key was reached
-    with a strictly larger gain.  A kept successor gets the assignment
+    with a strictly larger gain, and then when its gain plus the relaxed
+    bound M of its candidate sections (:func:`~pipblock.taskset._relaxed`)
+    is below the fringe's floor.  A kept successor gets the assignment
     heuristic, repaired from ``node``'s assignment, only when one of its
     eligible sections is maximal; otherwise it is a leaf.  Creation stops
     early when a successor is a leaf matching the parent's estimate: that
@@ -311,6 +353,7 @@ def expand(ts: TaskSet, i: int, node: SearchNode, fringe: Fringe) -> list[Search
     index = _compiled(ts)
     conflict, on, job_keys = index.conflict, index.on, index.job_keys
     best, memo = fringe._best, fringe._maximal
+    floor, relevant = fringe._floor, fringe._relevant
     chain, members, gain0 = node.chain, node.members, node.gain
     live0, induced0, eligible0 = node.live, node.induced, node.eligible
     estimate = gain0 + node.heuristic
@@ -322,12 +365,15 @@ def expand(ts: TaskSet, i: int, node: SearchNode, fringe: Fringe) -> list[Search
         state = live, induced
         if best.get(state, -1) > gain:
             continue
+        masks = memo.get(induced)
+        if masks is None:
+            masks = memo[induced] = _masks(index, induced, relevant)
+        lsm, outside = masks
+        if gain < floor and gain + _relaxed(index, live & outside) < floor:
+            continue
         best[state] = gain
         z = s.z
         eligible = eligible0 & ~(job_keys[z.job] | on[s.bit])
-        lsm = memo.get(induced)
-        if lsm is None:
-            lsm = memo[induced] = _maximal_keys(index, induced)
         maximal = eligible & lsm
         heuristic, assignment = 0, None
         if maximal:
@@ -342,6 +388,44 @@ def expand(ts: TaskSet, i: int, node: SearchNode, fringe: Fringe) -> list[Search
         if not heuristic and gain == estimate:
             break
     return created
+
+
+def _masks(index: _Index, induced: int, relevant: int) -> tuple[int, int]:
+    """The sections maximal w.r.t. ``induced`` (LSM), and the candidates
+    of a node with that induced set: the sections of the ``relevant`` mask
+    not strictly inside a section on an induced resource."""
+    hit, out = _on_inside(index, induced)
+    return hit & ~out, relevant & ~out
+
+
+def _dive(index: _Index, i: int, root: SearchNode, fringe: Fringe) -> int:
+    """The gain of one admissible chain for job ``i``, built greedily from
+    ``root``: each step takes the extension (``live & maximal``, as in
+    :func:`_extensions`) with the largest duration plus M of the child's
+    candidates, the lowest key on ties, until none is left.  It fills the
+    fringe's memo of :func:`_masks`."""
+    conflict, rows = index.conflict, index.rows
+    memo, relevant = fringe._maximal, fringe._relevant
+    live, induced, gain = root.live, root.induced, 0
+    keys = live & root.maximal
+    while keys:
+        choice = None
+        while keys:
+            bit = keys & -keys
+            keys ^= bit
+            s = rows[bit.bit_length() - 1]
+            child = live & ~conflict[s.key]
+            grown = induced | _induced(index, i, s, induced) if s.nested else induced
+            masks = memo.get(grown)
+            if masks is None:
+                masks = memo[grown] = _masks(index, grown, relevant)
+            value = s.duration + _relaxed(index, child & masks[1])
+            if choice is None or value > choice[0]:
+                choice = value, s.duration, child, grown, masks[0]
+        _, duration, live, induced, lsm = choice
+        gain += duration
+        keys = live & lsm
+    return gain
 
 
 def _root(ts: TaskSet, i: int) -> SearchNode:
@@ -390,9 +474,14 @@ def blocking_time(ts: TaskSet, i: int, *, trace: bool = False) -> SearchResult:
     resource order is cyclic (blocking is unbounded).
     """
     require_acyclic(ts)
-    scale = _compiled(ts).scale
+    index = _compiled(ts)
+    scale = index.scale
     fringe = Fringe()
-    fringe.push(_root(ts, i))
+    root = _root(ts, i)
+    if root.heuristic:
+        fringe._relevant = _on_inside(index, _fixpoint(index, i)[-1])[0]
+        fringe._floor = _dive(index, i, root, fringe)
+    fringe.push(root)
     generated, expanded = 1, 0
     records: list[ExpansionRecord] = []
 

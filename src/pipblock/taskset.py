@@ -308,11 +308,13 @@ class _Index:
     and the exact search read maximality from ``on`` and ``inside``
     (:func:`_maximal_keys`).  ``conflict``, one mask of S bits for each of
     the S sections, is built on first read: only the exact search reads it.
+    ``relaxed`` is :func:`_relaxed`'s memo, shared by every search on the
+    set.
     """
 
     __slots__ = (
         "scale", "bits", "ids", "longest", "sections", "rows", "users",
-        "on", "inside", "job_keys", "_conflict",
+        "on", "inside", "job_keys", "_conflict", "relaxed",
     )
 
     def __init__(self, ts: TaskSet) -> None:
@@ -353,6 +355,7 @@ class _Index:
             self.sections.append(rows)
         self.rows = [s for job in self.sections for s in job]
         self._conflict: list[int] | None = None
+        self.relaxed: dict[int, int] = {0: 0}
 
     def scaled(self, duration: Fraction) -> int:
         """``duration`` in units of ``1/scale`` (exact for the set's durations)."""
@@ -437,9 +440,10 @@ def _maximal(s: _Section, mask: int) -> bool:
     return s.held & mask == s.bit
 
 
-def _maximal_keys(index: _Index, mask: int) -> int:
-    """The keys of the sections :func:`_maximal` accepts for ``mask``: on a
-    resource of ``mask`` and not strictly inside a section on one."""
+def _on_inside(index: _Index, mask: int) -> tuple[int, int]:
+    """The keys of the sections on a resource of ``mask``, and of those
+    strictly inside a section on one: the index's ``on`` and ``inside``
+    masks ORed over the bits of ``mask``."""
     on, inside = index.on, index.inside
     hit = out = 0
     while mask:
@@ -447,7 +451,71 @@ def _maximal_keys(index: _Index, mask: int) -> int:
         hit |= on[bit]
         out |= inside[bit]
         mask ^= bit
+    return hit, out
+
+
+def _maximal_keys(index: _Index, mask: int) -> int:
+    """The keys of the sections :func:`_maximal` accepts for ``mask``: on a
+    resource of ``mask`` and not strictly inside a section on one."""
+    hit, out = _on_inside(index, mask)
     return hit & ~out
+
+
+# Entries :func:`_relaxed`'s memo may hold before a call clears it.
+_RELAXED_CAP = 1 << 20
+
+
+def _relaxed(index: _Index, cand: int) -> int:
+    """The relaxed bound M: the largest total duration of a set of
+    pairwise conflict-free sections (no one in another's ``conflict``
+    mask) among the keys of ``cand``, in units of ``1/scale``.
+
+    Take or skip the lowest key s: ``M(c) = max(d(s) + M(c & ~conflict[s]),
+    M(c & ~bit(s)))``, since ``conflict[s]`` holds s itself.  It is
+    evaluated with an explicit stack, so a mask of thousands of keys
+    cannot exhaust the interpreter's recursion limit, and memoised per
+    mask on the index.  The memo is cleared when a call finds it above
+    ``_RELAXED_CAP`` entries, so it holds at most the cap plus one call's
+    own entries.
+
+    Why the exact search may prune with it.  Take job i and a node
+    ``(live, induced)``, and let ``cand = live & ~inside(induced) &
+    on(R_i)``, where R_i is job i's relevant resources and ``inside(I)``,
+    ``on(R)`` OR the index's masks over the bits of I and R.  Every
+    admissible completion of the node is a set within ``cand``: its
+    members pass NBJ, NBR, FHO and FLO against the chain (``live``) and
+    pairwise (exactly the ``conflict`` masks), each lies on a relevant
+    resource, and none lies inside a section on an induced resource,
+    since such a section is never maximal again once the induced set
+    only grows.  So M of that mask bounds every completion from above.
+    """
+    memo = index.relaxed
+    value = memo.get(cand)
+    if value is not None:
+        return value
+    if len(memo) > _RELAXED_CAP:
+        memo.clear()
+        memo[0] = 0
+    conflict, rows = index.conflict, index.rows
+    stack = [cand]
+    while stack:
+        c = stack[-1]
+        if c in memo:
+            stack.pop()
+            continue
+        low = c & -c
+        key = low.bit_length() - 1
+        taken, rest = c & ~conflict[key], c ^ low
+        take, skip = memo.get(taken), memo.get(rest)
+        if take is None or skip is None:
+            if take is None:
+                stack.append(taken)
+            if skip is None:
+                stack.append(rest)
+            continue
+        stack.pop()
+        memo[c] = max(rows[key].duration + take, skip)
+    return memo[cand]
 
 
 def _compiled(ts: TaskSet) -> _Index:

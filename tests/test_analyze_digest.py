@@ -35,5 +35,5 @@ def test_analyze_documents_are_pinned():
             del job["wall_time_s"]
         digest.update(json.dumps(doc, sort_keys=True).encode())
     assert digest.hexdigest() == (
-        "be0d0062cb84bdda83115e91c8110172a844ac417af09677c1234b96d3ee6c5c"
+        "ba8effa8347d05602987454a75ae3d62d305d06e057b9515dd662b0fd2f827ea"
     )

@@ -19,27 +19,26 @@ def test_deep_fixture_exact_value_and_witness(five_jobs_deep):
     result = blocking_time(five_jobs_deep, 1)
     assert result.blocking_time == 26
     assert {z.label for z in result.witness} == {"z2,1", "z4,1", "z3,1", "z5,3"}
-    assert result.nodes_generated == 11
-    assert result.nodes_expanded == 5
+    assert result.nodes_generated == 7
+    assert result.nodes_expanded == 4
 
 
 def test_deep_fixture_expansion_trace(five_jobs_deep):
     result = blocking_time(five_jobs_deep, 1, trace=True)
     records = result.expansions
-    # root offers exactly the sections maximal w.r.t. the direct set
+    # the root's extensions are the sections maximal w.r.t. the direct set,
+    # z2,1, z3,3 and z4,4; the dive's floor is 26, and z3,3 and z4,4 fall
+    # below it (gain plus relaxed bound), so only z2,1 is created
     assert records[0].chain == ()
     assert records[0].estimate == 33
-    assert records[0].extensions == ("z2,1", "z3,3", "z4,4")
-    # the f=33 child has no admissible extension and is re-marked as a leaf
-    assert [z.label for z in records[1].chain] == ["z4,4"]
-    assert records[1].releafed
+    assert records[0].extensions == ("z2,1",)
     # the single-section chain on the outermost long section
-    assert [z.label for z in records[2].chain] == ["z2,1"]
-    assert records[2].extensions == ("z4,1", "z5,3")
-    assert [z.label for z in records[3].chain] == ["z2,1", "z4,1"]
-    assert records[3].extensions == ("z3,1", "z5,1", "z5,3", "z5,4")
-    assert [z.label for z in records[4].chain] == ["z2,1", "z4,1", "z3,1"]
-    assert records[4].extensions == ("z5,3",)
+    assert [z.label for z in records[1].chain] == ["z2,1"]
+    assert records[1].extensions == ("z4,1", "z5,3")
+    assert [z.label for z in records[2].chain] == ["z2,1", "z4,1"]
+    assert records[2].extensions == ("z3,1", "z5,3")
+    assert [z.label for z in records[3].chain] == ["z2,1", "z4,1", "z3,1"]
+    assert records[3].extensions == ("z5,3",)
 
 
 def test_popped_estimates_never_increase(five_jobs_deep, nested_four_jobs):
@@ -293,16 +292,23 @@ def test_releafed_node_joins_the_newest_batch():
 
 
 def test_beaten_node_is_dropped_on_pop():
-    # Antidiagonal width 4, J1: some generated non-leaves have their
-    # (live, induced) key reached with a larger gain before they pop and
-    # are dropped unexpanded; expanding them would count 45, not 41.
+    # random_taskset seed 13 at (12, 12, 6, 3), J1: one generated non-leaf
+    # has its (live, induced) key reached with a larger gain before it pops
+    # and is dropped unexpanded; expanding it would count 31, not 30.
     # Every expanded node has an expansion record.
-    from pipblock import generate_antidiagonal_family
+    from unittest import mock
 
-    result = blocking_time(generate_antidiagonal_family(5, 1, 10, 1), 1, trace=True)
-    assert result.blocking_time == 12
-    assert (result.nodes_generated, result.nodes_expanded) == (53, 41)
+    import pipblock.search
+
+    ts = random_taskset(13, jobs=12, resources=12, sections_per_job=6, nesting_depth=3)
+    result = blocking_time(ts, 1, trace=True)
+    assert result.blocking_time == 34
+    assert (result.nodes_generated, result.nodes_expanded) == (41, 30)
     assert len(result.expansions) == result.nodes_expanded
+    with mock.patch.object(pipblock.search.Fringe, "dominated", lambda *args: False):
+        undropped = blocking_time(ts, 1)
+    assert undropped.witness == result.witness
+    assert (undropped.nodes_generated, undropped.nodes_expanded) == (41, 31)
 
 
 def test_fringe_refuses_an_unnumbered_or_live_seq(five_jobs_deep):
@@ -655,7 +661,7 @@ def test_search_outputs_and_records_are_pinned():
                 fields = (e.seq, chain, e.gain_units, e.heuristic_units, e.extensions, e.releafed)
                 digest.update(repr(fields).encode())
     assert digest.hexdigest() == (
-        "b670fecdcbff7cc3522a115c3406eeae78935782a0699244109f667b60ee1aa5"
+        "67bcbd6afa6da71498718c0c4a4a8cd3c093686f7ee9189912697b16bd696204"
     )
 
 
@@ -698,3 +704,140 @@ def test_untraced_search_builds_no_record(monkeypatch):
     plain = blocking_time(ts, 1)
     assert plain.nodes_expanded == traced.nodes_expanded
     assert built == []
+
+
+def _relevant_keys(ts, i):
+    """The index's ``on`` mask over job ``i``'s relevant resources, from
+    the scope's resource set."""
+    from pipblock import blocking_scope
+    from pipblock.taskset import _compiled
+
+    index = _compiled(ts)
+    resources = index.mask(blocking_scope(ts, i).relevant_resources)
+    return sum(keys for bit, keys in index.on.items() if bit & resources)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10**9), shape=SHAPES)
+def test_relaxed_bound_covers_every_completion(seed, shape):
+    # At every admissible chain the oracle enumerates, M of the chain's
+    # candidates (live sections on a relevant resource, not inside a
+    # section on an induced one) is at least the best completion: the
+    # longest enumerated chain extending it, less its own duration.
+    from pipblock import iter_admissible_chains
+    from pipblock.relevance import _induced
+    from pipblock.search import _masks, _root
+    from pipblock.taskset import _compiled, _relaxed
+
+    ts = _shaped(shape, seed)
+    index = _compiled(ts)
+    for i in range(1, ts.n + 1):
+        best: dict = {}
+        for chain in iter_admissible_chains(ts, i):
+            total = sum(index.entry(z).duration for z in chain)
+            for k in range(len(chain) + 1):
+                done = sum(index.entry(z).duration for z in chain[:k])
+                best[chain[:k]] = max(best.get(chain[:k], 0), total - done)
+        root, relevant = _root(ts, i), _relevant_keys(ts, i)
+        for chain, completion in best.items():
+            live, induced = root.live, root.induced
+            for z in chain:
+                s = index.entry(z)
+                live &= ~index.conflict[s.key]
+                induced |= _induced(index, i, s, induced)
+            assert _relaxed(index, live & _masks(index, induced, relevant)[1]) >= completion
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10**9), shape=SHAPES)
+def test_dive_floor_and_the_unpruned_search(seed, shape):
+    # The dive's floor is the gain of an admissible chain, so at most the
+    # exact value.  With the dive returning 0 nothing is pruned: value and
+    # witness stay, and neither count is smaller than the pruned search's.
+    from unittest import mock
+
+    import pipblock.search
+
+    ts = _shaped(shape, seed)
+    scale = pipblock.search._compiled(ts).scale
+    for i in range(1, ts.n + 1):
+        floors = []
+
+        def recording(*args, dive=pipblock.search._dive):
+            floors.append(dive(*args))
+            return floors[-1]
+
+        with mock.patch.object(pipblock.search, "_dive", recording):
+            pruned = blocking_time(ts, i)
+        assert all(floor <= pruned.blocking_time * scale for floor in floors)
+        with mock.patch.object(pipblock.search, "_dive", lambda *args: 0):
+            unpruned = blocking_time(ts, i)
+        assert unpruned.blocking_time == pruned.blocking_time
+        assert unpruned.witness == pruned.witness
+        assert unpruned.nodes_generated >= pruned.nodes_generated
+        assert unpruned.nodes_expanded >= pruned.nodes_expanded
+
+
+class _CountingMemo(dict):
+    """A memo that counts its clears."""
+
+    clears = 0
+
+    def clear(self):
+        self.clears += 1
+        super().clear()
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10**9), shape=SHAPES)
+def test_relaxed_memo_cap_leaves_results_alone(seed, shape):
+    # A memo cleared on almost every call gives the same values, witnesses
+    # and counts as one that is never cleared.
+    from unittest import mock
+
+    import pipblock.taskset
+
+    ts = _shaped(shape, seed)
+    kept = [blocking_time(ts, i) for i in range(1, ts.n + 1)]
+    again = _shaped(shape, seed)
+    with mock.patch.object(pipblock.taskset, "_RELAXED_CAP", 3):
+        assert [blocking_time(again, i) for i in range(1, again.n + 1)] == kept
+
+
+def test_relaxed_memo_is_cleared_past_its_cap():
+    # Antidiagonal width 5, J1, with the cap at 3 entries: the memo is
+    # cleared along the way, and the result is the uncapped one.
+    from unittest import mock
+
+    import pipblock.taskset
+    from pipblock import generate_antidiagonal_family
+    from pipblock.taskset import _compiled
+
+    kept = blocking_time(generate_antidiagonal_family(6, 1, 10, 1), 1)
+    ts = generate_antidiagonal_family(6, 1, 10, 1)
+    memo = _compiled(ts).relaxed = _CountingMemo({0: 0})
+    with mock.patch.object(pipblock.taskset, "_RELAXED_CAP", 3):
+        assert blocking_time(ts, 1) == kept
+    assert memo.clears > 0
+
+
+def test_relaxed_bound_on_two_thousand_keys():
+    # M over masks of 2,000 keys returns without exhausting the recursion
+    # limit: 2,000 conflict-free sections add up, and the 2,000 nested
+    # sections of one job conflict pairwise, so only the longest counts.
+    from pipblock import parse_taskset
+    from pipblock.taskset import _compiled, _relaxed
+
+    n = 2000
+    wide = parse_taskset("\n".join(f"J{j}: [R{j}: {1 + j % 3}]" for j in range(1, n + 2)))
+    index = _compiled(wide)
+    everyone = index.keys(((1 << n + 2) - 1) & ~3)
+    assert everyone.bit_count() == n
+    assert _relaxed(index, everyone) == sum(1 + j % 3 for j in range(2, n + 2))
+    deep = parse_taskset(
+        "J1: [R1: 1]\nJ2: "
+        + "".join(f"[R{k}: {k % 7 + 1} " for k in range(2, n + 2))
+        + "]" * n
+    )
+    index = _compiled(deep)
+    assert _relaxed(index, index.job_keys[2]) == 7

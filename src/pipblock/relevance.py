@@ -7,8 +7,10 @@ inheritance: a resource nested inside a blocking-capable section acquires
 blocking potential of its own.  The enlarged ("relevant") sets are the
 least fixpoint of the induced-set operator, seeded with the direct set.
 
-All functions are pure; scopes for different target jobs may be computed
-in parallel.
+The functions read the set's compiled index, which the first of them
+to run builds and caches on the set (:func:`~pipblock.taskset._compiled`);
+they change nothing else.  Their results depend only on their arguments,
+and scopes for different target jobs may be computed in parallel.
 """
 
 from __future__ import annotations

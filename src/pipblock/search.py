@@ -52,35 +52,9 @@ list of index rows, for :func:`expand` and :func:`successors` alike.
 The sections maximal w.r.t. an induced set are computed once per search:
 the fringe keeps a memo of :func:`~pipblock.taskset._maximal_keys` keyed
 by the induced mask.  The walk reads the duplicate guard's set, and
-:func:`expand` that memo and the dominance table, as local names, with
-no method call per candidate.  A row with no nested resource adds nothing to the induced
+:func:`expand` that memo, as local names, with no method call per
+candidate.  A row with no nested resource adds nothing to the induced
 set, so it never calls :func:`~pipblock.relevance._induced`.
-
-Dominance.  A live section misses every current member's conflict mask,
-so whether a later member obstructs it depends on that member alone;
-LSM and the induced set read only ``induced``.  The completions of a
-node (the section sequences that extend its chain admissibly) therefore
-depend only on ``(live, induced)``, and of two nodes with the same key
-the one of larger gain has the larger best completion (Ibaraki,
-"The power of dominance relations in branch-and-bound algorithms",
-JACM 24(2), 1977).  The fringe keeps, per search, the largest gain
-generated for each key.  :func:`expand` drops a child whose key was
-reached with a strictly larger gain and records the gain of the others,
-and :func:`blocking_time` drops, unexpanded, a popped non-leaf whose key
-was reached with a strictly larger gain since it was generated.  Only
-strict dominance is used: a dropped node's every completion is strictly
-below a completion of a kept node, so no optimal leaf is lost, and the
-fringe keys (estimate, leaf flag, batch, seq) of the nodes that lead to
-an optimal leaf keep their relative order.  The popped witness is
-therefore the one the search without dominance pops.  Equal gains are
-not merged: which of two equal nodes survives would change the witness.
-The section-set guard covers the equal-gain case of one set reached in
-two orders.  A node whose extensions were all dropped by dominance goes
-back as a leaf like one without extensions, and that is harmless: its
-gain is at most a dropped child's (equal with zero durations), which is
-strictly below the gain recorded for that child's key, a generated
-chain's gain and so at most the optimum.  The re-leafed node's estimate
-is strictly below the optimum, and it never pops.
 
 Pruning against a floor.  Before its loop, :func:`blocking_time` dives
 once from the root (:func:`_dive`): each step takes the extension with
@@ -92,17 +66,18 @@ section on an induced one; every completion of the node is a
 conflict-free set of them, so gain plus M bounds every leaf below the
 node.  The dive's chain is admissible, so its gain, the floor L, is at
 most the exact value.  :func:`expand` drops a child whose gain plus M is
-below L, after the dominance check and before the child enters the
-dominance table, the duplicate guard or the assignment repair
-(branch and bound with a known lower bound; Ibaraki, as above).
+below L, before the child enters the duplicate guard or the assignment
+repair (branch and bound with a known lower bound; Ibaraki, "The power
+of dominance relations in branch-and-bound algorithms", JACM 24(2),
+1977).
 Neither the assignment heuristic nor the fringe key changes, and the
 popped witness is the one the search without pruning pops:
 - a pruned child has no completion reaching L, so it lies on no path
   to an optimal leaf;
-- the table and guard entries a pruned child would have made could only
-  drop nodes with its ``(live, induced)`` key (a section set fixes both)
-  and no larger gain, which have the same M and are pruned too, so a
-  surviving node is kept or dropped as without pruning;
+- the guard entry a pruned child would have made could only drop nodes
+  with its section set, which fixes gain, ``live`` and ``induced`` and so
+  M; those nodes are pruned too, so a surviving node is kept or dropped
+  as without pruning;
 - a node whose children are all pruned goes back as a leaf with its
   gain, which is below L, so it never pops before the optimum;
 - the surviving nodes keep the relative order of their keys, since
@@ -219,13 +194,11 @@ class SearchNode:
 class Fringe:
     """Generated-but-unexpanded nodes, ordered for Remove-First.
 
-    Also keeps three permanent records of one search, which
-    :func:`expand` reads directly: every chain set generated so far, as
-    the ``members`` masks of the pushed nodes (``_generated``, the
-    duplicate guard); the dominance table, the largest gain generated
-    for each ``(live, induced)`` key (``_best``); and, for each induced
-    set met, its maximal-section mask and its candidate mask
-    (``_maximal``, see :func:`_masks`).  ``_floor`` is the gain of an
+    Also keeps two permanent records of one search, which :func:`expand`
+    reads directly: every chain set generated so far, as the ``members``
+    masks of the pushed nodes (``_generated``, the duplicate guard); and,
+    for each induced set met, its maximal-section mask and its candidate
+    mask (``_maximal``, see :func:`_masks`).  ``_floor`` is the gain of an
     admissible chain and ``_relevant`` the ``on`` mask of the target's
     relevant resources; :func:`blocking_time` sets both.  A fresh fringe
     has floor 0, under which :func:`expand` prunes nothing.
@@ -235,7 +208,6 @@ class Fringe:
         self._heap: list[tuple[int, int, int, int, SearchNode]] = []
         self._queued: set[int] = set()
         self._generated: set[int] = set()
-        self._best: dict[tuple[int, int], int] = {}
         self._maximal: dict[int, tuple[int, int]] = {}
         self._floor = 0
         self._relevant = 0
@@ -257,11 +229,6 @@ class Fringe:
         self._queued.remove(node.seq)
         return node
 
-    def dominated(self, live: int, induced: int, gain: int) -> bool:
-        """True iff the key ``(live, induced)`` was reached with a gain
-        strictly larger than ``gain``."""
-        return self._best.get((live, induced), -1) > gain
-
     def already_generated(self, sections: int) -> bool:
         """True iff a node with exactly this chain set (a ``members`` mask)
         was ever pushed."""
@@ -273,10 +240,10 @@ class ExpansionRecord:
     """One Remove-First step, for traces and instrumentation.  The expanded
     node's gain and heuristic are integers in units of ``1/scale``;
     ``estimate`` reads their sum as an exact duration.  ``created`` holds
-    the last sections of the created successors (dominated and pruned
-    ones are not created), and ``extensions`` their labels; ``releafed``
-    reads true when none was created and the node went back as a leaf.
-    Both are derived on reading."""
+    the last sections of the created successors (pruned ones are not
+    created), and ``extensions`` their labels; ``releafed`` reads true
+    when none was created and the node went back as a leaf.  Both are
+    derived on reading."""
 
     seq: int
     chain: ZChain
@@ -338,21 +305,19 @@ def successors(
 
 def expand(ts: TaskSet, i: int, node: SearchNode, fringe: Fringe) -> list[SearchNode]:
     """New, unnumbered successor nodes of ``node``, possibly none; ``node``
-    stays as it is, and the fringe records the gain of each created
-    successor in its dominance table.
+    stays as it is.
 
-    A successor is dropped when its ``(live, induced)`` key was reached
-    with a strictly larger gain, and then when its gain plus the relaxed
-    bound M of its candidate sections (:func:`~pipblock.taskset._relaxed`)
-    is below the fringe's floor.  A kept successor gets the assignment
-    heuristic, repaired from ``node``'s assignment, only when one of its
-    eligible sections is maximal; otherwise it is a leaf.  Creation stops
-    early when a successor is a leaf matching the parent's estimate: that
-    leaf already proves the branch's optimum.
+    A successor is dropped when its gain plus the relaxed bound M of its
+    candidate sections (:func:`~pipblock.taskset._relaxed`) is below the
+    fringe's floor.  A kept successor gets the assignment heuristic,
+    repaired from ``node``'s assignment, only when one of its eligible
+    sections is maximal; otherwise it is a leaf.  Creation stops early
+    when a successor is a leaf matching the parent's estimate: that leaf
+    already proves the branch's optimum.
     """
     index = _compiled(ts)
     conflict, on, job_keys = index.conflict, index.on, index.job_keys
-    best, memo = fringe._best, fringe._maximal
+    memo = fringe._maximal
     floor, relevant = fringe._floor, fringe._relevant
     chain, members, gain0 = node.chain, node.members, node.gain
     live0, induced0, eligible0 = node.live, node.induced, node.eligible
@@ -362,16 +327,12 @@ def expand(ts: TaskSet, i: int, node: SearchNode, fringe: Fringe) -> list[Search
         live = live0 & ~conflict[s.key]
         induced = induced0 | _induced(index, i, s, induced0) if s.nested else induced0
         gain = gain0 + s.duration
-        state = live, induced
-        if best.get(state, -1) > gain:
-            continue
         masks = memo.get(induced)
         if masks is None:
             masks = memo[induced] = _masks(index, induced, relevant)
         lsm, outside = masks
         if gain < floor and gain + _relaxed(index, live & outside) < floor:
             continue
-        best[state] = gain
         z = s.z
         eligible = eligible0 & ~(job_keys[z.job] | on[s.bit])
         maximal = eligible & lsm
@@ -495,8 +456,6 @@ def blocking_time(ts: TaskSet, i: int, *, trace: bool = False) -> SearchResult:
                 nodes_expanded=expanded,
                 expansions=tuple(records),
             )
-        if fringe.dominated(node.live, node.induced, node.gain):
-            continue
         expanded += 1
         created = expand(ts, i, node, fringe)
         if trace:

@@ -161,8 +161,11 @@ class Job:
 class TaskSet:
     """An immutable application: jobs 1..n plus the referenced resources.
 
-    Safe to share read-only across threads; all analyses in this package
-    are pure functions of a ``TaskSet``.
+    Safe to share read-only across threads.  The analyses in this package
+    give results that depend only on the set and their arguments, but
+    they are not pure: they fill caches on the set, its compiled index
+    (:func:`_compiled`), the index's ``conflict`` masks and the memo of
+    the relaxed bound M (:func:`_relaxed`).
     """
 
     __slots__ = ("jobs", "resources", "_index")
@@ -476,7 +479,9 @@ def _relaxed(index: _Index, cand: int) -> int:
     cannot exhaust the interpreter's recursion limit, and memoised per
     mask on the index.  The memo is cleared when a call finds it above
     ``_RELAXED_CAP`` entries, so it holds at most the cap plus one call's
-    own entries.
+    own entries.  Each mask's value is read from the memo once and kept
+    in a local, and the result is that local, so another thread's clear
+    between a store and the return cannot lose it.
 
     Why the exact search may prune with it.  Take job i and a node
     ``(live, induced)``, and let ``cand = live & ~inside(induced) &
@@ -500,7 +505,8 @@ def _relaxed(index: _Index, cand: int) -> int:
     stack = [cand]
     while stack:
         c = stack[-1]
-        if c in memo:
+        value = memo.get(c)
+        if value is not None:
             stack.pop()
             continue
         low = c & -c
@@ -514,8 +520,8 @@ def _relaxed(index: _Index, cand: int) -> int:
                 stack.append(rest)
             continue
         stack.pop()
-        memo[c] = max(rows[key].duration + take, skip)
-    return memo[cand]
+        value = memo[c] = max(rows[key].duration + take, skip)
+    return value
 
 
 def _compiled(ts: TaskSet) -> _Index:

@@ -291,24 +291,18 @@ def test_releafed_node_joins_the_newest_batch():
     ]
 
 
-def test_beaten_node_is_dropped_on_pop():
-    # random_taskset seed 13 at (12, 12, 6, 3), J1: one generated non-leaf
-    # has its (live, induced) key reached with a larger gain before it pops
-    # and is dropped unexpanded; expanding it would count 31, not 30.
-    # Every expanded node has an expansion record.
-    from unittest import mock
-
-    import pipblock.search
-
+def test_twelve_job_nested_search_is_pinned():
+    # random_taskset seed 13 at (12, 12, 6, 3), J1: a nested set whose
+    # search expands 32 of its 43 generated nodes.  The value and witness
+    # are pinned, the node counts too, so a change to the search that
+    # moves either shows here.  Every expanded node has an expansion
+    # record.
     ts = random_taskset(13, jobs=12, resources=12, sections_per_job=6, nesting_depth=3)
     result = blocking_time(ts, 1, trace=True)
     assert result.blocking_time == 34
-    assert (result.nodes_generated, result.nodes_expanded) == (41, 30)
+    assert [z.label for z in result.witness] == ["z5,1", "z2,2", "z10,5", "z11,1"]
+    assert (result.nodes_generated, result.nodes_expanded) == (43, 32)
     assert len(result.expansions) == result.nodes_expanded
-    with mock.patch.object(pipblock.search.Fringe, "dominated", lambda *args: False):
-        undropped = blocking_time(ts, 1)
-    assert undropped.witness == result.witness
-    assert (undropped.nodes_generated, undropped.nodes_expanded) == (41, 31)
 
 
 def test_fringe_refuses_an_unnumbered_or_live_seq(five_jobs_deep):
@@ -515,7 +509,7 @@ def test_successors_match_the_definitions(seed, fractional):
 
 
 def _shaped(shape, seed):
-    """A small task set of one of the shapes the dominance argument has to
+    """A small task set of one of the shapes the pruning argument has to
     survive: plain random nesting; deep transitive nesting (job j nests
     R(j+1) inside R(j) and further, so each job's section induces the
     next resource); twin sections tied in length; zero durations."""
@@ -819,6 +813,29 @@ def test_relaxed_memo_is_cleared_past_its_cap():
     with mock.patch.object(pipblock.taskset, "_RELAXED_CAP", 3):
         assert blocking_time(ts, 1) == kept
     assert memo.clears > 0
+
+
+def test_relaxed_survives_a_clear_after_its_last_store():
+    # Another thread's call may clear the shared memo between this call's
+    # store of the asked mask and its return.  A memo that clears itself
+    # right after that store must still give M, not a KeyError.
+    from pipblock import generate_antidiagonal_family
+    from pipblock.taskset import _compiled, _relaxed
+
+    index = _compiled(generate_antidiagonal_family(6, 1, 10, 1))
+    cand = (1 << len(index.rows)) - 1
+    expected = _relaxed(index, cand)
+    assert expected > 0
+
+    class ClearedAfterStore(dict):
+        def __setitem__(self, mask, value):
+            super().__setitem__(mask, value)
+            if mask == cand:
+                self.clear()
+
+    index.relaxed = ClearedAfterStore({0: 0})
+    assert _relaxed(index, cand) == expected
+    assert cand not in index.relaxed
 
 
 def test_relaxed_bound_on_two_thousand_keys():

@@ -24,6 +24,7 @@ from .taskset import (
     TaskSet,
     _compiled,
     _Index,
+    _on_inside,
     _positions,
     _Section,
 )
@@ -145,24 +146,22 @@ def _fixpoint(index: _Index, i: int) -> list[int]:
 
     Each step adds the set induced by the first section of a job below i,
     in key order, that is maximal w.r.t. the scope and induces something.
-    The maximal sections are ``hit & ~out``: ``hit`` ORs the index's ``on``
-    and ``out`` its ``inside`` over the scope's resources, each grown by
-    the resources a step adds.  Every section is tried at most once: the
-    scope only grows, so an induced set only shrinks, and a section that
-    induced nothing, or whose induced set is now in scope, never induces
-    again.  The iteration stops when no untried maximal section is left.
+    The maximal sections are ``hit & ~out``, the index's ``on`` and
+    ``inside`` masks ORed over the scope's resources
+    (:func:`~pipblock.taskset._on_inside`), each grown by the resources a
+    step adds.  Every section is tried at most once: the scope only grows,
+    so an induced set only shrinks, and a section that induced nothing, or
+    whose induced set is now in scope, never induces again.  The iteration
+    stops when no untried maximal section is left.
     """
     scope = fresh = _direct(index, i)
-    on, inside, rows = index.on, index.inside, index.rows
+    rows = index.rows
     tried = index.keys((1 << i + 1) - 2)  # job i's keys and those above
     hit = out = 0
     trace = [scope]
     while True:
-        while fresh:
-            bit = fresh & -fresh
-            hit |= on[bit]
-            out |= inside[bit]
-            fresh ^= bit
+        on, inside = _on_inside(index, fresh)
+        hit, out = hit | on, out | inside
         untried = hit & ~out & ~tried
         while untried:
             low = untried & -untried

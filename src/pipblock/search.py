@@ -49,18 +49,27 @@ depends on search order (ROADMAP item 1).  Since ``live`` lies within
 ``eligible``, the extensions are the keys of ``live & maximal``,
 ascending, which is job then position order; one walk turns them into a
 list of index rows, for :func:`expand` and :func:`successors` alike.
-The sections maximal w.r.t. an induced set are computed once per search:
-the fringe keeps a memo of :func:`~pipblock.taskset._maximal_keys` keyed
-by the induced mask.  The walk reads the duplicate guard's set, and
-:func:`expand` that memo, as local names, with no method call per
-candidate.  A row with no nested resource adds nothing to the induced
-set, so it never calls :func:`~pipblock.relevance._induced`.
+The walk reads the duplicate guard's set as a local name, with no
+method call per candidate.
 
-Pruning against a floor.  Before its loop, :func:`blocking_time` dives
-once from the root (:func:`_dive`): each step takes the extension with
-the largest duration plus M of the child's candidates, where M is the
-relaxed bound :func:`~pipblock.taskset._relaxed`, the heaviest
-conflict-free set of sections within a mask.  A node's candidates are
+One child step derives a child's masks, for :func:`expand` and
+:func:`_dive` alike (:func:`_child`): its ``live`` mask is its parent's
+minus the added row's conflict mask, and its induced set grows through
+:func:`~pipblock.relevance._induced` only when the row has a nested
+resource (otherwise it adds nothing).  Its LSM mask and candidate mask
+depend only on the induced set, so they are computed once per search:
+the fringe keeps a memo of the pair keyed by the induced mask
+(:func:`_lsm`, from :func:`~pipblock.taskset._on_inside`), and the root
+reads the direct set's pair through it too.
+
+Pruning against a floor.  :func:`blocking_time` reads job i's relevance
+fixpoint once: its iterates give the root its direct and relevant sets,
+and the fringe the ``on`` mask of the relevant resources.  Before its
+loop it dives once from the root (:func:`_dive`): each step takes the
+extension with the largest duration plus M of the child's candidates,
+the lowest key on ties, where M is the relaxed bound
+:func:`~pipblock.taskset._relaxed`, the heaviest conflict-free set of
+sections within a mask.  A node's candidates, from the child step, are
 its live sections on a relevant resource and not strictly inside a
 section on an induced one; every completion of the node is a
 conflict-free set of them, so gain plus M bounds every leaf below the
@@ -134,7 +143,6 @@ from .taskset import (
     ZChain,
     _compiled,
     _Index,
-    _maximal_keys,
     _on_inside,
     _relaxed,
     _Section,
@@ -197,8 +205,9 @@ class Fringe:
     Also keeps two permanent records of one search, which :func:`expand`
     reads directly: every chain set generated so far, as the ``members``
     masks of the pushed nodes (``_generated``, the duplicate guard); and,
-    for each induced set met, its maximal-section mask and its candidate
-    mask (``_maximal``, see :func:`_masks`).  ``_floor`` is the gain of an
+    for each induced set met, its maximal-section mask and the relevant
+    sections not strictly inside a section on it (``_maximal``, see
+    :func:`_lsm`).  ``_floor`` is the gain of an
     admissible chain and ``_relevant`` the ``on`` mask of the target's
     relevant resources; :func:`blocking_time` sets both.  A fresh fringe
     has floor 0, under which :func:`expand` prunes nothing.
@@ -316,22 +325,16 @@ def expand(ts: TaskSet, i: int, node: SearchNode, fringe: Fringe) -> list[Search
     already proves the branch's optimum.
     """
     index = _compiled(ts)
-    conflict, on, job_keys = index.conflict, index.on, index.job_keys
-    memo = fringe._maximal
-    floor, relevant = fringe._floor, fringe._relevant
+    on, job_keys = index.on, index.job_keys
+    floor = fringe._floor
     chain, members, gain0 = node.chain, node.members, node.gain
     live0, induced0, eligible0 = node.live, node.induced, node.eligible
     estimate = gain0 + node.heuristic
     created: list[SearchNode] = []
     for s in _extensions(index, node, fringe):
-        live = live0 & ~conflict[s.key]
-        induced = induced0 | _induced(index, i, s, induced0) if s.nested else induced0
+        live, induced, lsm, candidates = _child(index, i, s, live0, induced0, fringe)
         gain = gain0 + s.duration
-        masks = memo.get(induced)
-        if masks is None:
-            masks = memo[induced] = _masks(index, induced, relevant)
-        lsm, outside = masks
-        if gain < floor and gain + _relaxed(index, live & outside) < floor:
+        if gain < floor and gain + _relaxed(index, candidates) < floor:
             continue
         z = s.z
         eligible = eligible0 & ~(job_keys[z.job] | on[s.bit])
@@ -351,22 +354,39 @@ def expand(ts: TaskSet, i: int, node: SearchNode, fringe: Fringe) -> list[Search
     return created
 
 
-def _masks(index: _Index, induced: int, relevant: int) -> tuple[int, int]:
-    """The sections maximal w.r.t. ``induced`` (LSM), and the candidates
-    of a node with that induced set: the sections of the ``relevant`` mask
-    not strictly inside a section on an induced resource."""
+def _lsm(index: _Index, induced: int, fringe: Fringe) -> tuple[int, int]:
+    """Fill the fringe's memo for ``induced``: the sections maximal w.r.t.
+    it (LSM), and the sections of the fringe's relevant mask not strictly
+    inside a section on an induced resource."""
     hit, out = _on_inside(index, induced)
-    return hit & ~out, relevant & ~out
+    masks = fringe._maximal[induced] = hit & ~out, fringe._relevant & ~out
+    return masks
+
+
+def _child(
+    index: _Index, i: int, s: _Section, live: int, induced: int, fringe: Fringe
+) -> tuple[int, int, int, int]:
+    """The child step: the ``live`` mask, induced set, LSM mask and
+    candidates of the node that adds row ``s`` to a node of job ``i``
+    with ``live`` and ``induced``.  The candidates are the child's live
+    sections on a relevant resource and not strictly inside a section on
+    an induced one; M of them bounds every completion of the child."""
+    # The slot once the list is built: the property's call per child cost
+    # about 5% of an antidiagonal J1 search at widths 10 and 12.
+    live &= ~(index._conflict or index.conflict)[s.key]
+    if s.nested:
+        induced |= _induced(index, i, s, induced)
+    lsm, outside = fringe._maximal.get(induced) or _lsm(index, induced, fringe)
+    return live, induced, lsm, live & outside
 
 
 def _dive(index: _Index, i: int, root: SearchNode, fringe: Fringe) -> int:
     """The gain of one admissible chain for job ``i``, built greedily from
     ``root``: each step takes the extension (``live & maximal``, as in
     :func:`_extensions`) with the largest duration plus M of the child's
-    candidates, the lowest key on ties, until none is left.  It fills the
-    fringe's memo of :func:`_masks`."""
-    conflict, rows = index.conflict, index.rows
-    memo, relevant = fringe._maximal, fringe._relevant
+    candidates (:func:`_child`), the lowest key on ties, until none is
+    left."""
+    rows = index.rows
     live, induced, gain = root.live, root.induced, 0
     keys = live & root.maximal
     while keys:
@@ -375,30 +395,26 @@ def _dive(index: _Index, i: int, root: SearchNode, fringe: Fringe) -> int:
             bit = keys & -keys
             keys ^= bit
             s = rows[bit.bit_length() - 1]
-            child = live & ~conflict[s.key]
-            grown = induced | _induced(index, i, s, induced) if s.nested else induced
-            masks = memo.get(grown)
-            if masks is None:
-                masks = memo[grown] = _masks(index, grown, relevant)
-            value = s.duration + _relaxed(index, child & masks[1])
+            child = _child(index, i, s, live, induced, fringe)
+            value = s.duration + _relaxed(index, child[3])
             if choice is None or value > choice[0]:
-                choice = value, s.duration, child, grown, masks[0]
-        _, duration, live, induced, lsm = choice
+                choice = value, s.duration, child
+        _, duration, (live, induced, lsm, _) = choice
         gain += duration
         keys = live & lsm
     return gain
 
 
-def _root(ts: TaskSet, i: int) -> SearchNode:
-    """The search's root for job ``i``: the empty chain, inducing the
-    direct mask, with every section of the relevant jobs (of
-    :mod:`~pipblock.relevance`) eligible and live, and the assignment
-    over them solved from the index's longest durations, its value as the
-    estimate.  Row j - 1 is job j and column k is resource bit ``1 << k``;
-    only the relevant jobs and resources get cells."""
-    index = _compiled(ts)
-    trace = _fixpoint(index, i)
-    direct, resources = trace[0], trace[-1]
+def _root(index: _Index, i: int, scope: list[int], fringe: Fringe) -> SearchNode:
+    """The search's root for job ``i``, whose relevance fixpoint iterates
+    (:func:`~pipblock.relevance._fixpoint`) are ``scope``: the empty
+    chain, inducing the direct mask, with every section of the relevant
+    jobs eligible and live, and the assignment over them solved from the
+    index's longest durations, its value as the estimate.  Row j - 1 is
+    job j and column k is resource bit ``1 << k``; only the relevant jobs
+    and resources get cells.  The root's LSM mask is the first entry of
+    the fringe's memo (:func:`_lsm`)."""
+    direct, resources = scope[0], scope[-1]
     jobs = _jobs_using(index, i, resources)
     bits = index.bits
     cells = [
@@ -417,7 +433,7 @@ def _root(ts: TaskSet, i: int) -> SearchNode:
         gain=0,
         heuristic=assignment.value,
         live=eligible,
-        maximal=eligible & _maximal_keys(index, direct),
+        maximal=eligible & _lsm(index, direct, fringe)[0],
         seq=0,
         batch=0,
         assignment=assignment,
@@ -437,10 +453,11 @@ def blocking_time(ts: TaskSet, i: int, *, trace: bool = False) -> SearchResult:
     require_acyclic(ts)
     index = _compiled(ts)
     scale = index.scale
+    scope = _fixpoint(index, i)
     fringe = Fringe()
-    root = _root(ts, i)
+    fringe._relevant = _on_inside(index, scope[-1])[0]
+    root = _root(index, i, scope, fringe)
     if root.heuristic:
-        fringe._relevant = _on_inside(index, _fixpoint(index, i)[-1])[0]
         fringe._floor = _dive(index, i, root, fringe)
     fringe.push(root)
     generated, expanded = 1, 0

@@ -165,7 +165,13 @@ class TaskSet:
     give results that depend only on the set and their arguments, but
     they are not pure: they fill caches on the set, its compiled index
     (:func:`_compiled`), the index's ``conflict`` masks and the memo of
-    the relaxed bound M (:func:`_relaxed`).
+    the relaxed bound M (:func:`_relaxed`).  These live as long as the
+    set.  The M memo is shared by every search on the set, outlives each
+    call and is cleared only past ``_RELAXED_CAP`` entries: after the
+    exact search of J2 on the 40-job random set of seed 0 it holds
+    774,733 entries, and the process keeps about 100 MB resident (16 MB
+    before the call, 23 MB with the memo cleared; CPython 3.11).  Drop
+    the set, or clear ``_index.relaxed``, to free it.
     """
 
     __slots__ = ("jobs", "resources", "_index")
@@ -309,7 +315,7 @@ class _Index:
     keys of job j's sections (entry 0 unused).  Positions are in wait
     order, so a subtree is a contiguous key range.  The relevance fixpoint
     and the exact search read maximality from ``on`` and ``inside``
-    (:func:`_maximal_keys`).  ``conflict``, one mask of S bits for each of
+    (:func:`_on_inside`).  ``conflict``, one mask of S bits for each of
     the S sections, is built on first read: only the exact search reads it.
     ``relaxed`` is :func:`_relaxed`'s memo, shared by every search on the
     set.
@@ -455,13 +461,6 @@ def _on_inside(index: _Index, mask: int) -> tuple[int, int]:
         out |= inside[bit]
         mask ^= bit
     return hit, out
-
-
-def _maximal_keys(index: _Index, mask: int) -> int:
-    """The keys of the sections :func:`_maximal` accepts for ``mask``: on a
-    resource of ``mask`` and not strictly inside a section on one."""
-    hit, out = _on_inside(index, mask)
-    return hit & ~out
 
 
 # Entries :func:`_relaxed`'s memo may hold before a call clears it.

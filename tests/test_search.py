@@ -209,6 +209,23 @@ def test_repaired_assignment_matches_fresh_bound(seed, shape, fractional):
         assert assignment.value == index.scaled(fresh)
 
 
+def _search_root(ts, i):
+    """Job ``i``'s search root and its fringe, built as
+    :func:`blocking_time` builds them before the dive: one fixpoint read
+    gives the root's scope and the fringe's relevant mask, and the root's
+    LSM mask goes through the fringe's memo."""
+    from pipblock import Fringe
+    from pipblock.relevance import _fixpoint
+    from pipblock.search import _root
+    from pipblock.taskset import _compiled, _on_inside
+
+    index = _compiled(ts)
+    scope = _fixpoint(index, i)
+    fringe = Fringe()
+    fringe._relevant = _on_inside(index, scope[-1])[0]
+    return _root(index, i, scope, fringe), fringe
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     seed=st.integers(min_value=0, max_value=10**9),
@@ -221,13 +238,12 @@ def test_root_assignment_value_is_the_root_estimate(seed, shape):
     # hungarian_bound over the relevant sets, a solve of the blocking
     # matrix built on its own.
     from pipblock import blocking_scope
-    from pipblock.search import _root
     from pipblock.taskset import _compiled, _positions
 
     ts = random_taskset(seed, jobs=shape[0], resources=shape[1], sections_per_job=4)
     index = _compiled(ts)
     for i in range(1, ts.n + 1):
-        root = _root(ts, i)
+        root, _ = _search_root(ts, i)
         scope = blocking_scope(ts, i)
         mate = root.assignment.mate
         matched = [(r + 1, c) for r, c in enumerate(mate) if c >= 0]
@@ -239,16 +255,14 @@ def test_root_assignment_value_is_the_root_estimate(seed, shape):
 
 
 def test_standalone_expand_and_successors(five_jobs_deep):
-    from pipblock import Fringe, expand, successors
-    from pipblock.search import _root
-    from pipblock.taskset import _compiled, _maximal_keys, _positions
+    from pipblock import expand, successors
+    from pipblock.taskset import _compiled, _on_inside, _positions
 
     ts = five_jobs_deep
     index = _compiled(ts)
     assert index.scale == 1  # node gains and heuristics read as durations
-    root = _root(ts, 1)
+    root, fringe = _search_root(ts, 1)
     assert root.estimate == 33
-    fringe = Fringe()
     assert [z.label for z in successors(ts, root, fringe)] == [
         "z2,1",
         "z3,3",
@@ -262,7 +276,8 @@ def test_standalone_expand_and_successors(five_jobs_deep):
     assert by_label["z4,4"].estimate == 33
     # only J5 still owns a section eligible after z4,4
     z44 = by_label["z4,4"]
-    candidates = _positions(z44.eligible & _maximal_keys(index, z44.induced))
+    hit, out = _on_inside(index, z44.induced)
+    candidates = _positions(z44.eligible & hit & ~out)
     assert {index.rows[k].z.job for k in candidates} == {5}
     assert by_label["z2,1"].induced == index.mask({2, 3, 4})
 
@@ -307,17 +322,16 @@ def test_twelve_job_nested_search_is_pinned():
 
 def test_fringe_refuses_an_unnumbered_or_live_seq(five_jobs_deep):
     from pipblock import Fringe
-    from pipblock.search import _root
 
     fringe = Fringe()
-    root = _root(five_jobs_deep, 1)
+    root, _ = _search_root(five_jobs_deep, 1)
     root.seq = -1
     with pytest.raises(ValueError):
         fringe.push(root)
     root.seq = 0
     fringe.push(root)
     with pytest.raises(ValueError):
-        fringe.push(_root(five_jobs_deep, 1))
+        fringe.push(_search_root(five_jobs_deep, 1)[0])
 
 
 def test_fringe_ordering_and_duplicate_guard(five_jobs_deep):
@@ -371,7 +385,7 @@ def test_index_maximality_matches_is_maximal(seed):
     import random
 
     from pipblock import is_maximal
-    from pipblock.taskset import _compiled, _maximal_keys, _positions
+    from pipblock.taskset import _compiled, _on_inside, _positions
 
     rng = random.Random(seed)
     ts = random_taskset(seed, jobs=6, resources=7, sections_per_job=5, nesting_depth=3)
@@ -379,7 +393,8 @@ def test_index_maximality_matches_is_maximal(seed):
     for _ in range(6):
         induced = {r for r in ts.resources if rng.random() < 0.5}
         taken = {r for r in ts.resources if rng.random() < 0.3}
-        maximal = _maximal_keys(index, index.mask(induced))
+        hit, out = _on_inside(index, index.mask(induced))
+        maximal = hit & ~out
         assert [index.rows[k].z for k in _positions(maximal)] == [
             z for z in ts.iter_sections() if is_maximal(z, induced)
         ]
@@ -419,7 +434,6 @@ def test_successors_match_the_definitions(seed, fractional):
     import re
 
     from pipblock import (
-        Fringe,
         blocking_scope,
         expand,
         is_maximal,
@@ -428,7 +442,6 @@ def test_successors_match_the_definitions(seed, fractional):
         successors,
     )
     from pipblock.admissibility import _obstructed, _obstruction, _priority_masks
-    from pipblock.search import _root
     from pipblock.taskset import _compiled
 
     def held(z):
@@ -458,8 +471,7 @@ def test_successors_match_the_definitions(seed, fractional):
     i = rng.randint(1, 3)
     scope = blocking_scope(ts, i)
     relevant = index.mask(scope.relevant_resources)
-    root = _root(ts, i)
-    fringe = Fringe()
+    root, fringe = _search_root(ts, i)
     fringe.push(root)
     generated = {frozenset()}
     children = {}
@@ -576,7 +588,7 @@ def test_live_matches_the_definitions(seed, shape):
     import pipblock.search
     from pipblock import blocking_scope
     from pipblock.admissibility import _obstructed, _priority_masks
-    from pipblock.taskset import _compiled, _maximal_keys
+    from pipblock.taskset import _compiled, _on_inside
 
     ts = _shaped(shape, seed)
     index = _compiled(ts)
@@ -605,7 +617,8 @@ def test_live_matches_the_definitions(seed, shape):
                         live |= 1 << s.key
             assert node.eligible == eligible
             assert node.live == live
-            assert node.maximal == node.eligible & _maximal_keys(index, node.induced)
+            hit, out = _on_inside(index, node.induced)
+            assert node.maximal == node.eligible & hit & ~out
 
 
 @settings(max_examples=40, deadline=None)
@@ -716,11 +729,12 @@ def _relevant_keys(ts, i):
 def test_relaxed_bound_covers_every_completion(seed, shape):
     # At every admissible chain the oracle enumerates, M of the chain's
     # candidates (live sections on a relevant resource, not inside a
-    # section on an induced one) is at least the best completion: the
-    # longest enumerated chain extending it, less its own duration.
+    # section on an induced one), walked from the root by the search's
+    # child step, is at least the best completion: the longest enumerated
+    # chain extending it, less its own duration.  The fringe's relevant
+    # mask is checked against the scope's resources on its own.
     from pipblock import iter_admissible_chains
-    from pipblock.relevance import _induced
-    from pipblock.search import _masks, _root
+    from pipblock.search import _child
     from pipblock.taskset import _compiled, _relaxed
 
     ts = _shaped(shape, seed)
@@ -732,14 +746,88 @@ def test_relaxed_bound_covers_every_completion(seed, shape):
             for k in range(len(chain) + 1):
                 done = sum(index.entry(z).duration for z in chain[:k])
                 best[chain[:k]] = max(best.get(chain[:k], 0), total - done)
-        root, relevant = _root(ts, i), _relevant_keys(ts, i)
+        root, fringe = _search_root(ts, i)
+        assert fringe._relevant == _relevant_keys(ts, i)
+        root_candidates = root.live & fringe._maximal[root.induced][1]
         for chain, completion in best.items():
-            live, induced = root.live, root.induced
+            live, induced, candidates = root.live, root.induced, root_candidates
             for z in chain:
-                s = index.entry(z)
-                live &= ~index.conflict[s.key]
-                induced |= _induced(index, i, s, induced)
-            assert _relaxed(index, live & _masks(index, induced, relevant)[1]) >= completion
+                live, induced, _, candidates = _child(
+                    index, i, index.entry(z), live, induced, fringe
+                )
+            assert _relaxed(index, candidates) >= completion
+
+
+def _created_with_candidates(ts, i):
+    """Job ``i``'s search root with its candidates, in a list that is empty
+    when the root is a leaf, and every (parent, child, candidates) of the
+    children :func:`expand` created.  A child's candidates come from its
+    parent through the child step, which must give the child's stored
+    ``live`` and ``induced``."""
+    from unittest import mock
+
+    import pipblock.search
+    from pipblock.search import _child
+    from pipblock.taskset import _compiled
+
+    index = _compiled(ts)
+    created, roots = [], []
+
+    def recording(ts, i, node, fringe, expand=pipblock.search.expand):
+        children = expand(ts, i, node, fringe)
+        if not node.chain:
+            roots.append((node, node.live & fringe._maximal[node.induced][1]))
+        for child in children:
+            s = index.entry(child.chain[-1])
+            live, induced, _, candidates = _child(
+                index, i, s, node.live, node.induced, fringe
+            )
+            assert (live, induced) == (child.live, child.induced)
+            created.append((node, child, candidates))
+        return children
+
+    with mock.patch.object(pipblock.search, "expand", recording):
+        blocking_time(ts, i)
+    return roots, created
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10**9), shape=SHAPES)
+def test_relaxed_bound_is_at_most_the_assignment(seed, shape):
+    # Every node created with an assignment, the root too: M of its
+    # candidates is at most its heuristic, since NBJ and NBR leave a
+    # conflict-free set at most one section per remaining job and per
+    # remaining resource, each on a relevant one.
+    from pipblock.taskset import _compiled, _relaxed
+
+    ts = _shaped(shape, seed)
+    index = _compiled(ts)
+    for i in range(1, ts.n + 1):
+        roots, created = _created_with_candidates(ts, i)
+        nodes = roots + [(child, candidates) for _, child, candidates in created]
+        for node, candidates in nodes:
+            if node.assignment is not None:
+                assert _relaxed(index, candidates) <= node.heuristic
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10**9), shape=SHAPES)
+def test_relaxed_bound_is_consistent(seed, shape):
+    # Every created child: M of its parent's candidates is at least the
+    # added section's duration plus M of the child's candidates.
+    from pipblock.taskset import _compiled, _relaxed
+
+    ts = _shaped(shape, seed)
+    index = _compiled(ts)
+    for i in range(1, ts.n + 1):
+        roots, created = _created_with_candidates(ts, i)
+        candidates_of = {id(node): candidates for node, candidates in roots}
+        for _, child, candidates in created:
+            candidates_of[id(child)] = candidates
+        for parent, child, candidates in created:
+            duration = index.entry(child.chain[-1]).duration
+            M = _relaxed(index, candidates_of[id(parent)])
+            assert M >= duration + _relaxed(index, candidates)
 
 
 @settings(max_examples=40, deadline=None)

@@ -24,8 +24,9 @@ are one predicate, :func:`_obstructed`, over the extension's row and two
 masks of the chain: ``above``, the OR of ``earlier`` over the members of
 higher priority than the extension's job, and ``below``, the OR of
 ``held`` over those of lower priority; :func:`_priority_masks` builds
-both, for the chain check and the oracle's enumeration.  Only a failure
-that has to be reported walks the chain, to name the witness pair.  The
+both from the chain's index rows, for the chain check and the oracle's
+enumeration.  Only a failure that has to be reported walks the chain, to
+name the witness pair.  The
 exact search calls none of these: it reads NBJ, NBR, FHO and FLO from
 the index's ``conflict`` masks and LSM from its ``on`` and ``inside``
 masks (:mod:`~pipblock.search`).
@@ -33,9 +34,10 @@ masks (:mod:`~pipblock.search`).
 ``quick_admissibility_verdict`` is the fast screen run after the
 assignment bound: it tries to realize the bound as a chain by always
 taking the leftmost longest section per assignment pair, then checks the
-constructed chain with ``is_admissible_chain``.  It is sound (a pass yields
-a verified witness chain) but not complete: picking the leftmost section
-can fail where another section of equal length would have worked.
+constructed chain with ``is_admissible_chain``'s check.  It is sound (a
+pass yields a verified witness chain) but not complete: picking the
+leftmost section can fail where another section of equal length would
+have worked.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .bound import AssignmentSet
-from .relevance import _direct, _induced
+from .relevance import _direct, _induced, _scope
 from .taskset import CriticalSection, TaskSet, ZChain, _compiled, _Index, _maximal, _Section
 
 __all__ = [
@@ -97,45 +99,42 @@ def _check_members(ts: TaskSet, i: int, chain: Sequence[CriticalSection]) -> Non
 
 def _extension_failure(
     index: _Index,
-    chain: Sequence[CriticalSection],
+    rows: Sequence[_Section],
     jobs: int,
     resources: int,
     in_set: int,
-    z: CriticalSection,
+    s: _Section,
 ) -> AdmissibilityVerdict | None:
-    """First violated condition when extending ``chain`` with ``z``, or
-    None if ``z`` is an admissible extension.  ``jobs`` (bit j for job j),
-    ``resources`` and ``in_set`` are the masks of the chain's jobs, its
-    resources and its induced set; the chain is walked only to name the
-    member an NBJ or NBR failure conflicts with."""
+    """First violated condition when extending the chain of index rows
+    ``rows`` with row ``s``, or None if it is admissible.  ``jobs`` (bit
+    j for job j), ``resources`` and ``in_set`` are the masks of the
+    chain's jobs, its resources and its induced set."""
+    z = s.z
     if jobs >> z.job & 1:
-        member = next(m for m in chain if m.job == z.job)
+        member = next(m.z for m in rows if m.z.job == z.job)
         return AdmissibilityVerdict(False, NBJ, z, (member, z))
-    s = index.entry(z)
     if resources & s.bit:
-        member = next(m for m in chain if m.resource == z.resource)
+        member = next(m.z for m in rows if m.bit == s.bit)
         return AdmissibilityVerdict(False, NBR, z, (member, z))
     if not s.bit & in_set:
         return AdmissibilityVerdict(False, LSM, z, None)
     if not _maximal(s, in_set):
         anc = next(a for a in z.ancestors() if index.bits[a.resource] & in_set)
         return AdmissibilityVerdict(False, LSM, z, (anc, z))
-    above, below = _priority_masks(index, chain, z.job)
-    return _obstruction(index, chain, s, above, below)
+    above, below = _priority_masks(rows, z.job)
+    return _obstruction(index, rows, s, above, below)
 
 
-def _priority_masks(
-    index: _Index, chain: Sequence[CriticalSection], job: int
-) -> tuple[int, int]:
+def _priority_masks(rows: Sequence[_Section], job: int) -> tuple[int, int]:
     """``(above, below)`` for a section of ``job``: the OR of ``earlier``
-    over the chain members of higher priority (smaller job index) and the
+    over the chain's rows of higher priority (smaller job index) and the
     OR of ``held`` over those of lower priority."""
     above = below = 0
-    for member in chain:
-        if member.job < job:
-            above |= index.entry(member).earlier
-        elif member.job > job:
-            below |= index.entry(member).held
+    for m in rows:
+        if m.z.job < job:
+            above |= m.earlier
+        elif m.z.job > job:
+            below |= m.held
     return above, below
 
 
@@ -149,22 +148,20 @@ def _obstructed(s: _Section, above: int, below: int) -> bool:
 
 def _obstruction(
     index: _Index,
-    chain: Sequence[CriticalSection],
+    rows: Sequence[_Section],
     s: _Section,
     above: int,
     below: int,
 ) -> AdmissibilityVerdict | None:
-    """FHO, then FLO, failure for extending ``chain`` with the section of
-    row ``s``, or None when neither obstruction applies; ``above`` and
-    ``below`` are the chain's priority masks for ``s``'s job (see
-    :func:`_priority_masks`).  The masks decide; only on failure is the
-    chain walked to name the witness pair: the first member, in chain
-    order, that obstructs on its own, with the job's first earlier
-    section on a resource of the conflict."""
+    """FHO, then FLO, failure for extending the chain of index rows
+    ``rows`` with row ``s``, or None; ``above`` and ``below`` are the
+    chain's priority masks for ``s``'s job (:func:`_priority_masks`).  The
+    masks decide; only on failure are the rows walked to name the witness
+    pair: the first member, in chain order, that obstructs on its own,
+    with the job's first earlier section on a resource of the conflict."""
     if not _obstructed(s, above, below):
         return None
     z = s.z
-    rows = [index.entry(member) for member in chain]
     for m in rows:
         if m.z.job < z.job and _obstructed(s, m.earlier, 0):
             q = next(e.z for e in index.sections[m.z.job - 1] if e.bit & s.held)
@@ -182,15 +179,22 @@ def is_admissible_chain(
     index = _compiled(ts)
     in_set = _direct(index, i)
     _check_members(ts, i, chain)
-    prefix: list[CriticalSection] = []
+    return _chain_verdict(index, i, in_set, [index.entry(z) for z in chain])
+
+
+def _chain_verdict(
+    index: _Index, i: int, in_set: int, rows: Sequence[_Section]
+) -> AdmissibilityVerdict:
+    """:func:`is_admissible_chain` over checked rows; ``in_set`` is job
+    ``i``'s direct mask."""
+    prefix: list[_Section] = []
     jobs = resources = 0
-    for z in chain:
-        failure = _extension_failure(index, prefix, jobs, resources, in_set, z)
+    for s in rows:
+        failure = _extension_failure(index, prefix, jobs, resources, in_set, s)
         if failure is not None:
             return failure
-        prefix.append(z)
-        s = index.entry(z)
-        jobs |= 1 << z.job
+        prefix.append(s)
+        jobs |= 1 << s.z.job
         resources |= s.bit
         in_set |= _induced(index, i, s, in_set)
     return _OK
@@ -234,43 +238,43 @@ def quick_admissibility_verdict(
     exactly when :func:`is_admissible_chain` accepts it.
     """
     index = _compiled(ts)
-    scope = _direct(index, i)
-    chain: list[CriticalSection] = []
+    bits, longest = index.bits, index.longest
+    scope = direct = _scope(index, i)[1][0]  # the direct mask, from the job slot
+    remaining = [
+        (job, bits[r], w)
+        for job, r in sorted(assignment.pairs)
+        if (w := longest[job - 1].get(r, 0))
+    ]
+    rows: list[_Section] = []
     total = 0
-    remaining = sorted(assignment.pairs)
     while True:
-        pick = next(
-            (
-                (job, resource)
-                for (job, resource) in remaining
-                if index.bits[resource] & scope and index.longest[job - 1].get(resource, 0)
-            ),
-            None,
-        )
-        if pick is None:
+        for pick in remaining:
+            if pick[1] & scope:
+                break
+        else:
             break
         remaining.remove(pick)
-        job, resource = pick
-        bit, longest = index.bits[resource], index.longest[job - 1][resource]
-        s = next(e for e in index.sections[job - 1] if e.bit == bit and e.duration == longest)
-        chain.append(s.z)
-        total += longest
+        job, bit, w = pick
+        s = next(e for e in index.sections[job - 1] if e.bit == bit and e.duration == w)
+        rows.append(s)
+        total += w
         scope = (scope | s.nested) & ~bit
+    chain = tuple(s.z for s in rows)
     achieved = Fraction(total, index.scale)
     if achieved < assignment.value:
         return QuickCheckResult(
             passed=False,
-            chain=tuple(chain),
+            chain=chain,
             achieved=achieved,
             failed_condition=INDUCTION,
         )
-    verdict = is_admissible_chain(ts, i, tuple(chain))
+    verdict = _chain_verdict(index, i, direct, rows)
     if not verdict.admissible:
         return QuickCheckResult(
             passed=False,
-            chain=tuple(chain),
+            chain=chain,
             achieved=achieved,
             failed_condition=verdict.failed_condition,
             witness=verdict.witness,
         )
-    return QuickCheckResult(passed=True, chain=tuple(chain), achieved=achieved)
+    return QuickCheckResult(passed=True, chain=chain, achieved=achieved)

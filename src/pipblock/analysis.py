@@ -11,10 +11,13 @@ The report is a document first: :meth:`AnalysisReport.to_dict` is what
 ``--json`` prints, and :func:`render_report` renders the text from that
 same dict, so both carry identical values; durations are exact rational
 strings.  The bound stage of a job, its scope and the assignment over its
-relevant jobs and resources (:func:`~pipblock.bound.hungarian_bound`,
-which builds no dense matrix), is :func:`_bound_stage`, shared with
-``pipblock bound``.  A requested job is checked against the set's size
-(:func:`_targets`) before anything else, the deadlock check included.
+relevant jobs and resources (solved from the index, with no dense
+matrix), is :func:`_bound_stage`, shared with ``pipblock bound``.  A
+requested job is checked against the set's size (:func:`_targets`)
+before anything else, the deadlock check included.  Each stage is
+called through this module's globals, so a tracer can replace its name;
+the stages pass their work on through the compiled index (its deadlock
+verdict and job slot).
 """
 
 from __future__ import annotations
@@ -25,12 +28,12 @@ from fractions import Fraction
 from typing import Iterable
 
 from .admissibility import QuickCheckResult, quick_admissibility_verdict
-from .bound import AssignmentSet, hungarian_bound
+from .bound import AssignmentSet, _best, _job_kernel
 from .bound import blocking_time_matrix, max_assignment  # noqa: F401 (bench/spans.py looks both up)
 from .deadlock import DeadlockVerdict, check_deadlock_free
 from .relevance import BlockingScope, _check_target, blocking_scope
 from .search import SearchResult, blocking_time
-from .taskset import TaskSet, ZChain
+from .taskset import TaskSet, ZChain, _compiled
 
 __all__ = ["AnalysisReport", "JobAnalysis", "analyze", "render_report"]
 
@@ -111,11 +114,12 @@ def _targets(ts: TaskSet, job: int | None) -> list[int]:
 
 def _bound_stage(ts: TaskSet, i: int) -> tuple[BlockingScope, AssignmentSet]:
     """Job ``i``'s scope and the maximum assignment over its relevant jobs
-    and resources.  Both stage functions are read from this module's
-    globals at call time, so a tracer times a stage by replacing its name."""
+    and resources, the kernel posed from the scope's masks in the job
+    slot (:func:`~pipblock.bound._job_kernel`)."""
     scope = blocking_scope(ts, i)
-    _, assignment = hungarian_bound(ts, scope.relevant_jobs, scope.relevant_resources)
-    return scope, assignment
+    index = _compiled(ts)
+    _, _, kernel, jobs, resources = _job_kernel(index, i)
+    return scope, _best(kernel, jobs, resources, index.scale)
 
 
 def _analyze_job(ts: TaskSet, i: int, exact: bool, trace: bool) -> JobAnalysis:

@@ -34,21 +34,19 @@ extending the rows fixed so far still allows, gives the lexicographically
 smallest optimal permutation (:func:`_first_best`).  The pairs are that
 permutation's positive cells.
 
-The kernel is posed in two numberings.  :func:`hungarian_bound`
-(and through it ``analyze``, ``per_job_bounds`` and ``pipblock bound``)
-builds each row from the index's ``longest`` map of its job, keeping
-the given resources only, and numbers rows and columns compactly: row r
-is the r-th given job and column c the c-th given resource, both
-ascending.  That is the numbering the lex-min order above is defined
-over, so its pairs are those of :func:`max_assignment` on the dense
-:func:`blocking_time_matrix`, which stays as the public entry for
-dense matrices and as the reference; only ``pipblock bound``, which
-prints the matrix, builds one.  ``search._root`` poses its own cells in
-the index's numbering (row ``j - 1`` for job j, column k for resource
-bit ``1 << k``), so that its repairs map a section to its row and
-column without a lookup.  It reads only the kernel's ``value``, which
-is the same in any numbering; the lex-min pairs are not (posed in the
-index's numbering they differed on 514 of 1,155 jobs checked).
+:func:`_solve` poses the kernel from the index's ``longest`` maps in
+the compact numbering: row r is the r-th given job and column c the
+c-th given resource, both ascending, the numbering the lex-min order is
+defined over, so the pairs are those of :func:`max_assignment` on the
+dense :func:`blocking_time_matrix` (the reference; only ``pipblock
+bound``, which prints the matrix, builds one).  The bound stage and
+:func:`per_job_bounds` pose it once per job over the relevant jobs and
+resources of the index's job slot and keep it there
+(:func:`_job_kernel`); the exact search's root renumbers that solve
+(:meth:`_Assignment.renumbered`: row ``j - 1`` for job j, column k for
+resource bit ``1 << k``) instead of solving again.  Its value is the
+same in any numbering; its lex-min pairs are not (they differed on 514
+of 1,155 jobs checked).
 
 Invoked with the direct blocking sets this reproduces the classic
 single-resource-at-a-time bound; with the relevant (nesting-aware) sets
@@ -60,14 +58,15 @@ scratch and repairs each child from its parent (see
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heappop, heappush
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .deadlock import require_acyclic
-from .relevance import blocking_scope
-from .taskset import ResourceId, TaskSet, _compiled
+from .relevance import _scope
+from .taskset import ResourceId, TaskSet, _compiled, _Index
 
 __all__ = [
     "AssignmentSet",
@@ -141,17 +140,36 @@ def max_assignment(matrix: BlockingMatrix) -> AssignmentSet:
     permutation of the zero-padded square matrix in
     ``itertools.permutations`` order (see the module docstring).
     """
-    return _best(map(enumerate, matrix.weights), matrix.jobs, matrix.resources, matrix.scale)
+    cells = [{c: w for c, w in enumerate(row) if w > 0} for row in matrix.weights]
+    kernel = _Assignment(cells, len(matrix.resources))
+    return _best(kernel, matrix.jobs, matrix.resources, matrix.scale)
+
+
+def _solve(index: _Index, jobs: Sequence[int], resources: Sequence[ResourceId]) -> _Assignment:
+    """The kernel over the index's longest durations of ``jobs`` on
+    ``resources``, both ascending: row r is ``jobs[r]`` and column c is
+    ``resources[c]``."""
+    col, longest = {r: c for c, r in enumerate(resources)}, index.longest
+    cells = [{col[r]: w for r, w in longest[j - 1].items() if r in col and w > 0} for j in jobs]
+    return _Assignment(cells, len(resources))
+
+
+def _job_kernel(index: _Index, i: int) -> tuple:
+    """Job ``i``'s slot (:func:`~pipblock.relevance._scope`) with its
+    kernel over the relevant jobs and resources, solved once."""
+    slot = _scope(index, i)
+    if slot[2] is None:
+        _, trace, _, jobs, resources = slot
+        slot = index.slot = (i, trace, _solve(index, jobs, resources), jobs, resources)
+    return slot
 
 
 def _best(
-    cells: Iterable[Iterable[tuple[int, int]]], jobs: tuple[int, ...],
-    resources: tuple[ResourceId, ...], scale: int,
+    kernel: _Assignment, jobs: Sequence[int], resources: Sequence[ResourceId], scale: int
 ) -> AssignmentSet:
-    """The first maximum-duration assignment of the kernel over ``cells``,
+    """The first maximum-duration assignment of the solved ``kernel``,
     row r for ``jobs[r]`` and column c for ``resources[c]``, with its value
     in units of ``1/scale``."""
-    kernel = _Assignment(cells, len(resources))
     columns = _first_best(kernel, len(jobs), len(resources))
     matched = [(r, c) for r, c in enumerate(columns) if c in kernel.cells[r]]
     return AssignmentSet(
@@ -169,7 +187,8 @@ class _Assignment:
 
     ``cells[r]`` maps row r's columns to their positive weights (rows 0
     to ``len(cells) - 1``, columns 0 to ``width - 1``), and
-    ``transpose`` holds the same cells by column.
+    ``transpose``, built for the first column-side repair, holds the same
+    cells by column.
     ``mate[r]`` is row r's column and ``comate[c]`` column c's row,
     ``_FREE`` when unmatched.  ``a`` and ``b`` are the row and column
     duals: ``a[r] + b[c] >= w`` on every cell, with equality on matched
@@ -189,28 +208,57 @@ class _Assignment:
 
     __slots__ = ("cells", "transpose", "a", "b", "mate", "comate", "value")
 
-    def __init__(self, cells: Iterable[Iterable[tuple[int, int]]], width: int) -> None:
-        """Solve the matching of the given rows' ``(column, weight)``
-        pairs, dropping those of weight 0."""
-        self.cells = [{c: w for c, w in row if w > 0} for row in cells]
-        self.transpose: list[dict[int, int]] = [{} for _ in range(width)]
-        for r, row in enumerate(self.cells):
-            for c, w in row.items():
-                self.transpose[c][r] = w
+    def __init__(self, cells: list[dict[int, int]], width: int) -> None:
+        """Solve the matching of ``cells``, rows of positive weights."""
+        self.cells = cells
+        self.transpose: list[dict[int, int]] | None = None
         self.a, self.b = [0] * len(self.cells), [0] * width
         self.mate, self.comate = [_FREE] * len(self.cells), [_FREE] * width
         self.value = 0
         a, b, mate, comate = self.a, self.b, self.mate, self.comate
         for r, row in enumerate(self.cells):
-            top = max((w - b[c] for c, w in row.items()), default=0)
+            top, c = 0, _FREE
+            for y, w in row.items():
+                w -= b[y]
+                if w > top or w == top and y < c:
+                    top, c = w, y
             if top > 0:
                 a[r] = top
-                c = min(c for c, w in row.items() if w - b[c] == top)
                 if comate[c] == _FREE:
                     mate[r], comate[c] = c, r
                     self.value += row[c]
                 else:
                     self.value += _grow(r, a, b, mate, comate, self.cells)
+
+    def columns(self) -> list[dict[int, int]]:
+        """``transpose``, built on first need."""
+        if self.transpose is None:
+            self.transpose = [{} for _ in self.b]
+            for r, row in enumerate(self.cells):
+                for c, w in row.items():
+                    self.transpose[c][r] = w
+        return self.transpose
+
+    def renumbered(
+        self, rows: Sequence[int], columns: Sequence[int], height: int, width: int
+    ) -> _Assignment:
+        """The same solved assignment with row r numbered ``rows[r]`` and
+        column c ``columns[c]`` among ``height`` rows and ``width``
+        columns, the others empty (sharing one map) and free, and its
+        ``transpose`` built for its children's repairs."""
+        new = _Assignment.__new__(_Assignment)
+        new.cells, new.transpose, new.value = [{}] * height, None, self.value
+        new.a, new.mate = [0] * height, [_FREE] * height
+        new.b, new.comate = [0] * width, [_FREE] * width
+        for r, x in enumerate(rows):
+            new.cells[x] = {columns[c]: w for c, w in self.cells[r].items()}
+            new.a[x], c = self.a[r], self.mate[r]
+            if c >= 0:
+                new.mate[x], new.comate[columns[c]] = columns[c], x
+        for c, y in enumerate(columns):
+            new.b[y] = self.b[c]
+        new.columns()
+        return new
 
     def without(self, r: int, c: int) -> _Assignment:
         """The solved assignment once the active row ``r`` and column ``c``
@@ -243,7 +291,7 @@ class _Assignment:
                 if x >= 0 and a[x]:
                     value += _grow(x, a, b, mate, comate, self.cells)
                 if y >= 0 and comate[y] == _FREE and b[y]:
-                    value += _grow(y, b, a, comate, mate, self.transpose)
+                    value += _grow(y, b, a, comate, mate, self.columns())
         child = _Assignment.__new__(_Assignment)
         child.cells, child.transpose = self.cells, self.transpose
         child.a, child.b, child.mate, child.comate, child.value = a, b, mate, comate, value
@@ -345,22 +393,24 @@ def _first_best(kernel: _Assignment, m: int, k: int) -> list[int]:
         if column[r] == _FREE:
             column[r] = c = next(spare)
             owner[c] = r
-    tight = [sorted(c for c, w in kernel.cells[r].items() if a[r] + b[c] == w) for r in range(m)]
-    into: list[list[int]] = [[] for _ in range(n)]
-    for r, row in enumerate(tight):
-        for c in row:
-            into[c].append(r)
+    tight = [sorted([c for c, w in kernel.cells[r].items() if a[r] + b[c] == w]) for r in range(m)]
+    into: list[list[int]] = []  # each column's tight rows, ascending, built for the first search
     zero_rows = [r for r in range(n) if a[r] == 0]
     open_zero = [c for c in range(n) if b[c] == 0]  # not held by a fixed row
     for r in range(m):
         t = column[r]
         block = a[r] == 0 and bool(open_zero) and open_zero[0] < t
         if block or (tight[r] and tight[r][0] < t):
-            after = [q for q in zero_rows if q > r]
+            if not into:
+                into = [[] for _ in range(n)]
+                for q, row in enumerate(tight):
+                    for c in row:
+                        into[c].append(q)
+            after = zero_rows[bisect_right(zero_rows, r):]
             nxt = {t: t}  # column -> the column its owner moves to
             queue = [t]
             for y in queue:
-                rows = [q for q in into[y] if q > r]
+                rows = into[y][bisect_right(into[y], r):]
                 if after and b[y] == 0:
                     rows += after
                     after = []
@@ -391,9 +441,8 @@ def hungarian_bound(
     among ``resources``, read from the index."""
     job_ids, resource_ids = _checked_inputs(ts, jobs, resources)
     index = _compiled(ts)
-    col = {r: c for c, r in enumerate(resource_ids)}
-    cells = [[(col[r], w) for r, w in index.longest[j - 1].items() if r in col] for j in job_ids]
-    assignment = _best(cells, job_ids, resource_ids, index.scale)
+    kernel = _solve(index, job_ids, resource_ids)
+    assignment = _best(kernel, job_ids, resource_ids, index.scale)
     return assignment.value, assignment
 
 
@@ -404,9 +453,5 @@ def per_job_bounds(ts: TaskSet) -> dict[int, Fraction]:
     deadlock there is no finite bound.
     """
     require_acyclic(ts)
-    out: dict[int, Fraction] = {}
-    for i in range(1, ts.n + 1):
-        scope = blocking_scope(ts, i)
-        value, _ = hungarian_bound(ts, scope.relevant_jobs, scope.relevant_resources)
-        out[i] = value
-    return out
+    index = _compiled(ts)
+    return {i: Fraction(_job_kernel(index, i)[2].value, index.scale) for i in range(1, ts.n + 1)}

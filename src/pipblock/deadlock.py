@@ -6,8 +6,9 @@ yields a graph that must be acyclic for the task set to be deadlock-free.
 The graph is one successor mask per resource, the OR of the compiled
 index's ``nested`` masks over the resource's sections, so it holds no
 object per edge (a job nested d deep has d(d-1)/2 edges).  The check runs
-one strongly-connected-components pass over the masks; a cyclic verdict
-carries a witness cycle, found among the cyclic resources only.
+one strongly-connected-components pass over the masks, once per set (the
+verdict is kept on the index); a cyclic verdict carries a witness cycle,
+found among the cyclic resources only.
 Downstream analyses refuse cyclic task sets, since with a reachable
 deadlock the blocking time is unbounded.
 """
@@ -84,14 +85,18 @@ def build_order_graph(ts: TaskSet) -> ResourceOrderGraph:
 
 def check_deadlock_free(ts: TaskSet) -> DeadlockVerdict:
     """Acyclic iff every strongly connected component of the order graph is
-    a singleton.  Depends only on nesting structure, not durations."""
+    a singleton.  Depends only on nesting structure, so the first call
+    keeps its verdict on the compiled index for every later one."""
     index = _compiled(ts)
-    successors = _successors(index)
-    cyclic = _cyclic_vertices(successors)
-    if not cyclic:
-        return DeadlockVerdict(acyclic=True)
-    cycle = tuple(index.ids[v] for v in _witness_cycle(successors, cyclic))
-    return DeadlockVerdict(acyclic=False, cycle=cycle)
+    verdict = index.verdict
+    if verdict is None:
+        successors = _successors(index)
+        cyclic = _cyclic_vertices(successors)
+        cycle = None
+        if cyclic:
+            cycle = tuple(index.ids[v] for v in _witness_cycle(successors, cyclic))
+        verdict = index.verdict = DeadlockVerdict(acyclic=not cyclic, cycle=cycle)
+    return verdict
 
 
 def require_acyclic(ts: TaskSet) -> None:

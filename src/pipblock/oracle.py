@@ -77,24 +77,25 @@ def iter_admissible_chains(ts: TaskSet, i: int) -> Iterator[ZChain]:
     index = _compiled(ts)
 
     def extensions(
-        chain: ZChain, jobs: int, resources: int, in_set: int
-    ) -> Iterator[tuple[ZChain, int, int, int]]:
+        chain: ZChain, rows: tuple, jobs: int, resources: int, in_set: int
+    ) -> Iterator[tuple[ZChain, tuple, int, int, int]]:
         for job in ts.jobs[i:]:
             if jobs >> job.index & 1:
                 continue
             for s in index.sections[job.index - 1]:
                 if resources & s.bit:
                     continue
-                if _extension_failure(index, chain, jobs, resources, in_set, s.z) is None:
+                if _extension_failure(index, rows, jobs, resources, in_set, s) is None:
                     yield (
                         chain + (s.z,),
+                        rows + (s,),
                         jobs | 1 << job.index,
                         resources | s.bit,
                         in_set | _induced(index, i, s, in_set),
                     )
 
     yield ()
-    stack = [extensions((), 0, 0, _direct(index, i))]
+    stack = [extensions((), (), 0, 0, _direct(index, i))]
     while stack:
         step = next(stack[-1], None)
         if step is None:

@@ -8,9 +8,11 @@ blocking potential of its own.  The enlarged ("relevant") sets are the
 least fixpoint of the induced-set operator, seeded with the direct set.
 
 The functions read the set's compiled index, which the first of them
-to run builds and caches on the set (:func:`~pipblock.taskset._compiled`);
-they change nothing else.  Their results depend only on their arguments,
-and scopes for different target jobs may be computed in parallel.
+to run builds and caches on the set (:func:`~pipblock.taskset._compiled`),
+and keep the last job's fixpoint in the index's job slot (:func:`_scope`).
+Results depend only on the arguments, and scopes for different target
+jobs may be computed in parallel: a reader uses the slot only when it
+holds its own job.
 """
 
 from __future__ import annotations
@@ -63,8 +65,11 @@ def _direct(index: _Index, i: int) -> int:
     """Mask of job ``i``'s direct blocking resources: those used both by
     a job of priority >= i's and by a job below it."""
     _check_target(len(index.sections), i)
-    upper = (1 << i + 1) - 2
-    return sum(bit for bit, jobs in index.users.items() if jobs & upper and jobs >> i + 1)
+    upper, direct = (1 << i + 1) - 2, 0
+    for bit, jobs in index.users.items():
+        if jobs & upper and jobs >> i + 1:
+            direct |= bit
+    return direct
 
 
 def direct_blocking_resources(ts: TaskSet, i: int) -> frozenset[ResourceId]:
@@ -76,10 +81,11 @@ def direct_blocking_resources(ts: TaskSet, i: int) -> frozenset[ResourceId]:
 def _jobs_using(index: _Index, i: int, scope: int) -> int:
     """Mask (bit j for job j) of the jobs below job ``i`` using a resource
     of the ``scope`` mask."""
-    jobs = 0
-    for bit, users in index.users.items():
-        if bit & scope:
-            jobs |= users
+    users, jobs = index.users, 0
+    while scope:
+        bit = scope & -scope
+        jobs |= users[bit]
+        scope ^= bit
     return jobs >> i + 1 << i + 1
 
 
@@ -176,6 +182,18 @@ def _fixpoint(index: _Index, i: int) -> list[int]:
         trace.append(scope)
 
 
+def _scope(index: _Index, i: int) -> tuple:
+    """The index's job slot for job ``i``, ``(i, iterates, kernel, jobs,
+    resources)``: read when it holds job ``i``, else filled from
+    :func:`_fixpoint` with no kernel yet (None)."""
+    slot = index.slot
+    if slot is None or slot[0] != i:
+        trace, ids = _fixpoint(index, i), index.ids
+        jobs = _positions(_jobs_using(index, i, trace[-1]))
+        slot = index.slot = (i, trace, None, jobs, [ids[k] for k in _positions(trace[-1])])
+    return slot
+
+
 def relevant_resources(ts: TaskSet, i: int) -> frozenset[ResourceId]:
     """All resources that can block job ``i`` once nesting and transitive
     inheritance are accounted for (least fixpoint of the induced sets)."""
@@ -204,12 +222,11 @@ def relevant_jobs(ts: TaskSet, i: int) -> frozenset[int]:
 def blocking_scope(ts: TaskSet, i: int) -> BlockingScope:
     """Bundle all four blocking sets for job ``i``."""
     index = _compiled(ts)
-    trace = _fixpoint(index, i)
-    direct, relevant = trace[0], trace[-1]
+    _, trace, _, jobs, resources = _scope(index, i)
     return BlockingScope(
         target=i,
-        direct_resources=index.resources_of(direct),
-        direct_jobs=frozenset(_positions(_jobs_using(index, i, direct))),
-        relevant_resources=index.resources_of(relevant),
-        relevant_jobs=frozenset(_positions(_jobs_using(index, i, relevant))),
+        direct_resources=index.resources_of(trace[0]),
+        direct_jobs=frozenset(_positions(_jobs_using(index, i, trace[0]))),
+        relevant_resources=frozenset(resources),
+        relevant_jobs=frozenset(jobs),
     )

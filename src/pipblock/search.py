@@ -47,14 +47,12 @@ creation of nodes that are now expanded and re-marked, and so change
 which optimal leaf pops first; that waits until the witness no longer
 depends on search order (ROADMAP item 1).  Since ``live`` lies within
 ``eligible``, the extensions are the keys of ``live & maximal``,
-ascending, which is job then position order; one walk turns them into a
-list of index rows, for :func:`expand` and :func:`successors` alike.
-The walk reads the duplicate guard's set as a local name, with no
-method call per candidate.
+ascending, which is job then position order, walked with the duplicate
+guard's set read as a local name.
 
-One child step derives a child's masks, for :func:`expand` and
-:func:`_dive` alike (:func:`_child`): its ``live`` mask is its parent's
-minus the added row's conflict mask, and its induced set grows through
+One child step derives a child's masks (:func:`_child`, for
+:func:`_dive`): its ``live`` mask is its parent's minus the added row's
+conflict mask, and its induced set grows through
 :func:`~pipblock.relevance._induced` only when the row has a nested
 resource (otherwise it adds nothing).  Its LSM mask and candidate mask
 depend only on the induced set, so they are computed once per search:
@@ -62,9 +60,15 @@ the fringe keeps a memo of the pair keyed by the induced mask
 (:func:`_lsm`, from :func:`~pipblock.taskset._on_inside`), and the root
 reads the direct set's pair through it too.
 
-Pruning against a floor.  :func:`blocking_time` reads job i's relevance
-fixpoint once: its iterates give the root its direct and relevant sets,
-and the fringe the ``on`` mask of the relevant resources.  Before its
+:func:`expand`, called once per expanded node, runs the walk, the child
+step, the M memo lookup, the repair and the node's construction in one
+loop: a child costs a call only for a nested row's induced set, a memo
+miss and the repair (:meth:`~pipblock.bound._Assignment.without`).  The
+tests hold :func:`_child` and this inline step to the same masks.
+
+Pruning against a floor.  :func:`blocking_time` reads job i's scope
+from the index's job slot: the root's direct and relevant sets, and the
+fringe's ``on`` mask of the relevant resources.  Before its
 loop it dives once from the root (:func:`_dive`): each step takes the
 extension with the largest duration plus M of the child's candidates,
 the lowest key on ties, where M is the relaxed bound
@@ -112,20 +116,24 @@ large search leaves no long-lived record for the cyclic garbage
 collector to walk.  A record keeps the created successors' last sections
 and labels them only when read.
 
-Heuristics are inherited, not solved afresh.  :func:`_root` solves one
-sparse :class:`~pipblock.bound._Assignment` per search, read from the
-index's longest durations: row j - 1 for job j, column k for resource
-bit ``1 << k``, and cells only between relevant jobs and relevant
-resources.  A child's problem is its parent's minus the row of the added
-section's job and the column of its resource, so
-:meth:`~pipblock.bound._Assignment.without` deactivates exactly those
-two numbers and repairs the optimum with at most two shortest-path grows
-over the positive cells, and none when the job held the resource.  Every
-estimate, the root's too, is the solved assignment's ``value``; the
-maximum value is unique, so it equals a fresh ``hungarian_bound`` over
-the node's sets, and with it every fringe key, node count and witness.
-The deletion is well defined because an extension is eligible: its job
-and resource are still active rows and columns.
+The deadlock verdict :func:`~pipblock.deadlock.require_acyclic` reads is
+kept on the index, so a search runs no SCC pass of its own.
+
+Heuristics are inherited, not solved afresh.  :func:`_root` renumbers
+the kernel of the index's job slot (the bound stage's solve, or
+:func:`~pipblock.bound._job_kernel`'s for a standalone search) into the
+index's numbering: row j - 1 for job j, column k for resource bit
+``1 << k``, cells only between relevant jobs and relevant resources.  A
+child's problem is its parent's minus the row of the added section's job and the
+column of its resource, so :meth:`~pipblock.bound._Assignment.without`
+deactivates exactly those two numbers and repairs the optimum with at
+most two shortest-path grows over the positive cells, and none when the
+job held the resource.  Every estimate, the root's too, is the solved
+assignment's ``value``; the maximum value is unique, so it equals a
+fresh ``hungarian_bound`` over the node's sets, and with it every fringe
+key, node count and witness.  The deletion is well defined because an
+extension is eligible: its job and resource are still active rows and
+columns.
 """
 
 from __future__ import annotations
@@ -134,9 +142,10 @@ import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .bound import _Assignment, hungarian_bound  # noqa: F401 (bench/spans.py traces it)
+from .bound import _Assignment, _job_kernel
+from .bound import hungarian_bound  # noqa: F401 (bench/spans.py traces it)
 from .deadlock import require_acyclic
-from .relevance import _fixpoint, _induced, _jobs_using
+from .relevance import _induced
 from .taskset import (
     CriticalSection,
     TaskSet,
@@ -144,6 +153,7 @@ from .taskset import (
     _compiled,
     _Index,
     _on_inside,
+    _positions,
     _relaxed,
     _Section,
 )
@@ -211,6 +221,8 @@ class Fringe:
     admissible chain and ``_relevant`` the ``on`` mask of the target's
     relevant resources; :func:`blocking_time` sets both.  A fresh fringe
     has floor 0, under which :func:`expand` prunes nothing.
+    :func:`blocking_time`, which numbers its nodes itself, uses ``_heap``
+    and ``_generated`` directly, without :meth:`push`'s seq check.
     """
 
     def __init__(self) -> None:
@@ -286,22 +298,6 @@ class SearchResult:
     expansions: tuple[ExpansionRecord, ...] = ()
 
 
-def _extensions(index: _Index, node: SearchNode, fringe: Fringe) -> list[_Section]:
-    """The index rows of ``node``'s admissible extensions, in key order:
-    the sections of ``node.live`` (NBJ, NBR, FHO and FLO) in
-    ``node.maximal`` (LSM) whose chain set the duplicate guard has not
-    seen."""
-    rows, members, seen = index.rows, node.members, fringe._generated
-    found = []
-    keys = node.live & node.maximal
-    while keys:
-        bit = keys & -keys
-        if (members | bit) not in seen:
-            found.append(rows[bit.bit_length() - 1])
-        keys ^= bit
-    return found
-
-
 def successors(
     ts: TaskSet, node: SearchNode, fringe: Fringe
 ) -> tuple[CriticalSection, ...]:
@@ -309,7 +305,9 @@ def successors(
     ``node`` and ``fringe`` stay as they are.  They are the sections of
     ``node.live`` (NBJ, NBR, FHO and FLO) maximal w.r.t. ``node.induced``
     (LSM) whose chain set the duplicate guard has not seen."""
-    return tuple(s.z for s in _extensions(_compiled(ts), node, fringe))
+    rows, members, seen = _compiled(ts).rows, node.members, fringe._generated
+    keys = _positions(node.live & node.maximal)
+    return tuple(rows[k].z for k in keys if (members | 1 << k) not in seen)
 
 
 def expand(ts: TaskSet, i: int, node: SearchNode, fringe: Fringe) -> list[SearchNode]:
@@ -325,17 +323,31 @@ def expand(ts: TaskSet, i: int, node: SearchNode, fringe: Fringe) -> list[Search
     already proves the branch's optimum.
     """
     index = _compiled(ts)
-    on, job_keys = index.on, index.job_keys
-    floor = fringe._floor
+    rows, on, job_keys, relaxed = index.rows, index.on, index.job_keys, index.relaxed
+    conflict = index._conflict or index.conflict
+    memo, floor, seen = fringe._maximal, fringe._floor, fringe._generated
     chain, members, gain0 = node.chain, node.members, node.gain
     live0, induced0, eligible0 = node.live, node.induced, node.eligible
     estimate = gain0 + node.heuristic
     created: list[SearchNode] = []
-    for s in _extensions(index, node, fringe):
-        live, induced, lsm, candidates = _child(index, i, s, live0, induced0, fringe)
-        gain = gain0 + s.duration
-        if gain < floor and gain + _relaxed(index, candidates) < floor:
+    keys = live0 & node.maximal
+    while keys:
+        bit = keys & -keys
+        keys ^= bit
+        if (members | bit) in seen:
             continue
+        s = rows[bit.bit_length() - 1]
+        live, induced = live0 & ~conflict[s.key], induced0
+        if s.nested:
+            induced |= _induced(index, i, s, induced)
+        lsm, outside = memo.get(induced) or _lsm(index, induced, fringe)
+        gain = gain0 + s.duration
+        if gain < floor:
+            bound = relaxed.get(live & outside)
+            if bound is None:
+                bound = _relaxed(index, live & outside)
+            if gain + bound < floor:
+                continue
         z = s.z
         eligible = eligible0 & ~(job_keys[z.job] | on[s.bit])
         maximal = eligible & lsm
@@ -345,7 +357,7 @@ def expand(ts: TaskSet, i: int, node: SearchNode, fringe: Fringe) -> list[Search
             heuristic = assignment.value
         created.append(
             SearchNode(
-                chain + (z,), members | 1 << s.key, induced, eligible,
+                chain + (z,), members | bit, induced, eligible,
                 gain, heuristic, live, maximal, -1, -1, assignment,
             )
         )
@@ -383,10 +395,10 @@ def _child(
 def _dive(index: _Index, i: int, root: SearchNode, fringe: Fringe) -> int:
     """The gain of one admissible chain for job ``i``, built greedily from
     ``root``: each step takes the extension (``live & maximal``, as in
-    :func:`_extensions`) with the largest duration plus M of the child's
+    :func:`successors`) with the largest duration plus M of the child's
     candidates (:func:`_child`), the lowest key on ties, until none is
     left."""
-    rows = index.rows
+    rows, relaxed = index.rows, index.relaxed
     live, induced, gain = root.live, root.induced, 0
     keys = live & root.maximal
     while keys:
@@ -396,7 +408,10 @@ def _dive(index: _Index, i: int, root: SearchNode, fringe: Fringe) -> int:
             keys ^= bit
             s = rows[bit.bit_length() - 1]
             child = _child(index, i, s, live, induced, fringe)
-            value = s.duration + _relaxed(index, child[3])
+            value = relaxed.get(child[3])
+            if value is None:
+                value = _relaxed(index, child[3])
+            value += s.duration
             if choice is None or value > choice[0]:
                 choice = value, s.duration, child
         _, duration, (live, induced, lsm, _) = choice
@@ -405,38 +420,24 @@ def _dive(index: _Index, i: int, root: SearchNode, fringe: Fringe) -> int:
     return gain
 
 
-def _root(index: _Index, i: int, scope: list[int], fringe: Fringe) -> SearchNode:
-    """The search's root for job ``i``, whose relevance fixpoint iterates
-    (:func:`~pipblock.relevance._fixpoint`) are ``scope``: the empty
-    chain, inducing the direct mask, with every section of the relevant
-    jobs eligible and live, and the assignment over them solved from the
-    index's longest durations, its value as the estimate.  Row j - 1 is
-    job j and column k is resource bit ``1 << k``; only the relevant jobs
-    and resources get cells.  The root's LSM mask is the first entry of
-    the fringe's memo (:func:`_lsm`)."""
-    direct, resources = scope[0], scope[-1]
-    jobs = _jobs_using(index, i, resources)
-    bits = index.bits
-    cells = [
-        [(bits[r].bit_length() - 1, w) for r, w in longest.items() if bits[r] & resources]
-        if jobs >> j & 1
-        else []
-        for j, longest in enumerate(index.longest, 1)
-    ]
-    assignment = _Assignment(cells, len(index.ids))
-    eligible = index.keys(jobs)
+def _root(index: _Index, i: int, fringe: Fringe) -> SearchNode:
+    """The search's root for job ``i``, from the index's job slot
+    (:func:`~pipblock.bound._job_kernel`): the empty chain, inducing the
+    direct mask, with every section of the relevant jobs eligible and
+    live, and the slot's kernel renumbered (row j - 1 for job j, column k
+    for resource bit ``1 << k``), its value as the estimate.  It sets the
+    fringe's relevant mask; the root's LSM mask is the first entry of the
+    fringe's memo (:func:`_lsm`)."""
+    _, scope, kernel, jobs, resources = _job_kernel(index, i)
+    fringe._relevant = _on_inside(index, scope[-1])[0]
+    bits, job_keys = index.bits, index.job_keys
+    rows, columns = [j - 1 for j in jobs], [bits[r].bit_length() - 1 for r in resources]
+    assignment = kernel.renumbered(rows, columns, len(index.longest), len(index.ids))
+    eligible = sum(job_keys[j] for j in jobs)
+    direct = scope[0]
+    maximal = eligible & _lsm(index, direct, fringe)[0]
     return SearchNode(
-        chain=(),
-        members=0,
-        induced=direct,
-        eligible=eligible,
-        gain=0,
-        heuristic=assignment.value,
-        live=eligible,
-        maximal=eligible & _lsm(index, direct, fringe)[0],
-        seq=0,
-        batch=0,
-        assignment=assignment,
+        (), 0, direct, eligible, 0, assignment.value, eligible, maximal, 0, 0, assignment
     )
 
 
@@ -453,18 +454,19 @@ def blocking_time(ts: TaskSet, i: int, *, trace: bool = False) -> SearchResult:
     require_acyclic(ts)
     index = _compiled(ts)
     scale = index.scale
-    scope = _fixpoint(index, i)
     fringe = Fringe()
-    fringe._relevant = _on_inside(index, scope[-1])[0]
-    root = _root(index, i, scope, fringe)
+    root = _root(index, i, fringe)
     if root.heuristic:
         fringe._floor = _dive(index, i, root, fringe)
-    fringe.push(root)
+    # Fringe.push and Fringe.pop, inline: the loop numbers every node.
+    heap, guard = fringe._heap, fringe._generated
+    heap.append((-root.heuristic, 1 if root.heuristic else 0, 0, 0, root))
+    guard.add(0)
     generated, expanded = 1, 0
     records: list[ExpansionRecord] = []
 
     while True:
-        node = fringe.pop()
+        node = heapq.heappop(heap)[-1]
         if not node.heuristic:
             return SearchResult(
                 blocking_time=Fraction(node.gain, scale),
@@ -488,8 +490,11 @@ def blocking_time(ts: TaskSet, i: int, *, trace: bool = False) -> SearchResult:
             )
         if not created:
             node.heuristic, node.batch, node.assignment = 0, expanded, None
-            fringe.push(node)
+            heapq.heappush(heap, (-node.gain, 0, -expanded, node.seq, node))
         for successor in created:
             successor.seq, successor.batch = generated, expanded
+            h = successor.heuristic
+            entry = (-successor.gain - h, 1 if h else 0, -expanded, generated, successor)
+            heapq.heappush(heap, entry)
+            guard.add(successor.members)
             generated += 1
-            fringe.push(successor)

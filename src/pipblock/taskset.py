@@ -81,12 +81,15 @@ class ZeroDurationWarning(UserWarning):
 
 
 def as_duration(value: DurationLike) -> Fraction:
-    """Normalize a duration to a non-negative ``Fraction``."""
-    try:
-        duration = Fraction(value)
-    except (ValueError, ZeroDivisionError, TypeError) as exc:
-        raise ParseError(f"bad duration {value!r}") from exc
-    if duration < 0:
+    """Normalize a duration to a non-negative ``Fraction`` (a ``Fraction``
+    is kept as it is: it is immutable)."""
+    duration = value
+    if type(duration) is not Fraction:
+        try:
+            duration = Fraction(value)
+        except (ValueError, ZeroDivisionError, TypeError) as exc:
+            raise ParseError(f"bad duration {value!r}") from exc
+    if duration.numerator < 0:
         raise TaskSetError(f"negative duration {value!r}")
     return duration
 
@@ -162,16 +165,18 @@ class TaskSet:
     """An immutable application: jobs 1..n plus the referenced resources.
 
     Safe to share read-only across threads.  The analyses in this package
-    give results that depend only on the set and their arguments, but
-    they are not pure: they fill caches on the set, its compiled index
-    (:func:`_compiled`), the index's ``conflict`` masks and the memo of
+    give results that depend only on the set and their arguments, but they
+    are not pure: they fill caches on the set, its compiled index
+    (:func:`_compiled`), the index's ``conflict`` masks, deadlock verdict
+    and job slot (one job's fixpoint and kernel at a time) and the memo of
     the relaxed bound M (:func:`_relaxed`).  These live as long as the
-    set.  The M memo is shared by every search on the set, outlives each
-    call and is cleared only past ``_RELAXED_CAP`` entries: after the
-    exact search of J2 on the 40-job random set of seed 0 it holds
-    774,733 entries, and the process keeps about 100 MB resident (16 MB
-    before the call, 23 MB with the memo cleared; CPython 3.11).  Drop
-    the set, or clear ``_index.relaxed``, to free it.
+    set.  The M memo is shared by every
+    search on the set, outlives each call and is cleared only past
+    ``_RELAXED_CAP`` entries: after the exact search of J2 on the 40-job
+    random set of seed 0 it holds 774,733 entries, and the process keeps
+    about 100 MB resident (16 MB before the call, 23 MB with the memo
+    cleared; CPython 3.11).  Drop the set, or clear ``_index.relaxed``, to
+    free it.
     """
 
     __slots__ = ("jobs", "resources", "_index")
@@ -225,7 +230,7 @@ class TaskSet:
                     )
                 path.append(z)
                 open_on[z.resource] = z
-                if z.duration == 0:
+                if not z.duration:
                     warnings.warn(
                         f"{z.label} has duration 0", ZeroDurationWarning, stacklevel=3
                     )
@@ -318,12 +323,17 @@ class _Index:
     (:func:`_on_inside`).  ``conflict``, one mask of S bits for each of
     the S sections, is built on first read: only the exact search reads it.
     ``relaxed`` is :func:`_relaxed`'s memo, shared by every search on the
-    set.
+    set, and ``durations[key]`` each row's duration, for it.
+
+    ``verdict`` is the deadlock check's, computed once.  ``slot`` holds
+    one job's work, ``(i, iterates, kernel, jobs, resources)``
+    (:func:`~pipblock.relevance._scope`, :func:`~pipblock.bound._job_kernel`);
+    a scope for another job replaces it.
     """
 
     __slots__ = (
-        "scale", "bits", "ids", "longest", "sections", "rows", "users",
-        "on", "inside", "job_keys", "_conflict", "relaxed",
+        "scale", "bits", "ids", "longest", "sections", "rows", "durations", "users",
+        "on", "inside", "job_keys", "_conflict", "relaxed", "verdict", "slot",
     )
 
     def __init__(self, ts: TaskSet) -> None:
@@ -336,6 +346,7 @@ class _Index:
         self.job_keys = [0] * (len(ts.jobs) + 1)
         self.longest: list[dict[ResourceId, int]] = []
         self.sections: list[list[_Section]] = []
+        bits, on, inside, users, scale = self.bits, self.on, self.inside, self.users, self.scale
         key = 0
         for job in ts.jobs:
             nested = [0] * len(job.sections)
@@ -343,28 +354,31 @@ class _Index:
             for z in reversed(job.sections):
                 if z.parent is not None:
                     p, up = z.position - 1, z.parent.position - 1
-                    nested[up] |= self.bits[z.resource] | nested[p]
+                    nested[up] |= bits[z.resource] | nested[p]
                     last[up] = max(last[up], last[p])
             self.job_keys[job.index] = ((1 << len(job.sections)) - 1) << key
             longest: dict[ResourceId, int] = {}
             rows: list[_Section] = []
             earlier = 0
             for z, inner, stop in zip(job.sections, nested, last):
-                bit = self.bits[z.resource]
+                bit, d = bits[z.resource], z.duration
                 held = bit | (rows[z.parent.position - 1].held if z.parent else 0)
-                duration = self.scaled(z.duration)
+                duration = d.numerator * (scale // d.denominator)  # scaled(d), inline
                 rows.append(_Section(z, bit, held, earlier, inner, duration, key))
-                self.on[bit] |= 1 << key
-                self.inside[bit] |= ((1 << stop - key) - 1) << key + 1
+                on[bit] |= 1 << key
+                inside[bit] |= ((1 << stop - key) - 1) << key + 1
                 key += 1
-                longest[z.resource] = max(duration, longest.get(z.resource, 0))
-                self.users[bit] |= 1 << job.index
+                if duration >= longest.get(z.resource, 0):
+                    longest[z.resource] = duration
+                users[bit] |= 1 << job.index
                 earlier |= bit
             self.longest.append(longest)
             self.sections.append(rows)
         self.rows = [s for job in self.sections for s in job]
+        self.durations = [s.duration for s in self.rows]
         self._conflict: list[int] | None = None
         self.relaxed: dict[int, int] = {0: 0}
+        self.verdict = self.slot = None
 
     def scaled(self, duration: Fraction) -> int:
         """``duration`` in units of ``1/scale`` (exact for the set's durations)."""
@@ -380,7 +394,8 @@ class _Index:
 
     def resources_of(self, mask: int) -> frozenset[ResourceId]:
         """The resources whose bits are set in ``mask``."""
-        return frozenset(r for r, bit in self.bits.items() if bit & mask)
+        ids = self.ids
+        return frozenset([ids[k] for k in _positions(mask)])
 
     def keys(self, jobs: int) -> int:
         """The mask of the section keys of the jobs in ``jobs`` (bit j for
@@ -474,13 +489,14 @@ def _relaxed(index: _Index, cand: int) -> int:
 
     Take or skip the lowest key s: ``M(c) = max(d(s) + M(c & ~conflict[s]),
     M(c & ~bit(s)))``, since ``conflict[s]`` holds s itself.  It is
-    evaluated with an explicit stack, so a mask of thousands of keys
-    cannot exhaust the interpreter's recursion limit, and memoised per
-    mask on the index.  The memo is cleared when a call finds it above
-    ``_RELAXED_CAP`` entries, so it holds at most the cap plus one call's
-    own entries.  Each mask's value is read from the memo once and kept
-    in a local, and the result is that local, so another thread's clear
-    between a store and the return cannot lose it.
+    evaluated with an explicit stack, so a mask of thousands of keys cannot
+    exhaust the interpreter's recursion limit, and memoised per mask on the
+    index.  A mask's split replaces it on the stack at its first visit, for
+    its second.  The memo is cleared
+    when a call finds it above ``_RELAXED_CAP`` entries, so it holds at most
+    the cap plus one call's own entries.  Each mask's value is read from the
+    memo once and kept in a local, and the result is that local, so another
+    thread's clear between a store and the return cannot lose it.
 
     Why the exact search may prune with it.  Take job i and a node
     ``(live, induced)``, and let ``cand = live & ~inside(induced) &
@@ -500,17 +516,19 @@ def _relaxed(index: _Index, cand: int) -> int:
     if len(memo) > _RELAXED_CAP:
         memo.clear()
         memo[0] = 0
-    conflict, rows = index.conflict, index.rows
-    stack = [cand]
+    conflict, durations = index._conflict or index.conflict, index.durations
+    stack: list = [cand]
     while stack:
         c = stack[-1]
-        value = memo.get(c)
-        if value is not None:
-            stack.pop()
-            continue
-        low = c & -c
-        key = low.bit_length() - 1
-        taken, rest = c & ~conflict[key], c ^ low
+        if type(c) is int:
+            value = memo.get(c)
+            if value is not None:
+                stack.pop()
+                continue
+            low = c & -c
+            key = low.bit_length() - 1
+            c = stack[-1] = c, c & ~conflict[key], c ^ low, durations[key]
+        c, taken, rest, duration = c
         take, skip = memo.get(taken), memo.get(rest)
         if take is None or skip is None:
             if take is None:
@@ -519,7 +537,10 @@ def _relaxed(index: _Index, cand: int) -> int:
                 stack.append(rest)
             continue
         stack.pop()
-        value = memo[c] = max(rows[key].duration + take, skip)
+        value = duration + take
+        if skip > value:
+            value = skip
+        memo[c] = value
     return value
 
 
@@ -545,7 +566,7 @@ def chain_duration(chain: Iterable[CriticalSection]) -> Fraction:
 # --- text format ------------------------------------------------------------
 
 _JOB_LINE = re.compile(r"J(\d+)\s*:\s*(.*)$")
-_TOKEN = re.compile(r"\[|\]|R\d+\s*:|\d+/\d+|\d+\.\d+|\.\d+|\d+")
+_TOKEN = re.compile(r"(\[|\]|R\d+\s*:|\d+/\d+|\d+\.\d+|\.\d+|\d+)")
 
 
 def parse_taskset(text: str) -> TaskSet:
@@ -579,16 +600,12 @@ def parse_taskset(text: str) -> TaskSet:
 def _parse_sections(body: str, job: int, lineno: int) -> tuple[CriticalSection, ...]:
     sections: list[CriticalSection] = []
     stack: list[CriticalSection] = []
-    cursor = 0
     state = "open"  # open -> '[', resource -> 'R<k>:', duration -> literal
     pending_resource = 0
-    for match in _TOKEN.finditer(body):
-        if body[cursor : match.start()].strip():
-            raise ParseError(
-                f"line {lineno}: unexpected {body[cursor:match.start()].strip()!r}"
-            )
-        cursor = match.end()
-        token = match.group()
+    parts = _TOKEN.split(body)  # text before each token, the token; the text after the last
+    for gap, token in zip(parts[::2], parts[1::2]):
+        if gap.strip():
+            raise ParseError(f"line {lineno}: unexpected {gap.strip()!r}")
         if token == "[":
             if state != "open":
                 raise ParseError(f"line {lineno}: unexpected '['")
@@ -605,18 +622,17 @@ def _parse_sections(body: str, job: int, lineno: int) -> tuple[CriticalSection, 
         else:
             if state != "duration":
                 raise ParseError(f"line {lineno}: unexpected {token!r}")
+            # A token of decimal digits is an integer; int() reads it
+            # several times faster than the Fraction parser.
+            duration = Fraction(int(token)) if token.isdecimal() else as_duration(token)
             section = CriticalSection(
-                job=job,
-                position=len(sections) + 1,
-                resource=pending_resource,
-                duration=as_duration(token),
-                parent=stack[-1] if stack else None,
+                job, len(sections) + 1, pending_resource, duration, stack[-1] if stack else None
             )
             sections.append(section)
             stack.append(section)
             state = "open"
-    if body[cursor:].strip():
-        raise ParseError(f"line {lineno}: unexpected {body[cursor:].strip()!r}")
+    if parts[-1].strip():
+        raise ParseError(f"line {lineno}: unexpected {parts[-1].strip()!r}")
     if stack or state != "open":
         raise ParseError(f"line {lineno}: unbalanced brackets")
     return tuple(sections)

@@ -15,6 +15,7 @@ from pipblock import (
 )
 
 from conftest import CROSS_NESTING, FIVE_JOBS_DEEP, SIX_JOBS_NESTED
+from test_search import SHAPES, _shaped
 
 
 def test_report_runs_search_only_when_needed():
@@ -120,3 +121,87 @@ def test_traced_analysis_gives_the_same_document():
             if a.searched:
                 assert a.search.expansions == ()
                 assert len(b.search.expansions) == b.search.nodes_expanded
+
+
+def _documents(report) -> list[dict]:
+    """The report's job documents, less ``wall_time_s``."""
+    jobs = report.to_dict()["jobs"]
+    for entry in jobs:
+        del entry["wall_time_s"]
+    return jobs
+
+
+def _search_fields(result) -> tuple:
+    records = [
+        (e.seq, e.chain, e.gain_units, e.heuristic_units, e.scale, e.created)
+        for e in result.expansions
+    ]
+    return (result.blocking_time, result.witness, result.nodes_generated,
+            result.nodes_expanded, records)
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10**9), shape=SHAPES, data=st.data())
+def test_work_kept_on_the_index_never_leaks_across_jobs_or_sets(seed, shape, data):
+    # analyze keeps per-set work on the compiled index: the deadlock
+    # verdict, and one job slot (fixpoint iterates, then the solved
+    # kernel) that each job replaces.  Each job's document must equal
+    # the one analyze(fresh, job=i) gives on a fresh parse, and a search
+    # run after analyze, which finds the last job in the slot and the
+    # others not, must equal one on a fresh parse, records included.
+    import warnings
+
+    from pipblock import ZeroDurationWarning, blocking_time, serialize_taskset
+
+    ts = _shaped(shape, seed)
+    text = serialize_taskset(ts)
+
+    def fresh():
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ZeroDurationWarning)
+            return parse_taskset(text)
+
+    report = analyze(ts)
+    if not report.deadlock.acyclic:
+        assert report.to_dict() == analyze(fresh()).to_dict()
+        return
+    documents = _documents(report)
+    for i in range(1, ts.n + 1):
+        assert _documents(analyze(fresh(), job=i)) == [documents[i - 1]]
+    for i in range(ts.n, 0, -1):
+        trace = data.draw(st.booleans())
+        shared = blocking_time(ts, i, trace=trace)
+        assert _search_fields(shared) == _search_fields(blocking_time(fresh(), i, trace=trace))
+
+
+def test_analyze_does_each_jobs_work_once():
+    # One random-exact set (seed 0 of the benchmark's 20): analyze makes
+    # one SCC pass for the set, and one relevance fixpoint and one
+    # assignment solve per job, the searched jobs included.
+    from collections import Counter
+    from unittest import mock
+
+    import pipblock.bound
+    import pipblock.deadlock
+    import pipblock.relevance
+
+    counts: Counter = Counter()
+
+    def counting(name, fn):
+        def counted(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        return counted
+
+    ts = random_taskset(0, jobs=12, resources=12, sections_per_job=6, nesting_depth=3)
+    kernel = pipblock.bound._Assignment
+    with mock.patch.object(
+        pipblock.deadlock, "_cyclic_vertices",
+        counting("scc", pipblock.deadlock._cyclic_vertices),
+    ), mock.patch.object(
+        pipblock.relevance, "_fixpoint", counting("fixpoint", pipblock.relevance._fixpoint)
+    ), mock.patch.object(kernel, "__init__", counting("solve", kernel.__init__)):
+        report = analyze(ts)
+    assert sum(a.searched for a in report.jobs) > 0
+    assert counts == {"scc": 1, "fixpoint": ts.n, "solve": ts.n}

@@ -229,6 +229,12 @@ def _check_solved(
     return value
 
 
+def _positive(cells: list[list[int]]) -> list[dict[int, int]]:
+    """The kernel's rows for a dense matrix: each row's positive cells by
+    column."""
+    return [{c: w for c, w in enumerate(row) if w > 0} for row in cells]
+
+
 _CELLS = st.one_of(st.integers(0, 9), st.integers(0, 2**70))
 
 
@@ -243,7 +249,7 @@ def test_assignment_kernel_solves_and_repairs(n, data):
     # and deactivated numbers never come back.
     width = data.draw(st.integers(1, 6))
     cells = data.draw(st.lists(st.lists(_CELLS, min_size=width, max_size=width), min_size=n, max_size=n))
-    assignment = _Assignment(map(enumerate, cells), width)
+    assignment = _Assignment(_positive(cells), width)
     rows, columns = list(range(n)), list(range(width))
     _check_solved(cells, assignment, rows, columns)
     gone_rows, gone_columns = set(), set()
@@ -282,7 +288,7 @@ def test_greedy_start_takes_the_grow_path(n, data):
     width = data.draw(st.integers(1, 7))
     row = st.lists(st.integers(0, 6), min_size=width, max_size=width)
     cells = data.draw(st.lists(row, min_size=n, max_size=n))
-    solved = _Assignment(map(enumerate, cells), width)
+    solved = _Assignment(_positive(cells), width)
     rows = [{c: w for c, w in enumerate(row) if w > 0} for row in cells]
     a, b, mate, comate, value = [0] * n, [0] * width, [_FREE] * n, [_FREE] * width, 0
     for r, row in enumerate(rows):

@@ -191,7 +191,7 @@ def test_repaired_assignment_matches_fresh_bound(seed, shape, fractional):
     resources = set(rng.sample(sorted(ts.resources), min(shape[1], len(ts.resources))))
     column = {r: index.bits[r].bit_length() - 1 for r in index.ids}
     cells = [
-        [(column[r], w) for r, w in longest.items() if r in resources] if j in jobs else []
+        {column[r]: w for r, w in longest.items() if r in resources and w > 0} if j in jobs else {}
         for j, longest in enumerate(index.longest, 1)
     ]
     assignment = _Assignment(cells, len(index.ids))
@@ -211,19 +211,15 @@ def test_repaired_assignment_matches_fresh_bound(seed, shape, fractional):
 
 def _search_root(ts, i):
     """Job ``i``'s search root and its fringe, built as
-    :func:`blocking_time` builds them before the dive: one fixpoint read
-    gives the root's scope and the fringe's relevant mask, and the root's
-    LSM mask goes through the fringe's memo."""
+    :func:`blocking_time` builds them before the dive: the root reads its
+    scope and kernel from the index's job slot and sets the fringe's
+    relevant mask, and its LSM mask goes through the fringe's memo."""
     from pipblock import Fringe
-    from pipblock.relevance import _fixpoint
     from pipblock.search import _root
-    from pipblock.taskset import _compiled, _on_inside
+    from pipblock.taskset import _compiled
 
-    index = _compiled(ts)
-    scope = _fixpoint(index, i)
     fringe = Fringe()
-    fringe._relevant = _on_inside(index, scope[-1])[0]
-    return _root(index, i, scope, fringe), fringe
+    return _root(_compiled(ts), i, fringe), fringe
 
 
 @settings(max_examples=40, deadline=None)
@@ -493,11 +489,12 @@ def test_successors_match_the_definitions(seed, fractional):
                 )
                 expected = []
                 for j in sorted(scope.relevant_jobs - {m.job for m in chain}):
-                    above, below = _priority_masks(index, chain, j)
+                    rows = [index.entry(m) for m in chain]
+                    above, below = _priority_masks(rows, j)
                     for z in ts.job(j).sections:
                         s = index.entry(z)
                         verdict = _obstructed(s, above, below)
-                        witness = _obstruction(index, chain, s, above, below)
+                        witness = _obstruction(index, rows, s, above, below)
                         assert verdict == (witness is not None)
                         assert verdict == obstructed(chain, z)
                         if not is_maximal(z, induced) or z.resource in taken:
@@ -607,7 +604,7 @@ def test_live_matches_the_definitions(seed, shape):
             chain = node.chain
             eligible = live = 0
             for j in sorted(jobs - {m.job for m in chain}):
-                above, below = _priority_masks(index, chain, j)
+                above, below = _priority_masks([index.entry(m) for m in chain], j)
                 for z in ts.job(j).sections:
                     s = index.entry(z)
                     if any(m.resource == z.resource for m in chain):

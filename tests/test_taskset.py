@@ -334,3 +334,72 @@ def test_conflict_masks_match_pair_tests(seed):
             ):
                 expected |= 1 << s.key
         assert index.conflict[m.key] == expected
+
+
+# Duration literals as the text format writes them: integers, with
+# leading zeros too, other scripts' decimal digits (the tokenizer's \d
+# matches them), decimals and fractions.
+_DURATION_TOKENS = st.one_of(
+    st.integers(0, 999).map(str),
+    st.integers(0, 99).map(lambda k: f"00{k}"),
+    st.sampled_from(["٣", "٠٧", "१२"]),
+    st.tuples(st.integers(0, 99), st.integers(0, 99)).map(lambda p: f"{p[0]}.{p[1]}"),
+    st.integers(0, 99).map(lambda k: f".{k}"),
+    st.tuples(st.integers(0, 99), st.integers(1, 99)).map(lambda p: f"{p[0]}/{p[1]}"),
+)
+
+
+@st.composite
+def bracket_texts(draw):
+    """A task-set text and its duration tokens in position order.  Each
+    job is deep (every section nests in the last one), wide (every
+    section is top-level) or mixed (each section picks its depth); a
+    section's resource is off its open path, so there is no re-lock."""
+    lines, tokens = [], []
+    for j in range(1, draw(st.integers(1, 4)) + 1):
+        mode = draw(st.sampled_from(["deep", "wide", "mixed"]))
+        parts, path = [f"J{j}:"], []
+        for _ in range(draw(st.integers(0, 30))):
+            if mode == "mixed":
+                depth = draw(st.integers(0, len(path)))
+            else:
+                depth = len(path) if mode == "deep" else 0
+            parts.append("]" * (len(path) - depth))
+            del path[depth:]
+            path.append(draw(st.sampled_from([r for r in range(1, 40) if r not in path])))
+            tokens.append(draw(_DURATION_TOKENS))
+            parts.append(f" [R{path[-1]}: {tokens[-1]}")
+        lines.append("".join(parts) + "]" * len(path))
+    return "\n".join(lines), tokens
+
+
+@pytest.mark.filterwarnings("ignore::pipblock.ZeroDurationWarning")
+@settings(max_examples=150, deadline=None)
+@given(drawn=bracket_texts())
+def test_parse_serialize_round_trip_deep_and_wide(drawn):
+    # Every parsed duration is what Fraction reads from its token, and
+    # serializing and parsing again gives the same set and the same text.
+    text, tokens = drawn
+    ts = parse_taskset(text)
+    assert [z.duration for z in ts.iter_sections()] == [Fraction(t) for t in tokens]
+    again = serialize_taskset(ts)
+    assert parse_taskset(again) == ts
+    assert serialize_taskset(parse_taskset(again)) == again
+
+
+@pytest.mark.filterwarnings("ignore::pipblock.ZeroDurationWarning")
+@pytest.mark.parametrize("token", ["0", "007", "12", "٣", "1.5", ".5", "3/4"])
+def test_duration_token_reads_as_fraction_reads_it(token):
+    # The parser reads a token of decimal digits with int(), others with
+    # Fraction; both give the same Fraction as Fraction(token).
+    (z,) = parse_taskset(f"J1: [R1: {token}]").job(1).sections
+    assert type(z.duration) is Fraction
+    assert z.duration == Fraction(token)
+
+
+def test_superscript_digit_is_not_a_duration():
+    # "²" is a digit but not a decimal one: int() refuses it, and so does
+    # the tokenizer.
+    assert "²".isdigit() and not "²".isdecimal()
+    with pytest.raises(ParseError, match="unexpected"):
+        parse_taskset("J1: [R1: ²]")

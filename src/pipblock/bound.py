@@ -42,11 +42,10 @@ dense :func:`blocking_time_matrix` (the reference; only ``pipblock
 bound``, which prints the matrix, builds one).  The bound stage and
 :func:`per_job_bounds` pose it once per job over the relevant jobs and
 resources of the index's job slot and keep it there
-(:func:`_job_kernel`); the exact search's root renumbers that solve
-(:meth:`_Assignment.renumbered`: row ``j - 1`` for job j, column k for
-resource bit ``1 << k``) instead of solving again.  Its value is the
-same in any numbering; its lex-min pairs are not (they differed on 514
-of 1,155 jobs checked).
+(:func:`_job_kernel`); the exact search's root takes that solve as it
+is, in the same numbering, instead of solving again, and its children
+repair it (:meth:`_Assignment.without` leaves its parent as it was, so
+the bound stage's pairs stay those of the solve).
 
 Invoked with the direct blocking sets this reproduces the classic
 single-resource-at-a-time bound; with the relevant (nesting-aware) sets
@@ -187,8 +186,9 @@ class _Assignment:
 
     ``cells[r]`` maps row r's columns to their positive weights (rows 0
     to ``len(cells) - 1``, columns 0 to ``width - 1``), and
-    ``transpose``, built for the first column-side repair, holds the same
-    cells by column.
+    ``transpose``, built on first need (:meth:`columns`; the search's
+    root builds it before its children's repairs), holds the same cells
+    by column.
     ``mate[r]`` is row r's column and ``comate[c]`` column c's row,
     ``_FREE`` when unmatched.  ``a`` and ``b`` are the row and column
     duals: ``a[r] + b[c] >= w`` on every cell, with equality on matched
@@ -238,27 +238,6 @@ class _Assignment:
                 for c, w in row.items():
                     self.transpose[c][r] = w
         return self.transpose
-
-    def renumbered(
-        self, rows: Sequence[int], columns: Sequence[int], height: int, width: int
-    ) -> _Assignment:
-        """The same solved assignment with row r numbered ``rows[r]`` and
-        column c ``columns[c]`` among ``height`` rows and ``width``
-        columns, the others empty (sharing one map) and free, and its
-        ``transpose`` built for its children's repairs."""
-        new = _Assignment.__new__(_Assignment)
-        new.cells, new.transpose, new.value = [{}] * height, None, self.value
-        new.a, new.mate = [0] * height, [_FREE] * height
-        new.b, new.comate = [0] * width, [_FREE] * width
-        for r, x in enumerate(rows):
-            new.cells[x] = {columns[c]: w for c, w in self.cells[r].items()}
-            new.a[x], c = self.a[r], self.mate[r]
-            if c >= 0:
-                new.mate[x], new.comate[columns[c]] = columns[c], x
-        for c, y in enumerate(columns):
-            new.b[y] = self.b[c]
-        new.columns()
-        return new
 
     def without(self, r: int, c: int) -> _Assignment:
         """The solved assignment once the active row ``r`` and column ``c``

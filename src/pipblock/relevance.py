@@ -202,12 +202,13 @@ def relevant_resources(ts: TaskSet, i: int) -> frozenset[ResourceId]:
 
 def fixpoint_trace(ts: TaskSet, i: int) -> list[frozenset[ResourceId]]:
     """The deterministic iterate sequence of :func:`relevant_resources`,
-    each iterate built as the previous one plus the resources its step added."""
+    each iterate built as the previous one plus the resources its step
+    added, from the job slot's iterates (:func:`_scope`)."""
     index = _compiled(ts)
     ids, before = index.ids, 0
     resources: frozenset[ResourceId] = frozenset()
     trace = []
-    for after in _fixpoint(index, i):
+    for after in _scope(index, i)[1]:
         resources = resources.union(ids[k] for k in _positions(after & ~before))
         trace.append(resources)
         before = after

@@ -9,11 +9,12 @@ the fringe carries the exact maximum.
 
 Fringe discipline: descending estimate ``f = g + h``; ties prefer leaf
 nodes, then the newest expansion batch (within a batch, generation
-order).  Both keys are :func:`blocking_time`'s counters: ``seq`` counts
-the nodes generated before a node, ``batch`` the expansions made so far;
+order).  Both keys are :func:`blocking_time`'s counters, kept in its
+heap's entries: ``seq`` counts the nodes generated before a node, and a
+node's batch is the number of expansions made when it entered the heap;
 a node whose expansion creates no successor goes back as a leaf in the
-current batch.  Generated-but-unexpanded nodes stay in the fringe, and
-the fringe also remembers every chain set ever generated:
+current batch.  Generated-but-unexpanded nodes stay in the heap, and
+the :class:`Fringe` remembers every chain set ever generated:
 differently-ordered permutations of one section set have equal gain,
 heuristic and extension options, so exploring a set once suffices.  The
 duplicate guard therefore discards an extension exactly when its section
@@ -51,8 +52,8 @@ ascending, which is job then position order, walked with the duplicate
 guard's set read as a local name.
 
 One child step derives a child's masks (:func:`_child`, for
-:func:`_dive`): its ``live`` mask is its parent's minus the added row's
-conflict mask, and its induced set grows through
+:func:`expand` and :func:`_dive`): its ``live`` mask is its parent's
+minus the added row's conflict mask, and its induced set grows through
 :func:`~pipblock.relevance._induced` only when the row has a nested
 resource (otherwise it adds nothing).  Its LSM mask and candidate mask
 depend only on the induced set, so they are computed once per search:
@@ -60,11 +61,10 @@ the fringe keeps a memo of the pair keyed by the induced mask
 (:func:`_lsm`, from :func:`~pipblock.taskset._on_inside`), and the root
 reads the direct set's pair through it too.
 
-:func:`expand`, called once per expanded node, runs the walk, the child
-step, the M memo lookup, the repair and the node's construction in one
-loop: a child costs a call only for a nested row's induced set, a memo
-miss and the repair (:meth:`~pipblock.bound._Assignment.without`).  The
-tests hold :func:`_child` and this inline step to the same masks.
+:func:`expand`, called once per expanded node, runs the walk and, per
+extension, the child step, the M memo lookup on its candidates, the
+repair (:meth:`~pipblock.bound._Assignment.without`) and the node's
+construction.
 
 Pruning against a floor.  :func:`blocking_time` reads job i's scope
 from the index's job slot: the root's direct and relevant sets, and the
@@ -94,7 +94,7 @@ popped witness is the one the search without pruning pops:
 - a node whose children are all pruned goes back as a leaf with its
   gain, which is below L, so it never pops before the optimum;
 - the surviving nodes keep the relative order of their keys, since
-  ``seq`` and ``batch`` still count in generation and expansion order.
+  ``seq`` and the batch still count in generation and expansion order.
 Only node counts move: a pruned child is neither generated nor listed in
 its parent's expansion record (``created``), so traces show fewer
 extensions, and nodes expanded only below pruned children are gone.
@@ -119,21 +119,25 @@ and labels them only when read.
 The deadlock verdict :func:`~pipblock.deadlock.require_acyclic` reads is
 kept on the index, so a search runs no SCC pass of its own.
 
-Heuristics are inherited, not solved afresh.  :func:`_root` renumbers
-the kernel of the index's job slot (the bound stage's solve, or
-:func:`~pipblock.bound._job_kernel`'s for a standalone search) into the
-index's numbering: row j - 1 for job j, column k for resource bit
-``1 << k``, cells only between relevant jobs and relevant resources.  A
-child's problem is its parent's minus the row of the added section's job and the
-column of its resource, so :meth:`~pipblock.bound._Assignment.without`
-deactivates exactly those two numbers and repairs the optimum with at
-most two shortest-path grows over the positive cells, and none when the
-job held the resource.  Every estimate, the root's too, is the solved
-assignment's ``value``; the maximum value is unique, so it equals a
-fresh ``hungarian_bound`` over the node's sets, and with it every fringe
-key, node count and witness.  The deletion is well defined because an
-extension is eligible: its job and resource are still active rows and
-columns.
+Heuristics are inherited, not solved afresh.  :func:`_root` takes the
+kernel of the index's job slot (the bound stage's solve, or
+:func:`~pipblock.bound._job_kernel`'s for a standalone search) as the
+root's assignment, in its own compact numbering: row r for the r-th
+relevant job and column c for the c-th relevant resource, both
+ascending.  The fringe maps a job to its row and a resource bit to its
+column; every extension's job and resource are relevant, so both have
+one.  A child's problem is its parent's minus the row of the added
+section's job and the column of its resource, so
+:meth:`~pipblock.bound._Assignment.without` deactivates exactly those
+two numbers and repairs the optimum with at most two shortest-path
+grows over the positive cells, and none when the job held the
+resource.  ``without`` copies what it changes, so the slot's kernel,
+and the bound stage's pairs read from it, stay as solved.  Every
+estimate, the root's too, is the solved assignment's ``value``; the
+maximum value is unique, so it equals a fresh ``hungarian_bound`` over
+the node's sets, and with it every fringe key, node count and
+witness.  The deletion is well defined because an extension is
+eligible: its job and resource are still active rows and columns.
 """
 
 from __future__ import annotations
@@ -180,12 +184,14 @@ class SearchNode:
     stored on creation: the node's extensions are ``live & maximal``.
     ``induced`` is the chain's induced set, a resource mask of the task
     set's index.  ``gain`` (the chain's duration) and ``heuristic`` are
-    integers in units of ``1/index.scale``.  ``seq`` and ``batch`` are
-    the fringe's tie-break keys, set by :func:`blocking_time`.
-    ``assignment`` is the solved :class:`~pipblock.bound._Assignment`
-    behind ``heuristic`` (active: the relevant jobs and resources the
-    chain has not used), or None on a leaf: a node whose ``maximal`` is
-    empty on creation, or one :func:`blocking_time` re-marked as a leaf.
+    integers in units of ``1/index.scale``.  ``seq`` is the node's number
+    in generation order, the fringe's last tie-break key, set by
+    :func:`blocking_time`.  ``assignment`` is the solved
+    :class:`~pipblock.bound._Assignment` behind ``heuristic``, in the
+    bound stage's compact numbering (active: the relevant jobs and
+    resources the chain has not used), or None on a leaf: a node whose
+    ``maximal`` is empty on creation, or one :func:`blocking_time`
+    re-marked as a leaf.
     """
 
     chain: ZChain
@@ -197,7 +203,6 @@ class SearchNode:
     live: int
     maximal: int
     seq: int = -1
-    batch: int = -1
     assignment: _Assignment | None = None
 
     @property
@@ -210,50 +215,27 @@ class SearchNode:
 
 
 class Fringe:
-    """Generated-but-unexpanded nodes, ordered for Remove-First.
+    """The permanent records of one search, which :func:`expand` reads.
 
-    Also keeps two permanent records of one search, which :func:`expand`
-    reads directly: every chain set generated so far, as the ``members``
-    masks of the pushed nodes (``_generated``, the duplicate guard); and,
-    for each induced set met, its maximal-section mask and the relevant
-    sections not strictly inside a section on it (``_maximal``, see
-    :func:`_lsm`).  ``_floor`` is the gain of an
-    admissible chain and ``_relevant`` the ``on`` mask of the target's
-    relevant resources; :func:`blocking_time` sets both.  A fresh fringe
-    has floor 0, under which :func:`expand` prunes nothing.
-    :func:`blocking_time`, which numbers its nodes itself, uses ``_heap``
-    and ``_generated`` directly, without :meth:`push`'s seq check.
+    ``_generated`` holds every chain set generated so far, as ``members``
+    masks (the duplicate guard); ``_maximal`` maps each induced set met
+    to its maximal-section mask and the relevant sections not strictly
+    inside a section on it (see :func:`_lsm`).  ``_floor`` is the gain of
+    an admissible chain and ``_relevant`` the ``on`` mask of the target's
+    relevant resources; ``_row`` maps each relevant job to its row of the
+    root's assignment and ``_column`` each relevant resource bit to its
+    column.  :func:`_root` sets the last three and :func:`blocking_time`
+    the floor; a fresh fringe has floor 0, under which :func:`expand`
+    prunes nothing.  The queue itself is :func:`blocking_time`'s heap.
     """
 
     def __init__(self) -> None:
-        self._heap: list[tuple[int, int, int, int, SearchNode]] = []
-        self._queued: set[int] = set()
         self._generated: set[int] = set()
         self._maximal: dict[int, tuple[int, int]] = {}
         self._floor = 0
         self._relevant = 0
-
-    def push(self, node: SearchNode) -> None:
-        """Queue ``node`` under the key (-estimate, leaf flag, -batch, seq);
-        ``seq`` is unique, so the node itself is never compared."""
-        seq = node.seq
-        if seq < 0 or seq in self._queued:
-            raise ValueError("nodes need a fresh non-negative seq before insertion")
-        heuristic = node.heuristic
-        entry = (-node.gain - heuristic, 1 if heuristic else 0, -node.batch, seq, node)
-        heapq.heappush(self._heap, entry)
-        self._queued.add(seq)
-        self._generated.add(node.members)
-
-    def pop(self) -> SearchNode:
-        node = heapq.heappop(self._heap)[-1]
-        self._queued.remove(node.seq)
-        return node
-
-    def already_generated(self, sections: int) -> bool:
-        """True iff a node with exactly this chain set (a ``members`` mask)
-        was ever pushed."""
-        return sections in self._generated
+        self._row: dict[int, int] = {}
+        self._column: dict[int, int] = {}
 
 
 @dataclass(frozen=True, slots=True)
@@ -324,8 +306,7 @@ def expand(ts: TaskSet, i: int, node: SearchNode, fringe: Fringe) -> list[Search
     """
     index = _compiled(ts)
     rows, on, job_keys, relaxed = index.rows, index.on, index.job_keys, index.relaxed
-    conflict = index._conflict or index.conflict
-    memo, floor, seen = fringe._maximal, fringe._floor, fringe._generated
+    floor, seen, row, column = fringe._floor, fringe._generated, fringe._row, fringe._column
     chain, members, gain0 = node.chain, node.members, node.gain
     live0, induced0, eligible0 = node.live, node.induced, node.eligible
     estimate = gain0 + node.heuristic
@@ -337,15 +318,12 @@ def expand(ts: TaskSet, i: int, node: SearchNode, fringe: Fringe) -> list[Search
         if (members | bit) in seen:
             continue
         s = rows[bit.bit_length() - 1]
-        live, induced = live0 & ~conflict[s.key], induced0
-        if s.nested:
-            induced |= _induced(index, i, s, induced)
-        lsm, outside = memo.get(induced) or _lsm(index, induced, fringe)
+        live, induced, lsm, candidates = _child(index, i, s, live0, induced0, fringe)
         gain = gain0 + s.duration
         if gain < floor:
-            bound = relaxed.get(live & outside)
+            bound = relaxed.get(candidates)
             if bound is None:
-                bound = _relaxed(index, live & outside)
+                bound = _relaxed(index, candidates)
             if gain + bound < floor:
                 continue
         z = s.z
@@ -353,12 +331,12 @@ def expand(ts: TaskSet, i: int, node: SearchNode, fringe: Fringe) -> list[Search
         maximal = eligible & lsm
         heuristic, assignment = 0, None
         if maximal:
-            assignment = node.assignment.without(z.job - 1, s.bit.bit_length() - 1)
+            assignment = node.assignment.without(row[z.job], column[s.bit])
             heuristic = assignment.value
         created.append(
             SearchNode(
                 chain + (z,), members | bit, induced, eligible,
-                gain, heuristic, live, maximal, -1, -1, assignment,
+                gain, heuristic, live, maximal, -1, assignment,
             )
         )
         if not heuristic and gain == estimate:
@@ -424,21 +402,22 @@ def _root(index: _Index, i: int, fringe: Fringe) -> SearchNode:
     """The search's root for job ``i``, from the index's job slot
     (:func:`~pipblock.bound._job_kernel`): the empty chain, inducing the
     direct mask, with every section of the relevant jobs eligible and
-    live, and the slot's kernel renumbered (row j - 1 for job j, column k
-    for resource bit ``1 << k``), its value as the estimate.  It sets the
-    fringe's relevant mask; the root's LSM mask is the first entry of the
-    fringe's memo (:func:`_lsm`)."""
+    live, and the slot's kernel itself as its assignment, its value as the
+    estimate.  It builds the kernel's ``transpose`` once, for every
+    child's repair, and sets the fringe's relevant mask and its maps from
+    the relevant jobs and resource bits to the kernel's rows and columns;
+    the root's LSM mask is the first entry of the fringe's memo
+    (:func:`_lsm`)."""
     _, scope, kernel, jobs, resources = _job_kernel(index, i)
-    fringe._relevant = _on_inside(index, scope[-1])[0]
+    kernel.columns()
     bits, job_keys = index.bits, index.job_keys
-    rows, columns = [j - 1 for j in jobs], [bits[r].bit_length() - 1 for r in resources]
-    assignment = kernel.renumbered(rows, columns, len(index.longest), len(index.ids))
+    fringe._relevant = _on_inside(index, scope[-1])[0]
+    fringe._row = {j: r for r, j in enumerate(jobs)}
+    fringe._column = {bits[x]: c for c, x in enumerate(resources)}
     eligible = sum(job_keys[j] for j in jobs)
     direct = scope[0]
     maximal = eligible & _lsm(index, direct, fringe)[0]
-    return SearchNode(
-        (), 0, direct, eligible, 0, assignment.value, eligible, maximal, 0, 0, assignment
-    )
+    return SearchNode((), 0, direct, eligible, 0, kernel.value, eligible, maximal, 0, kernel)
 
 
 def blocking_time(ts: TaskSet, i: int, *, trace: bool = False) -> SearchResult:
@@ -458,9 +437,10 @@ def blocking_time(ts: TaskSet, i: int, *, trace: bool = False) -> SearchResult:
     root = _root(index, i, fringe)
     if root.heuristic:
         fringe._floor = _dive(index, i, root, fringe)
-    # Fringe.push and Fringe.pop, inline: the loop numbers every node.
-    heap, guard = fringe._heap, fringe._generated
-    heap.append((-root.heuristic, 1 if root.heuristic else 0, 0, 0, root))
+    # Keys (-estimate, leaf flag, -expansions made, seq): seq is unique,
+    # so a node is never compared.
+    heap = [(-root.heuristic, 1 if root.heuristic else 0, 0, 0, root)]
+    guard = fringe._generated
     guard.add(0)
     generated, expanded = 1, 0
     records: list[ExpansionRecord] = []
@@ -489,10 +469,10 @@ def blocking_time(ts: TaskSet, i: int, *, trace: bool = False) -> SearchResult:
                 )
             )
         if not created:
-            node.heuristic, node.batch, node.assignment = 0, expanded, None
+            node.heuristic, node.assignment = 0, None
             heapq.heappush(heap, (-node.gain, 0, -expanded, node.seq, node))
         for successor in created:
-            successor.seq, successor.batch = generated, expanded
+            successor.seq = generated
             h = successor.heuristic
             entry = (-successor.gain - h, 1 if h else 0, -expanded, generated, successor)
             heapq.heappush(heap, entry)

@@ -235,3 +235,29 @@ def test_fixpoint_trace_converts_no_iterate_whole(monkeypatch):
     trace = fixpoint_trace(ts, 1)
     assert trace == [frozenset(range(1, k + 1)) for k in range(1, n)]
     assert calls <= 1
+
+
+def test_scope_then_trace_run_one_fixpoint(monkeypatch):
+    # ``pipblock scope`` asks for the bundle, then the trace: both read the
+    # job slot, so the 2,000-job transitive chain's fixpoint runs once.
+    from pipblock import relevance
+
+    n = 2000
+    ts = parse_taskset(
+        "J1: [R1: 1]\n"
+        + "".join(f"J{j}: [R{j - 1}: 2 [R{j}: 1]]\n" for j in range(2, n + 1))
+    )
+    runs = 0
+    fixpoint = relevance._fixpoint
+
+    def counting(*args):
+        nonlocal runs
+        runs += 1
+        return fixpoint(*args)
+
+    monkeypatch.setattr(relevance, "_fixpoint", counting)
+    scope = blocking_scope(ts, 1)
+    trace = fixpoint_trace(ts, 1)
+    assert runs == 1
+    assert len(trace) == n - 1
+    assert trace[-1] == scope.relevant_resources

@@ -213,7 +213,8 @@ def _search_root(ts, i):
     """Job ``i``'s search root and its fringe, built as
     :func:`blocking_time` builds them before the dive: the root reads its
     scope and kernel from the index's job slot and sets the fringe's
-    relevant mask, and its LSM mask goes through the fringe's memo."""
+    relevant mask and its job -> row and resource bit -> column maps,
+    and its LSM mask goes through the fringe's memo."""
     from pipblock import Fringe
     from pipblock.search import _root
     from pipblock.taskset import _compiled
@@ -228,26 +229,31 @@ def _search_root(ts, i):
     shape=st.sampled_from([(8, 4), (4, 8), (6, 6)]),
 )
 def test_root_assignment_value_is_the_root_estimate(seed, shape):
-    # The root solves its assignment over the relevant jobs and the
-    # relevant resources, whichever side is larger; it matches only
-    # relevant rows to relevant columns, and its estimate equals
-    # hungarian_bound over the relevant sets, a solve of the blocking
-    # matrix built on its own.
+    # The root's assignment is the job slot's kernel itself, the bound
+    # stage's solve over the relevant jobs and the relevant resources,
+    # whichever side is larger, in its compact numbering.  Read back
+    # through the fringe's job -> row and resource bit -> column maps,
+    # it matches only relevant jobs to relevant resources, and its
+    # estimate equals hungarian_bound over the relevant sets, a solve of
+    # the blocking matrix built on its own.
     from pipblock import blocking_scope
-    from pipblock.taskset import _compiled, _positions
+    from pipblock.taskset import _compiled
 
     ts = random_taskset(seed, jobs=shape[0], resources=shape[1], sections_per_job=4)
     index = _compiled(ts)
     for i in range(1, ts.n + 1):
-        root, _ = _search_root(ts, i)
+        root, fringe = _search_root(ts, i)
+        assert root.assignment is index.slot[2]
         scope = blocking_scope(ts, i)
-        mate = root.assignment.mate
-        matched = [(r + 1, c) for r, c in enumerate(mate) if c >= 0]
-        columns = _positions(index.mask(scope.relevant_resources))
-        assert {j for j, _ in matched} <= set(scope.relevant_jobs)
-        assert {c for _, c in matched} <= set(columns)
+        job_of = {r: j for j, r in fringe._row.items()}
+        resource_of = {c: index.ids[bit.bit_length() - 1] for bit, c in fringe._column.items()}
+        assert sorted(job_of.values()) == sorted(scope.relevant_jobs)
+        assert sorted(resource_of.values()) == sorted(scope.relevant_resources)
+        matched = [(job_of[r], resource_of[c]) for r, c in enumerate(root.assignment.mate) if c >= 0]
+        assert {j for j, _ in matched} <= scope.relevant_jobs
+        assert {r for _, r in matched} <= scope.relevant_resources
         bound, _ = hungarian_bound(ts, scope.relevant_jobs, scope.relevant_resources)
-        assert root.heuristic == index.scaled(bound)
+        assert root.heuristic == root.assignment.value == index.scaled(bound)
 
 
 def test_standalone_expand_and_successors(five_jobs_deep):
@@ -280,7 +286,7 @@ def test_standalone_expand_and_successors(five_jobs_deep):
     # a node without eligible sections has no extensions: expand creates
     # nothing and leaves the node as it was
     leafish = by_label["z3,3"]
-    leafish.seq, leafish.batch = 1, 1
+    leafish.seq = 1
     assert successors(ts, leafish, fringe) == ()
     assert expand(ts, 1, leafish, fringe) == []
     assert leafish.is_leaf
@@ -316,59 +322,17 @@ def test_twelve_job_nested_search_is_pinned():
     assert len(result.expansions) == result.nodes_expanded
 
 
-def test_fringe_refuses_an_unnumbered_or_live_seq(five_jobs_deep):
-    from pipblock import Fringe
-
-    fringe = Fringe()
-    root, _ = _search_root(five_jobs_deep, 1)
-    root.seq = -1
-    with pytest.raises(ValueError):
-        fringe.push(root)
-    root.seq = 0
-    fringe.push(root)
-    with pytest.raises(ValueError):
-        fringe.push(_search_root(five_jobs_deep, 1)[0])
-
-
-def test_fringe_ordering_and_duplicate_guard(five_jobs_deep):
-    from pipblock import Fringe, SearchNode
-    from pipblock.taskset import _compiled
-
-    ts = five_jobs_deep
-    index = _compiled(ts)
-
-    def node(label_chain, gain, heuristic, seq, batch):
-        chain = tuple(
-            ts.section(int(l[1]), int(l[3])) for l in label_chain
-        )
-        return SearchNode(
-            chain=chain,
-            members=sum(1 << index.entry(z).key for z in chain),
-            induced=0,
-            eligible=0,
-            gain=gain,
-            heuristic=heuristic,
-            live=0,
-            maximal=0,
-            seq=seq,
-            batch=batch,
-        )
-
-    fringe = Fringe()
-    older = node(["z2,1"], 6, 20, 1, 1)
-    newer = node(["z3,3"], 10, 16, 2, 2)
-    leaf = node(["z4,4"], 26, 0, 3, 2)
-    fringe.push(older)
-    fringe.push(newer)
-    fringe.push(leaf)
-    # equal estimates: the leaf pops first, then the newer batch
-    assert fringe.pop() is leaf
-    assert fringe.pop() is newer
-    assert fringe.pop() is older
-
-    # generation memory persists across pops
-    assert fringe.already_generated(newer.members)
-    assert not fringe.already_generated(1 << index.entry(ts.section(5, 3)).key)
+def test_leaf_first_tie_decides_the_witness():
+    # J2 of this set: the root's two children tie at estimate 12, z4,1
+    # (gain 7, heuristic 5, generated first) and z4,2 (a leaf of gain 12).
+    # The fringe's key puts the leaf first, so the search stops on z4,2
+    # after one expansion; keyed on the estimate, batch and seq alone,
+    # z4,1 would pop first and the witness would be z4,1 then z5,1.
+    ts = random_taskset(105, jobs=5, resources=5, sections_per_job=3, nesting_depth=2)
+    result = blocking_time(ts, 2)
+    assert [z.label for z in result.witness] == ["z4,2"]
+    assert (result.nodes_generated, result.nodes_expanded) == (3, 1)
+    assert result.blocking_time == brute_force_blocking_time(ts, 2).best_duration
 
 
 @settings(max_examples=40, deadline=None)
@@ -468,7 +432,7 @@ def test_successors_match_the_definitions(seed, fractional):
     scope = blocking_scope(ts, i)
     relevant = index.mask(scope.relevant_resources)
     root, fringe = _search_root(ts, i)
-    fringe.push(root)
+    fringe._generated.add(root.members)
     generated = {frozenset()}
     children = {}
     next_seq = 1
@@ -507,9 +471,9 @@ def test_successors_match_the_definitions(seed, fractional):
                 assert list(successors(ts, node, fringe)) == expected
                 created = expand(ts, i, node, fringe)
                 for child in created:
-                    child.seq = child.batch = next_seq
+                    child.seq = next_seq
                     next_seq += 1
-                    fringe.push(child)
+                    fringe._generated.add(child.members)
                     generated.add(frozenset(child.chain))
                 children[node.seq] = created
             if not children[node.seq]:
@@ -637,6 +601,31 @@ def test_witnesses_are_admissible_on_shapes(seed, shape):
         assert chain_duration(result.witness) == result.blocking_time
 
 
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10**9), shape=SHAPES)
+def test_search_leaves_the_shared_kernel_alone(seed, shape):
+    # The search's root is the job slot's kernel itself, the bound stage's
+    # solve, and every child repairs a copy.  After the search the
+    # kernel's duals, matching and value, and the bound stage's pairs
+    # read from it, are those it had before.
+    from pipblock.analysis import _bound_stage
+    from pipblock.taskset import _compiled
+
+    def fields(kernel):
+        return kernel.a[:], kernel.b[:], kernel.mate[:], kernel.comate[:], kernel.value
+
+    ts = _shaped(shape, seed)
+    index = _compiled(ts)
+    for i in range(1, ts.n + 1):
+        _, assignment = _bound_stage(ts, i)
+        kernel = index.slot[2]
+        before = fields(kernel)
+        blocking_time(ts, i)
+        assert index.slot[2] is kernel
+        assert fields(kernel) == before
+        assert _bound_stage(ts, i)[1] == assignment
+
+
 def test_search_outputs_and_records_are_pinned():
     # Every job of antidiagonal widths 1-7 and of five random 12-job sets:
     # the value, witness labels, node counts and every expansion record
@@ -759,8 +748,7 @@ def _created_with_candidates(ts, i):
     """Job ``i``'s search root with its candidates, in a list that is empty
     when the root is a leaf, and every (parent, child, candidates) of the
     children :func:`expand` created.  A child's candidates come from its
-    parent through the child step, which must give the child's stored
-    ``live`` and ``induced``."""
+    parent through the child step."""
     from unittest import mock
 
     import pipblock.search
@@ -776,10 +764,7 @@ def _created_with_candidates(ts, i):
             roots.append((node, node.live & fringe._maximal[node.induced][1]))
         for child in children:
             s = index.entry(child.chain[-1])
-            live, induced, _, candidates = _child(
-                index, i, s, node.live, node.induced, fringe
-            )
-            assert (live, induced) == (child.live, child.induced)
+            candidates = _child(index, i, s, node.live, node.induced, fringe)[3]
             created.append((node, child, candidates))
         return children
 

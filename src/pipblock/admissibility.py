@@ -19,17 +19,16 @@ The empty chain is admissible; admissibility of a longer chain means every
 prefix extension passed.  The chain order is construction order, so the
 predicate is order-sensitive; the exact search explores orders.
 
-Every condition is a test on the compiled index's masks.  FHO and FLO
-are one predicate, :func:`_obstructed`, over the extension's row and two
-masks of the chain: ``above``, the OR of ``earlier`` over the members of
-higher priority than the extension's job, and ``below``, the OR of
-``held`` over those of lower priority; :func:`_priority_masks` builds
-both from the chain's index rows, for the chain check and the oracle's
-enumeration.  Only a failure that has to be reported walks the chain, to
-name the witness pair.  The
-exact search calls none of these: it reads NBJ, NBR, FHO and FLO from
-the index's ``conflict`` masks and LSM from its ``on`` and ``inside``
-masks (:mod:`~pipblock.search`).
+Every condition is a test on the compiled index's masks, made in one
+place.  FHO and FLO are one predicate, :func:`_obstruction`, which walks
+the chain's index rows once: a higher-priority member whose ``earlier``
+meets the extension's ``held`` fails FHO, and otherwise a lower-priority
+member whose ``held`` meets the extension's ``earlier`` fails FLO; the
+walk that decides also names the witness pair.  The chain check, the
+quick screen and the oracle's enumeration all go through it.  The exact
+search calls none of these: it reads NBJ, NBR, FHO and FLO from the
+index's ``conflict`` masks and LSM from its ``on`` and ``inside`` masks
+(:mod:`~pipblock.search`).
 
 ``quick_admissibility_verdict`` is the fast screen run after the
 assignment bound: it tries to realize the bound as a chain by always
@@ -121,54 +120,33 @@ def _extension_failure(
     if not _maximal(s, in_set):
         anc = next(a for a in z.ancestors() if index.bits[a.resource] & in_set)
         return AdmissibilityVerdict(False, LSM, z, (anc, z))
-    above, below = _priority_masks(rows, z.job)
-    return _obstruction(index, rows, s, above, below)
-
-
-def _priority_masks(rows: Sequence[_Section], job: int) -> tuple[int, int]:
-    """``(above, below)`` for a section of ``job``: the OR of ``earlier``
-    over the chain's rows of higher priority (smaller job index) and the
-    OR of ``held`` over those of lower priority."""
-    above = below = 0
-    for m in rows:
-        if m.z.job < job:
-            above |= m.earlier
-        elif m.z.job > job:
-            below |= m.held
-    return above, below
-
-
-def _obstructed(s: _Section, above: int, below: int) -> bool:
-    """True iff FHO or FLO rejects the section of row ``s``: a resource it
-    holds is used by an earlier section of a higher-priority member (in
-    ``above``), or one of its job's earlier sections uses a resource a
-    lower-priority member holds (in ``below``)."""
-    return above & s.held != 0 or s.earlier & below != 0
+    return _obstruction(index, rows, s)
 
 
 def _obstruction(
-    index: _Index,
-    rows: Sequence[_Section],
-    s: _Section,
-    above: int,
-    below: int,
+    index: _Index, rows: Sequence[_Section], s: _Section
 ) -> AdmissibilityVerdict | None:
     """FHO, then FLO, failure for extending the chain of index rows
-    ``rows`` with row ``s``, or None; ``above`` and ``below`` are the
-    chain's priority masks for ``s``'s job (:func:`_priority_masks`).  The
-    masks decide; only on failure are the rows walked to name the witness
-    pair: the first member, in chain order, that obstructs on its own,
-    with the job's first earlier section on a resource of the conflict."""
-    if not _obstructed(s, above, below):
-        return None
+    ``rows`` with row ``s``, or None, in one walk of the rows.  FHO: the
+    first member of higher priority (smaller job index) with an earlier
+    section on a resource ``s`` holds, paired with that job's first
+    section on such a resource.  Failing that, FLO: the first member of
+    lower priority holding a resource that an earlier section of ``s``'s
+    job uses, paired with that job's first section on a resource the
+    member holds."""
     z = s.z
+    below = None
     for m in rows:
-        if m.z.job < z.job and _obstructed(s, m.earlier, 0):
-            q = next(e.z for e in index.sections[m.z.job - 1] if e.bit & s.held)
-            return AdmissibilityVerdict(False, FHO, z, (q, m.z))
-    m = next(m for m in rows if m.z.job > z.job and _obstructed(s, 0, m.held))
-    o = next(e.z for e in index.sections[z.job - 1] if e.bit & m.held)
-    return AdmissibilityVerdict(False, FLO, z, (o, m.z))
+        if m.z.job < z.job:
+            if m.earlier & s.held:
+                q = next(e.z for e in index.sections[m.z.job - 1] if e.bit & s.held)
+                return AdmissibilityVerdict(False, FHO, z, (q, m.z))
+        elif below is None and m.z.job > z.job and m.held & s.earlier:
+            below = m
+    if below is None:
+        return None
+    o = next(e.z for e in index.sections[z.job - 1] if e.bit & below.held)
+    return AdmissibilityVerdict(False, FLO, z, (o, below.z))
 
 
 def is_admissible_chain(

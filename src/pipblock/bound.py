@@ -167,14 +167,12 @@ def _best(
     kernel: _Assignment, jobs: Sequence[int], resources: Sequence[ResourceId], scale: int
 ) -> AssignmentSet:
     """The first maximum-duration assignment of the solved ``kernel``,
-    row r for ``jobs[r]`` and column c for ``resources[c]``, with its value
-    in units of ``1/scale``."""
+    row r for ``jobs[r]`` and column c for ``resources[c]``.  That
+    permutation is optimal, so its value is the kernel's, in units of
+    ``1/scale``."""
     columns = _first_best(kernel, len(jobs), len(resources))
-    matched = [(r, c) for r, c in enumerate(columns) if c in kernel.cells[r]]
-    return AssignmentSet(
-        pairs=tuple((jobs[r], resources[c]) for r, c in matched),
-        value=Fraction(sum(kernel.cells[r][c] for r, c in matched), scale),
-    )
+    pairs = [(jobs[r], resources[c]) for r, c in enumerate(columns) if c in kernel.cells[r]]
+    return AssignmentSet(pairs=tuple(pairs), value=Fraction(kernel.value, scale))
 
 
 _FREE, _GONE = -1, -2  # mate of an unmatched, and of a deactivated, number

@@ -169,6 +169,27 @@ def test_extension_goldens(five_jobs_deep, two_resource_cross):
     assert verdict.witness == (tc.section(2, 1), tc.section(3, 2))
 
 
+def test_fho_is_reported_before_flo():
+    # z3,2 on R1 has both kinds of obstruction: the lower-priority member
+    # z4,1 holds R3, which z3,1 uses (FLO), and the higher-priority member
+    # z2,2 comes after z2,1 on R1 (FHO).  FHO is checked first whatever
+    # the members' chain order, so the FLO member coming first must not
+    # name the failure.
+    ts = parse_taskset(
+        "J1: [R1: 1] [R2: 1] [R3: 1]\n"
+        "J2: [R1: 1] [R2: 1]\n"
+        "J3: [R3: 1] [R1: 1]\n"
+        "J4: [R3: 1]\n"
+    )
+    verdict = is_admissible_chain(ts, 1, (ts.section(4, 1), ts.section(2, 2), ts.section(3, 2)))
+    assert (verdict.failed_condition, verdict.section) == ("FHO", ts.section(3, 2))
+    assert verdict.witness == (ts.section(2, 1), ts.section(2, 2))
+
+    verdict = is_admissible_chain(ts, 1, (ts.section(4, 1), ts.section(3, 2)))
+    assert (verdict.failed_condition, verdict.section) == ("FLO", ts.section(3, 2))
+    assert verdict.witness == (ts.section(3, 1), ts.section(4, 1))
+
+
 def test_chain_rejects_foreign_sections(nested_four_jobs):
     with pytest.raises(ValueError):
         is_admissible_chain(nested_four_jobs, 2, (nested_four_jobs.section(2, 1),))

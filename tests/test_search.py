@@ -388,8 +388,8 @@ def test_successors_match_the_definitions(seed, fractional):
     # and NBR, whose chain set was never generated, and that extend the
     # chain admissibly, both by is_admissible_chain and by the definitions
     # written out in test_admissibility.  On every section of a remaining
-    # job, the FHO/FLO mask predicate must agree with the witness walk and
-    # with FHO/FLO as defined on sections.
+    # job, the chain check's FHO/FLO predicate must agree with FHO/FLO as
+    # defined on sections.
     import random
     import re
 
@@ -401,7 +401,7 @@ def test_successors_match_the_definitions(seed, fractional):
         serialize_taskset,
         successors,
     )
-    from pipblock.admissibility import _obstructed, _obstruction, _priority_masks
+    from pipblock.admissibility import _obstruction
     from pipblock.taskset import _compiled
 
     def held(z):
@@ -454,13 +454,9 @@ def test_successors_match_the_definitions(seed, fractional):
                 expected = []
                 for j in sorted(scope.relevant_jobs - {m.job for m in chain}):
                     rows = [index.entry(m) for m in chain]
-                    above, below = _priority_masks(rows, j)
                     for z in ts.job(j).sections:
                         s = index.entry(z)
-                        verdict = _obstructed(s, above, below)
-                        witness = _obstruction(index, rows, s, above, below)
-                        assert verdict == (witness is not None)
-                        assert verdict == obstructed(chain, z)
+                        assert (_obstruction(index, rows, s) is not None) == obstructed(chain, z)
                         if not is_maximal(z, induced) or z.resource in taken:
                             continue
                         extended = chain + (z,)
@@ -541,14 +537,14 @@ def test_live_matches_the_definitions(seed, shape):
     # be the set of the relevant jobs' sections that pass NBJ and NBR, and
     # the live mask the part of it that FHO/FLO do not reject against the
     # node's chain, both computed from scratch with the chain check's
-    # priority masks.  The stored maximal mask must be the eligible
+    # FHO/FLO predicate.  The stored maximal mask must be the eligible
     # sections maximal w.r.t. the node's induced set, recomputed from
     # scratch.
     from unittest import mock
 
     import pipblock.search
     from pipblock import blocking_scope
-    from pipblock.admissibility import _obstructed, _priority_masks
+    from pipblock.admissibility import _obstruction
     from pipblock.taskset import _compiled, _on_inside
 
     ts = _shaped(shape, seed)
@@ -567,14 +563,14 @@ def test_live_matches_the_definitions(seed, shape):
         for node in expanded:
             chain = node.chain
             eligible = live = 0
+            rows = [index.entry(m) for m in chain]
             for j in sorted(jobs - {m.job for m in chain}):
-                above, below = _priority_masks([index.entry(m) for m in chain], j)
                 for z in ts.job(j).sections:
                     s = index.entry(z)
                     if any(m.resource == z.resource for m in chain):
                         continue
                     eligible |= 1 << s.key
-                    if not _obstructed(s, above, below):
+                    if _obstruction(index, rows, s) is None:
                         live |= 1 << s.key
             assert node.eligible == eligible
             assert node.live == live

@@ -32,11 +32,12 @@ index's ``conflict`` masks and LSM from its ``on`` and ``inside`` masks
 
 ``quick_admissibility_verdict`` is the fast screen run after the
 assignment bound: it tries to realize the bound as a chain by always
-taking the leftmost longest section per assignment pair, then checks the
-constructed chain with ``is_admissible_chain``'s check.  It is sound (a
-pass yields a verified witness chain) but not complete: picking the
-leftmost section can fail where another section of equal length would
-have worked.
+taking each assignment pair's matrix cell, the job's leftmost longest
+section on the resource as the index's ``longest`` map holds it, then
+checks the constructed chain with ``is_admissible_chain``'s check.  It
+is sound (a pass yields a verified witness chain) but not complete:
+picking the leftmost section can fail where another section of equal
+length would have worked.
 """
 
 from __future__ import annotations
@@ -207,38 +208,27 @@ def quick_admissibility_verdict(
     """Try to realize the bound ``assignment.value`` as an admissible chain
     built from the assignment pairs.
 
-    Pairs are consumed in ascending job order whenever their resource has
-    entered the induction scope (seeded with the direct blocking set); for
-    each pair the leftmost section of the job's longest duration on the
-    resource is chosen, its nested resources join the scope and the
-    consumed resource leaves it.  If the accumulated duration falls short
-    of the bound the screen fails; otherwise the constructed chain passes
-    exactly when :func:`is_admissible_chain` accepts it.
+    Each pair's cell is the index's row in ``longest``: the job's
+    leftmost longest section on the resource; a pair whose job does not
+    use the resource, or whose cell lasts 0, is skipped.  Cells are
+    consumed in ascending job order whenever their resource has entered
+    the induction scope (seeded with the direct blocking set); a consumed
+    cell's nested resources join the scope and its own resource leaves
+    it.  If the accumulated duration falls short of the bound the screen
+    fails; otherwise the constructed chain passes exactly when
+    :func:`is_admissible_chain` accepts it.
     """
     index = _compiled(ts)
-    bits, longest = index.bits, index.longest
     scope = direct = _scope(index, i)[1][0]  # the direct mask, from the job slot
-    remaining = [
-        (job, bits[r], w)
-        for job, r in sorted(assignment.pairs)
-        if (w := longest[job - 1].get(r, 0))
-    ]
+    cells = (index.longest[job - 1].get(r) for job, r in sorted(assignment.pairs))
+    remaining = [s for s in cells if s and s.duration]
     rows: list[_Section] = []
-    total = 0
-    while True:
-        for pick in remaining:
-            if pick[1] & scope:
-                break
-        else:
-            break
+    while pick := next((s for s in remaining if s.bit & scope), None):
         remaining.remove(pick)
-        job, bit, w = pick
-        s = next(e for e in index.sections[job - 1] if e.bit == bit and e.duration == w)
-        rows.append(s)
-        total += w
-        scope = (scope | s.nested) & ~bit
+        rows.append(pick)
+        scope = (scope | pick.nested) & ~pick.bit
     chain = tuple(s.z for s in rows)
-    achieved = Fraction(total, index.scale)
+    achieved = Fraction(sum(s.duration for s in rows), index.scale)
     if achieved < assignment.value:
         return QuickCheckResult(
             passed=False,

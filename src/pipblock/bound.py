@@ -3,10 +3,11 @@
 The worst blocking any set of jobs can inflict through a set of resources
 is bounded by picking, for each job, at most one resource (all jobs and
 all resources distinct) and summing the longest section durations: an
-assignment problem solved here in its maximization form.  Cells of the
-blocking-time matrix hold the longest duration each job spends on each
-resource, as the integers of the task set's compiled index: units of
-``1/scale``, the common denominator of the set's durations.
+assignment problem solved here in its maximization form.  The cell
+(J_j, R) of the blocking-time matrix is job j's leftmost longest section
+on resource R: the compiled index keeps that section's row in its
+``longest`` maps, and the cell's weight is the row's duration, an integer
+in units of ``1/scale``, the common denominator of the set's durations.
 
 One sparse integer kernel, :class:`_Assignment`, solves it: a
 maximum-weight matching of rows (jobs) onto columns (resources) over the
@@ -125,10 +126,11 @@ def blocking_time_matrix(
     ts: TaskSet, jobs: Iterable[int], resources: Iterable[ResourceId]
 ) -> BlockingMatrix:
     """Build the longest-duration matrix for the given jobs and resources
-    from the task set's compiled index."""
+    from the durations of the compiled index's ``longest`` rows."""
     job_ids, resource_ids = _checked_inputs(ts, jobs, resources)
     index = _compiled(ts)
-    weights = [[index.longest[j - 1].get(r, 0) for r in resource_ids] for j in job_ids]
+    cells = [index.longest[j - 1] for j in job_ids]
+    weights = [[c[r].duration if r in c else 0 for r in resource_ids] for c in cells]
     return BlockingMatrix(job_ids, resource_ids, weights, index.scale)
 
 
@@ -145,11 +147,12 @@ def max_assignment(matrix: BlockingMatrix) -> AssignmentSet:
 
 
 def _solve(index: _Index, jobs: Sequence[int], resources: Sequence[ResourceId]) -> _Assignment:
-    """The kernel over the index's longest durations of ``jobs`` on
-    ``resources``, both ascending: row r is ``jobs[r]`` and column c is
-    ``resources[c]``."""
-    col, longest = {r: c for c, r in enumerate(resources)}, index.longest
-    cells = [{col[r]: w for r, w in longest[j - 1].items() if r in col and w > 0} for j in jobs]
+    """The kernel over the positive cells of ``jobs`` on ``resources`` in
+    the index's ``longest`` maps, both ascending: row r is ``jobs[r]`` and
+    column c is ``resources[c]``."""
+    col = {r: c for c, r in enumerate(resources)}
+    rows = (index.longest[j - 1].items() for j in jobs)
+    cells = [{col[r]: s.duration for r, s in row if r in col and s.duration} for row in rows]
     return _Assignment(cells, len(resources))
 
 

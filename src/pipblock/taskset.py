@@ -308,11 +308,12 @@ class _Index:
     Durations are integers in units of ``1/scale``, the common denominator
     of all durations, and resource sets are bit masks (``bits`` gives each
     resource its bit, ``ids[k]`` is the resource of bit ``1 << k``).
-    ``longest[j-1]`` maps each resource job j uses to its longest section
-    duration, ``sections[j-1]`` holds job j's section rows in position
-    order, ``rows[key]`` is the row of each section key, and ``users``
-    maps each resource bit to the mask of the jobs using it (bit ``j`` for
-    job j).
+    ``longest[j-1]`` maps each resource R job j uses to the row of the
+    job's leftmost longest section on R: the matrix cell (J_j, R), read
+    by the bound's kernel and the quick screen alike.  ``sections[j-1]``
+    holds job j's section rows in position order, ``rows[key]`` is the
+    row of each section key, and ``users`` maps each resource bit to the
+    mask of the jobs using it (bit ``j`` for job j).
 
     Three masks over section keys are built with the rows: ``on`` maps
     each resource bit to the keys of the sections on it, ``inside`` to the
@@ -344,7 +345,7 @@ class _Index:
         self.on = dict.fromkeys(self.bits.values(), 0)
         self.inside = dict.fromkeys(self.bits.values(), 0)
         self.job_keys = [0] * (len(ts.jobs) + 1)
-        self.longest: list[dict[ResourceId, int]] = []
+        self.longest: list[dict[ResourceId, _Section]] = []
         self.sections: list[list[_Section]] = []
         bits, on, inside, users, scale = self.bits, self.on, self.inside, self.users, self.scale
         key = 0
@@ -357,7 +358,7 @@ class _Index:
                     nested[up] |= bits[z.resource] | nested[p]
                     last[up] = max(last[up], last[p])
             self.job_keys[job.index] = ((1 << len(job.sections)) - 1) << key
-            longest: dict[ResourceId, int] = {}
+            longest: dict[ResourceId, _Section] = {}
             rows: list[_Section] = []
             earlier = 0
             for z, inner, stop in zip(job.sections, nested, last):
@@ -368,8 +369,9 @@ class _Index:
                 on[bit] |= 1 << key
                 inside[bit] |= ((1 << stop - key) - 1) << key + 1
                 key += 1
-                if duration >= longest.get(z.resource, 0):
-                    longest[z.resource] = duration
+                # strictly longer only, so the leftmost of equal sections stays
+                if z.resource not in longest or duration > longest[z.resource].duration:
+                    longest[z.resource] = rows[-1]
                 users[bit] |= 1 << job.index
                 earlier |= bit
             self.longest.append(longest)

@@ -1,12 +1,15 @@
-"""Shared fixtures: the six benchmark task sets used across the suite, and
-a reference fixpoint written from the public definitions."""
+"""Shared fixtures: the small task sets used across the suite, and a
+reference fixpoint written from the public definitions."""
 
 from __future__ import annotations
+
+import warnings
 
 import pytest
 
 from pipblock import (
     TaskSet,
+    ZeroDurationWarning,
     direct_blocking_resources,
     induced_set,
     is_maximal,
@@ -88,6 +91,15 @@ J4: [R3:3 [R1:1]] [R5:1] [R4:12 [R2:9]]
 J5: [R1:4] [R5:13 [R2:12]] [R1:7]
 """
 
+# J2 locks R1 for 0, twice for 5 and once for 2 between them; J3 locks R2
+# only for 0 and never locks R3.  The cell (J2, R1) is the leftmost of the
+# tied sections, z2,2, and the cell (J3, R2) is z3,1, lasting 0.
+TIE_AND_ZERO = """\
+J1: [R1:1] [R2:1] [R3:1]
+J2: [R1:0] [R1:5] [R1:2] [R1:5]
+J3: [R2:0]
+"""
+
 # Two jobs nesting the same two resources in opposite orders: cyclic.
 CROSS_NESTING = """\
 J1: [R1:1 [R2:1]]
@@ -128,3 +140,10 @@ def five_jobs_deep() -> TaskSet:
 @pytest.fixture(scope="session")
 def cross_nesting() -> TaskSet:
     return parse_taskset(CROSS_NESTING)
+
+
+@pytest.fixture(scope="session")
+def tie_and_zero() -> TaskSet:
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ZeroDurationWarning)
+        return parse_taskset(TIE_AND_ZERO)

@@ -1,4 +1,5 @@
 import itertools
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +19,7 @@ from pipblock import (
     quick_admissibility_verdict,
     random_taskset,
 )
+from pipblock.bound import AssignmentSet
 
 
 # --- an independent, quantifier-literal reference implementation ------------
@@ -387,3 +389,14 @@ def test_quick_check_soundness_random(seed):
         if result.passed:
             assert chain_duration(result.chain) == assignment.value
             assert is_admissible_chain(ts, i, result.chain).admissible
+
+
+def test_quick_check_skips_pairs_without_a_positive_cell(tie_and_zero):
+    # J3 never locks R3, and its one section on R2 lasts 0: either pair is
+    # skipped, and J2's cell alone realizes the bound.
+    ts = tie_and_zero
+    for stray in [(3, 2), (3, 3)]:
+        result = quick_admissibility_verdict(ts, 1, AssignmentSet(((2, 1), stray), Fraction(5)))
+        assert result.passed
+        assert result.chain == (ts.section(2, 2),)
+        assert result.achieved == 5

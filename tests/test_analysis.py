@@ -5,11 +5,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pipblock import (
+    CriticalSection,
+    TaskSet,
     analyze,
     chain_duration,
     is_admissible_chain,
     parse_taskset,
     per_job_bounds,
+    quick_admissibility_verdict,
     random_taskset,
     render_report,
 )
@@ -205,3 +208,55 @@ def test_analyze_does_each_jobs_work_once():
         report = analyze(ts)
     assert sum(a.searched for a in report.jobs) > 0
     assert counts == {"scc": 1, "fixpoint": ts.n, "solve": ts.n}
+
+
+# --- one home per matrix cell: the index's longest map ------------------------
+
+
+def _leftmost_longest(ts: TaskSet, j: int, r) -> CriticalSection:
+    """From the definition: the first of job ``j``'s sections on ``r``
+    with the largest duration."""
+    on_r = [z for z in ts.job(j).sections if z.resource == r]
+    return next(z for z in on_r if z.duration == max(w.duration for w in on_r))
+
+
+def _check_cells_and_screen(ts: TaskSet) -> None:
+    # Every cell (J_j, R) of a resource job j uses is the row of its
+    # leftmost longest section on R, and the screen run on each job's
+    # bound-stage assignment builds its chain from exactly those pairs'
+    # cells: all of them unless the pairs could not be woven into one
+    # chain.
+    from pipblock.analysis import _bound_stage
+    from pipblock.taskset import _compiled
+
+    index = _compiled(ts)
+    for job in ts.jobs:
+        cells = index.longest[job.index - 1]
+        assert set(cells) == {z.resource for z in job.sections}
+        for r, s in cells.items():
+            assert s.z is _leftmost_longest(ts, job.index, r)
+    for i in range(1, ts.n + 1):
+        _, assignment = _bound_stage(ts, i)
+        quick = quick_admissibility_verdict(ts, i, assignment)
+        expected = {_leftmost_longest(ts, j, r) for j, r in assignment.pairs}
+        assert len(set(quick.chain)) == len(quick.chain)
+        assert set(quick.chain) <= expected
+        if quick.failed_condition != "induction-compatibility":
+            assert set(quick.chain) == expected
+
+
+def test_cells_keep_the_leftmost_longest_section(tie_and_zero):
+    from pipblock.taskset import _compiled
+
+    ts = tie_and_zero
+    longest = _compiled(ts).longest
+    assert longest[1][1].z is ts.section(2, 2)
+    assert longest[2][2].z is ts.section(3, 1) and longest[2][2].duration == 0
+    _check_cells_and_screen(ts)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10**9), shape=SHAPES)
+def test_cells_and_screen_match_the_definition_on_shapes(seed, shape):
+    _check_cells_and_screen(_shaped(shape, seed))
+

@@ -169,9 +169,9 @@ def test_fractional_durations_scale_the_result(seed, k):
 def test_repaired_assignment_matches_fresh_bound(seed, shape, fractional):
     # A child's heuristic repairs its parent's optimal assignment after
     # deactivating one job row and one resource column (row j - 1 is job
-    # j, column k is resource bit 1 << k, cells from the index's longest
-    # durations).  Delete random pairs, and sometimes a row with its own
-    # matched column (no grow), down to an empty side: every
+    # j, column k is resource bit 1 << k, cells the durations of the
+    # index's longest rows).  Delete random pairs, and sometimes a row
+    # with its own matched column (no grow), down to an empty side: every
     # repaired value must equal a fresh hungarian_bound over the remaining
     # sets.
     import random
@@ -191,7 +191,9 @@ def test_repaired_assignment_matches_fresh_bound(seed, shape, fractional):
     resources = set(rng.sample(sorted(ts.resources), min(shape[1], len(ts.resources))))
     column = {r: index.bits[r].bit_length() - 1 for r in index.ids}
     cells = [
-        {column[r]: w for r, w in longest.items() if r in resources and w > 0} if j in jobs else {}
+        {column[r]: s.duration for r, s in longest.items() if r in resources and s.duration}
+        if j in jobs
+        else {}
         for j, longest in enumerate(index.longest, 1)
     ]
     assignment = _Assignment(cells, len(index.ids))

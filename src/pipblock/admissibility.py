@@ -24,11 +24,13 @@ place.  FHO and FLO are one predicate, :func:`_obstruction`, which walks
 the chain's index rows once: a higher-priority member whose ``earlier``
 meets the extension's ``held`` fails FHO, and otherwise a lower-priority
 member whose ``held`` meets the extension's ``earlier`` fails FLO; the
-walk that decides also names the witness pair.  The chain check, the
-quick screen and the oracle's enumeration all go through it.  The exact
-search calls none of these: it reads NBJ, NBR, FHO and FLO from the
-index's ``conflict`` masks and LSM from its ``on`` and ``inside`` masks
-(:mod:`~pipblock.search`).
+walk that decides also names the witness pair.  The chain check and the
+quick screen go through it.  The exact search calls none of these: it
+reads NBJ, NBR, FHO and FLO from the index's ``conflict`` masks and LSM
+from its ``on`` and ``inside`` masks (:mod:`~pipblock.search`).  The
+oracle calls none of them either: it enumerates with the index-free
+statement of the same conditions (:mod:`~pipblock.definitions`), which
+the tests also hold the chain check's verdicts and witnesses to.
 
 ``quick_admissibility_verdict`` is the fast screen run after the
 assignment bound: it tries to realize the bound as a chain by always

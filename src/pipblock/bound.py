@@ -363,7 +363,9 @@ def _first_best(kernel: _Assignment, m: int, k: int) -> list[int]:
     tight column that an alternating cycle through its current column
     and the rows not yet fixed allows.  One backward breadth-first search
     from the current column finds them all; the block enters it once, as
-    a whole, at the first zero-dual column reached.
+    a whole, at the first zero-dual column reached.  A row's tight columns
+    are found at its turn, and each column's tight rows (``into``) only
+    when the first row needs a search: most rows keep their column.
     """
     n = max(m, k)
     a, b = kernel.a + [0] * (n - m), kernel.b + [0] * (n - k)
@@ -373,19 +375,18 @@ def _first_best(kernel: _Assignment, m: int, k: int) -> list[int]:
         if column[r] == _FREE:
             column[r] = c = next(spare)
             owner[c] = r
-    tight = [sorted([c for c, w in kernel.cells[r].items() if a[r] + b[c] == w]) for r in range(m)]
     into: list[list[int]] = []  # each column's tight rows, ascending, built for the first search
     zero_rows = [r for r in range(n) if a[r] == 0]
     open_zero = [c for c in range(n) if b[c] == 0]  # not held by a fixed row
     for r in range(m):
         t = column[r]
+        tight = [c for c, w in kernel.cells[r].items() if a[r] + b[c] == w]
         block = a[r] == 0 and bool(open_zero) and open_zero[0] < t
-        if block or (tight[r] and tight[r][0] < t):
+        if block or (tight and min(tight) < t):
             if not into:
                 into = [[] for _ in range(n)]
-                for q, row in enumerate(tight):
-                    for c in row:
-                        into[c].append(q)
+                for q, c in [(q, c) for q in range(m) for c, w in kernel.cells[q].items() if a[q] + b[c] == w]:
+                    into[c].append(q)
             after = zero_rows[bisect_right(zero_rows, r):]
             nxt = {t: t}  # column -> the column its owner moves to
             queue = [t]
@@ -398,7 +399,7 @@ def _first_best(kernel: _Assignment, m: int, k: int) -> list[int]:
                     if column[q] not in nxt:
                         nxt[column[q]] = y
                         queue.append(column[q])
-            c = min([c for c in tight[r] if c in nxt] + [c for c in nxt if block and b[c] == 0] + [t])
+            c = min([c for c in tight if c in nxt] + [c for c in nxt if block and b[c] == 0] + [t])
             q, x = r, c
             while True:
                 prev, column[q], owner[x] = owner[x], x, q

@@ -275,7 +275,7 @@ def cmd_check_chain(file, job, chain_text) -> None:
 @cli.command("oracle")
 @click.argument("file", type=click.Path(exists=True, dir_okay=False))
 @click.option("--job", type=int, required=True)
-@click.option("--limit", type=int, default=10**6, show_default=True)
+@click.option("--limit", type=click.IntRange(min=1), default=10**6, show_default=True)
 def cmd_oracle(file, job, limit) -> None:
     """Exhaustive enumeration of admissible chains (small task sets only)."""
     ts, _ = _load_checked(file, job)

@@ -1,11 +1,13 @@
 """Brute-force ground truth and fixture generators for desk-scale checks.
 
-The enumerator walks every admissible chain depth-first (its own
-enumeration, sharing only the per-extension predicates with the
-admissibility module) and reports the best duration, the best chains
-deduplicated by section set, the number of chains visited, and the size of
-the uninformed allocation space ``prod(|sections of each lower job| + 1)``
-that an unguided enumeration would have to consider.
+The enumerator walks every admissible chain depth-first and reports the
+best duration, the best chains deduplicated by section set, the number of
+chains visited, and the size of the uninformed allocation space
+``prod(|sections of each lower job| + 1)`` that an unguided enumeration
+would have to consider.  It tests each extension with the index-free
+definitions (:mod:`~pipblock.definitions`), so it shares no predicate with
+the chain check or the search it verifies; only its refusal of a cyclic
+set goes through the engine's deadlock check.
 
 The generators build reproducible task sets in the canonical text format:
 an antidiagonal family with one long section per lower-priority job, and
@@ -21,15 +23,13 @@ from fractions import Fraction
 from math import prod
 from typing import Iterator
 
-from .admissibility import _extension_failure
 from .deadlock import require_acyclic
-from .relevance import _direct, _induced
+from .definitions import direct, fho, flo, induced, lsm
 from .taskset import (
     CriticalSection,
     DurationLike,
     TaskSet,
     ZChain,
-    _compiled,
     as_duration,
     chain_duration,
     parse_taskset,
@@ -68,34 +68,37 @@ def uninformed_space_size(ts: TaskSet, i: int) -> int:
 
 def iter_admissible_chains(ts: TaskSet, i: int) -> Iterator[ZChain]:
     """Depth-first enumeration of every admissible chain for job ``i``,
-    starting from the empty chain.
+    starting from the empty chain: jobs in ascending order, each job's
+    sections by position.
 
-    The walk keeps one generator of extensions per chain on the current
-    path in an explicit stack, so chain length is not limited by the
-    interpreter's recursion depth.
+    The walk carries each chain's jobs, resources and scope along, and
+    keeps one generator of extensions per chain on the current path in an
+    explicit stack, so chain length is not limited by the interpreter's
+    recursion depth.
     """
-    index = _compiled(ts)
 
     def extensions(
-        chain: ZChain, rows: tuple, jobs: int, resources: int, in_set: int
-    ) -> Iterator[tuple[ZChain, tuple, int, int, int]]:
+        chain: ZChain, jobs: frozenset, resources: frozenset, scope: frozenset
+    ) -> Iterator[tuple[ZChain, frozenset, frozenset, frozenset]]:
         for job in ts.jobs[i:]:
-            if jobs >> job.index & 1:
+            if job.index in jobs:
                 continue
-            for s in index.sections[job.index - 1]:
-                if resources & s.bit:
-                    continue
-                if _extension_failure(index, rows, jobs, resources, in_set, s) is None:
+            for z in job.sections:  # NBJ and NBR hold by the walk's own sets
+                if (
+                    z.resource not in resources
+                    and lsm(ts, chain, scope, z) is None
+                    and fho(ts, chain, scope, z) is None
+                    and flo(ts, chain, scope, z) is None
+                ):
                     yield (
-                        chain + (s.z,),
-                        rows + (s,),
-                        jobs | 1 << job.index,
-                        resources | s.bit,
-                        in_set | _induced(index, i, s, in_set),
+                        chain + (z,),
+                        jobs | {z.job},
+                        resources | {z.resource},
+                        scope | induced(ts, i, z, scope),
                     )
 
+    stack = [extensions((), frozenset(), frozenset(), direct(ts, i))]
     yield ()
-    stack = [extensions((), (), 0, 0, _direct(index, i))]
     while stack:
         step = next(stack[-1], None)
         if step is None:

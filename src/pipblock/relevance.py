@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
+from .definitions import is_maximal
 from .taskset import (
     CriticalSection,
     ResourceId,
@@ -38,8 +39,6 @@ __all__ = [
     "direct_blocking_resources",
     "fixpoint_trace",
     "induced_set",
-    "is_maximal",
-    "maximal_sequence",
     "relevant_jobs",
     "relevant_resources",
 ]
@@ -93,23 +92,6 @@ def direct_blocking_jobs(ts: TaskSet, i: int) -> frozenset[int]:
     """Lower-priority jobs using a direct blocking resource of job ``i``."""
     index = _compiled(ts)
     return frozenset(_positions(_jobs_using(index, i, _direct(index, i))))
-
-
-def is_maximal(z: CriticalSection, scope: Iterable[ResourceId]) -> bool:
-    """True iff ``z``'s resource is in ``scope`` and no containing section
-    of the same job uses a resource in ``scope``."""
-    scope = frozenset(scope)
-    if z.resource not in scope:
-        return False
-    return not any(a.resource in scope for a in z.ancestors())
-
-
-def maximal_sequence(
-    ts: TaskSet, job: int, scope: Iterable[ResourceId]
-) -> tuple[CriticalSection, ...]:
-    """The subsequence of job ``job``'s sections maximal w.r.t. ``scope``."""
-    scope = frozenset(scope)
-    return tuple(z for z in ts.job(job).sections if is_maximal(z, scope))
 
 
 def _induced(index: _Index, i: int, s: _Section, scope: int) -> int:

@@ -626,10 +626,13 @@ def _parse_sections(body: str, job: int, lineno: int) -> tuple[CriticalSection, 
                 raise ParseError(f"line {lineno}: unexpected {token!r}")
             # A token of decimal digits is an integer; int() reads it
             # several times faster than the Fraction parser.
-            duration = Fraction(int(token)) if token.isdecimal() else as_duration(token)
-            section = CriticalSection(
-                job, len(sections) + 1, pending_resource, duration, stack[-1] if stack else None
-            )
+            try:
+                duration = Fraction(int(token)) if token.isdecimal() else as_duration(token)
+                section = CriticalSection(
+                    job, len(sections) + 1, pending_resource, duration, stack[-1] if stack else None
+                )
+            except TaskSetError as exc:
+                raise type(exc)(f"line {lineno}: {exc}") from exc
             sections.append(section)
             stack.append(section)
             state = "open"

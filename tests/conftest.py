@@ -1,20 +1,26 @@
-"""Shared fixtures: the small task sets used across the suite, and a
-reference fixpoint written from the public definitions."""
+"""Shared fixtures and helpers: the small task sets used across the
+suite, the generated shapes the search properties run over, and a
+reference fixpoint written from the index-free definitions.  Test
+modules import helpers from here only, never from one another."""
 
 from __future__ import annotations
 
+import random
+import re
 import warnings
 
 import pytest
+from hypothesis import strategies as st
 
 from pipblock import (
     TaskSet,
     ZeroDurationWarning,
-    direct_blocking_resources,
-    induced_set,
     is_maximal,
     parse_taskset,
+    random_taskset,
+    serialize_taskset,
 )
+from pipblock.definitions import direct, induced
 
 
 def random_order_fixpoint(ts: TaskSet, i: int, rng) -> frozenset[int]:
@@ -22,17 +28,64 @@ def random_order_fixpoint(ts: TaskSet, i: int, rng) -> frozenset[int]:
     set by the set one maximal lower-job section induces, picked uniformly
     among all non-empty ones, until none is left (the least fixpoint does
     not depend on the pick order)."""
-    scope = direct_blocking_resources(ts, i)
+    scope = direct(ts, i)
     while True:
         found = [
-            induced
+            fresh
             for job in ts.jobs[i:]
             for z in job.sections
-            if is_maximal(z, scope) and (induced := induced_set(ts, i, z, scope))
+            if is_maximal(z, scope) and (fresh := induced(ts, i, z, scope))
         ]
         if not found:
             return scope
         scope |= rng.choice(found)
+
+
+def shaped(shape: str, seed: int) -> TaskSet:
+    """A small task set of one of the shapes the pruning argument has to
+    survive: plain random nesting; deep transitive nesting (job j nests
+    R(j+1) inside R(j) and further, so each job's section induces the
+    next resource); twin sections tied in length; zero durations."""
+    rng = random.Random(seed)
+    if shape == "random":
+        return random_taskset(seed, jobs=7, resources=6, sections_per_job=4, nesting_depth=3)
+    if shape == "zero":
+        text = serialize_taskset(
+            random_taskset(seed, jobs=7, resources=6, sections_per_job=4, nesting_depth=3)
+        )
+        text = re.sub(
+            r"(R\d+: )(\d+)",
+            lambda m: m[1] + ("0" if rng.random() < 0.4 else m[2]),
+            text,
+        )
+    else:
+        lines = []
+        for j in range(1, 8):
+            parts = []
+            if shape == "transitive":
+                depth = rng.randint(1, 3)
+                parts.append(
+                    "".join(f"[R{j + d}: {rng.randint(1, 9)} " for d in range(depth))
+                    + "]" * depth
+                )
+                for _ in range(rng.randint(0, 2)):
+                    parts.append(f"[R{rng.randint(1, 9)}: {rng.randint(1, 9)}]")
+            else:  # twins: each section twice, durations from {1, 2}
+                for _ in range(rng.randint(1, 2)):
+                    outer = rng.randint(1, 5)
+                    section = f"[R{outer}: {rng.randint(1, 2)}"
+                    if rng.random() < 0.5:
+                        section += f" [R{rng.randint(outer + 1, 6)}: {rng.randint(1, 2)}]"
+                    parts += [section + "]"] * 2
+            rng.shuffle(parts)
+            lines.append(f"J{j}: " + " ".join(parts))
+        text = "\n".join(lines)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ZeroDurationWarning)
+        return parse_taskset(text)
+
+
+SHAPES = st.sampled_from(["random", "transitive", "twins", "zero"])
 
 
 # Four jobs, four resources, nesting three levels deep in J2.  The worst

@@ -6,12 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pipblock import (
-    CriticalSection,
     TaskSet,
     blocking_scope,
     blocking_time_matrix,
     chain_duration,
-    direct_blocking_resources,
     is_admissible_chain,
     iter_admissible_chains,
     max_assignment,
@@ -20,107 +18,7 @@ from pipblock import (
     random_taskset,
 )
 from pipblock.bound import AssignmentSet
-
-
-# --- an independent, quantifier-literal reference implementation ------------
-# Used only to cross-check the package predicates; deliberately recomputes
-# everything from scratch.
-
-
-def _ref_induced(ts: TaskSet, i: int, z: CriticalSection, scope) -> set[int]:
-    out = set()
-    for inner in ts.job(z.job).sections:
-        if inner is z or not any(a == z for a in inner.ancestors()):
-            continue
-        if inner.resource in scope:
-            continue
-        for other in ts.jobs:
-            if other.index > i and other.index != z.job:
-                if any(w.resource == inner.resource for w in other.sections):
-                    out.add(inner.resource)
-    return out
-
-
-def _ref_chain_scope(ts: TaskSet, i: int, chain) -> set[int]:
-    base = set(direct_blocking_resources(ts, i))
-    total = set(base)
-    for z in chain:
-        total |= _ref_induced(ts, i, z, base)
-    return total
-
-
-def _ref_extension_ok(ts: TaskSet, i: int, chain, z: CriticalSection) -> bool:
-    if any(m.job == z.job for m in chain):
-        return False
-    if any(m.resource == z.resource for m in chain):
-        return False
-    scope = _ref_chain_scope(ts, i, chain)
-    if z.resource not in scope:
-        return False
-    if any(a.resource in scope for a in z.ancestors()):
-        return False
-    covering = {z.resource} | {a.resource for a in z.ancestors()}
-    for member in chain:
-        if member.job < z.job:
-            for q_section in ts.job(member.job).sections:
-                if q_section.position < member.position and (
-                    q_section.resource in covering
-                ):
-                    return False
-    for member in chain:
-        if member.job > z.job:
-            held = {member.resource} | {a.resource for a in member.ancestors()}
-            for o_section in ts.job(z.job).sections:
-                if o_section.position < z.position and o_section.resource in held:
-                    return False
-    return True
-
-
-def _ref_verdict(ts: TaskSet, i: int, chain):
-    """(condition, section, witness pair) of the first failing extension,
-    or None, with the witnesses the definitions name: the first clashing
-    member, the innermost in-scope ancestor, and the first earlier section
-    (by position) on a resource the other side holds."""
-
-    def held(z):
-        out, node = set(), z
-        while node is not None:
-            out.add(node.resource)
-            node = node.parent
-        return out
-
-    for k, z in enumerate(chain):
-        prefix = chain[:k]
-        for cond, clash in (("NBJ", "job"), ("NBR", "resource")):
-            for member in prefix:
-                if getattr(member, clash) == getattr(z, clash):
-                    return cond, z, (member, z)
-        scope = _ref_chain_scope(ts, i, prefix)
-        if z.resource not in scope:
-            return "LSM", z, None
-        anc = z.parent
-        while anc is not None:
-            if anc.resource in scope:
-                return "LSM", z, (anc, z)
-            anc = anc.parent
-        for member in prefix:
-            if member.job < z.job:
-                for q in ts.job(member.job).sections[: member.position - 1]:
-                    if q.resource in held(z):
-                        return "FHO", z, (q, member)
-        for member in prefix:
-            if member.job > z.job:
-                for o in ts.job(z.job).sections[: z.position - 1]:
-                    if o.resource in held(member):
-                        return "FLO", z, (o, member)
-    return None
-
-
-def _ref_chain_ok(ts: TaskSet, i: int, chain) -> bool:
-    for k in range(len(chain)):
-        if not _ref_extension_ok(ts, i, chain[:k], chain[k]):
-            return False
-    return True
+from pipblock.definitions import chain_verdict
 
 
 # --- chain and extension admissibility ---------------------------------------
@@ -245,7 +143,7 @@ def test_agreement_with_reference_implementation(
                     resources = [z.resource for z in combo]
                     if len(set(jobs)) < size or len(set(resources)) < size:
                         continue
-                    expected = _ref_chain_ok(ts, i, combo)
+                    expected = chain_verdict(ts, i, combo) is None
                     got = is_admissible_chain(ts, i, combo).admissible
                     assert got == expected, (i, [z.label for z in combo])
 
@@ -264,7 +162,7 @@ def test_agreement_with_reference_long_chains(five_jobs_deep):
         checked += 1
         assert (
             is_admissible_chain(ts, 1, combo).admissible
-            == _ref_chain_ok(ts, 1, combo)
+            == (chain_verdict(ts, 1, combo) is None)
         ), [z.label for z in combo]
 
 
@@ -278,7 +176,7 @@ def test_agreement_with_reference_random(seed):
             continue
         assert (
             is_admissible_chain(ts, 1, combo).admissible
-            == _ref_chain_ok(ts, 1, combo)
+            == (chain_verdict(ts, 1, combo) is None)
         )
 
 
@@ -303,7 +201,7 @@ def test_verdicts_and_witnesses_match_definitions(seed):
             if verdict.admissible
             else (verdict.failed_condition, verdict.section, verdict.witness)
         )
-        expected = _ref_verdict(ts, i, combo)
+        expected = chain_verdict(ts, i, combo)
         assert got == expected, [z.label for z in combo]
         if expected is not None:
             # equality of sections is by (job, position); identity pins

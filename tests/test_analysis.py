@@ -17,8 +17,7 @@ from pipblock import (
     render_report,
 )
 
-from conftest import CROSS_NESTING, FIVE_JOBS_DEEP, SIX_JOBS_NESTED
-from test_search import SHAPES, _shaped
+from conftest import CROSS_NESTING, FIVE_JOBS_DEEP, SHAPES, SIX_JOBS_NESTED, shaped
 
 
 def test_report_runs_search_only_when_needed():
@@ -156,7 +155,7 @@ def test_work_kept_on_the_index_never_leaks_across_jobs_or_sets(seed, shape, dat
 
     from pipblock import ZeroDurationWarning, blocking_time, serialize_taskset
 
-    ts = _shaped(shape, seed)
+    ts = shaped(shape, seed)
     text = serialize_taskset(ts)
 
     def fresh():
@@ -258,5 +257,5 @@ def test_cells_keep_the_leftmost_longest_section(tie_and_zero):
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=10**9), shape=SHAPES)
 def test_cells_and_screen_match_the_definition_on_shapes(seed, shape):
-    _check_cells_and_screen(_shaped(shape, seed))
+    _check_cells_and_screen(shaped(shape, seed))
 

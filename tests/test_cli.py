@@ -145,6 +145,16 @@ def test_oracle_limit_exit_code(nested_file, capsys):
     assert "exceeds the limit" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("limit", ["0", "-1"])
+def test_oracle_limit_below_one_is_a_usage_error(nested_file, limit, capsys):
+    # exit 3 is for a space over a valid limit; a limit below 1 is a usage
+    # error, refused before the file is enumerated
+    assert main(["oracle", nested_file, "--job", "1", "--limit", limit]) == 1
+    err = capsys.readouterr().err
+    assert f"Invalid value for '--limit': {limit} is not in the range x>=1." in err
+    assert "exceeds the limit" not in err
+
+
 def test_gen_antidiagonal_round_trips(capsys):
     assert main(
         ["gen", "antidiagonal", "--n", "3", "--i", "1", "--delta", "10",
@@ -338,6 +348,14 @@ _ROWS = {  # case: (file text, --job)
     "cyclic set": (CROSS_NESTING, "1"),
     "malformed file": ("J1: [R1: 3", "1"),
     "no jobs": ("# nothing here\n", "1"),
+    "bad duration": ("J1: [R1: 1/0]", "1"),
+    "resource zero": ("J1: [R0: 1]", "1"),
+}
+_PARSE_ERRORS = {  # case: first line of stderr, for every subcommand
+    "malformed file": "error: line 1: unbalanced brackets",
+    "no jobs": "error: no jobs found",
+    "bad duration": "error: line 1: bad duration '1/0'",
+    "resource zero": "error: line 1: job, position and resource indices are 1-based (got z1,1 on R0)",
 }
 # (command, case) -> (exit code, first line of stderr, first line of stdout).
 # check-deadlock takes no --job, so it has no job rows.
@@ -349,14 +367,17 @@ _INPUT_RULES = {
             "job out of range": (1, "error: target job index 99 out of range 1..4", ""),
             "job out of range, cyclic set": (1, "error: target job index 99 out of range 1..2", ""),
             "cyclic set": (2, _CYCLIC, ""),
-            "malformed file": (1, "error: line 1: unbalanced brackets", ""),
-            "no jobs": (1, "error: no jobs found", ""),
         }.items()
+    },
+    **{
+        (command, case): (1, err, "")
+        for command in (
+            "analyze", "bound", "blocking-time", "scope", "check-chain", "oracle", "check-deadlock"
+        )
+        for case, err in _PARSE_ERRORS.items()
     },
     ("analyze", "cyclic set"): (2, "", "deadlock risk: resource order is cyclic"),
     ("check-deadlock", "cyclic set"): (2, "", "cyclic: R1 -> R2 -> R1"),
-    ("check-deadlock", "malformed file"): (1, "error: line 1: unbalanced brackets", ""),
-    ("check-deadlock", "no jobs"): (1, "error: no jobs found", ""),
 }
 
 

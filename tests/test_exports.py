@@ -7,7 +7,7 @@ import importlib
 import pipblock
 
 MODULES = (
-    "admissibility", "analysis", "bound", "deadlock",
+    "admissibility", "analysis", "bound", "deadlock", "definitions",
     "oracle", "relevance", "search", "taskset",
 )
 

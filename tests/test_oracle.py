@@ -156,3 +156,30 @@ def test_bound_dominates_oracle_random():
                 ts, relevant_jobs(ts, i), relevant_resources(ts, i)
             )
             assert bound >= brute_force_blocking_time(ts, i).best_duration
+
+
+def _imported_names(path) -> set[str]:
+    import ast
+
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom):
+            names |= {node.module or ""} | {a.name for a in node.names}
+        elif isinstance(node, ast.Import):
+            names |= {a.name for a in node.names}
+    return names
+
+
+def test_the_oracle_shares_nothing_with_the_engine():
+    # search ≡ oracle compares two implementations only if the oracle and
+    # the definitions it enumerates with read no engine module or index
+    # structure; and no test module reads another's helpers
+    from pathlib import Path
+
+    import pipblock
+
+    engine = {"admissibility", "relevance", "bound", "search", "_compiled", "_Index", "_Section"}
+    for name in ("definitions.py", "oracle.py"):
+        assert not _imported_names(Path(pipblock.__file__).with_name(name)) & engine, name
+    for path in Path(__file__).parent.glob("test_*.py"):
+        assert not {n for n in _imported_names(path) if n.startswith("test_")}, path.name

@@ -17,6 +17,7 @@ from pipblock import (
     relevant_jobs,
     relevant_resources,
 )
+from pipblock.definitions import induced
 
 from conftest import random_order_fixpoint
 
@@ -62,9 +63,9 @@ def test_induced_set(nested_four_jobs):
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=10**9))
 def test_induced_set_matches_definition(seed):
-    # reference: the resources of the sections strictly inside z (found by
-    # following parent links), outside the scope and locked by some job
-    # below i other than z's own
+    # the index-free definition: the resources of the sections strictly
+    # inside z, outside the scope and locked by some job below i other
+    # than z's own
     rng = random.Random(seed)
     ts = random_taskset(seed, jobs=6, resources=7, sections_per_job=5, nesting_depth=3)
     for _ in range(4):
@@ -72,27 +73,8 @@ def test_induced_set_matches_definition(seed):
         scope = {r for r in ts.resources if rng.random() < 0.5}
         for job in ts.jobs[i:]:
             for z in job.sections:
-                if not is_maximal(z, scope):
-                    continue
-                inside = []
-                for w in job.sections:
-                    outer = w.parent
-                    while outer is not None and outer is not z:
-                        outer = outer.parent
-                    if outer is z:
-                        inside.append(w)
-                expected = {
-                    w.resource
-                    for w in inside
-                    if w.resource not in scope
-                    and any(
-                        v.resource == w.resource
-                        for other in ts.jobs[i:]
-                        if other.index != z.job
-                        for v in other.sections
-                    )
-                }
-                assert induced_set(ts, i, z, scope) == expected
+                if is_maximal(z, scope):
+                    assert induced_set(ts, i, z, scope) == induced(ts, i, z, scope)
 
 
 def test_induced_set_preconditions(nested_four_jobs):

@@ -12,7 +12,7 @@ from pipblock import (
     per_job_bounds,
     random_taskset,
 )
-from test_admissibility import _ref_verdict
+from conftest import SHAPES, shaped
 
 
 def test_deep_fixture_exact_value_and_witness(five_jobs_deep):
@@ -388,10 +388,9 @@ def test_successors_match_the_definitions(seed, fractional):
     # chain's jobs and resources.  The extensions must be exactly the
     # sections, in job then position order, that satisfy LSM (is_maximal)
     # and NBR, whose chain set was never generated, and that extend the
-    # chain admissibly, both by is_admissible_chain and by the definitions
-    # written out in test_admissibility.  On every section of a remaining
-    # job, the chain check's FHO/FLO predicate must agree with FHO/FLO as
-    # defined on sections.
+    # chain admissibly, both by is_admissible_chain and by the index-free
+    # definitions.  On every section of a remaining job, the chain check's
+    # FHO/FLO predicate must agree with the definitions' FHO and FLO.
     import random
     import re
 
@@ -404,25 +403,8 @@ def test_successors_match_the_definitions(seed, fractional):
         successors,
     )
     from pipblock.admissibility import _obstruction
+    from pipblock.definitions import chain_verdict, fho, flo
     from pipblock.taskset import _compiled
-
-    def held(z):
-        return {z.resource} | {a.resource for a in z.ancestors()}
-
-    def obstructed(chain, z):
-        fho = any(
-            q.resource in held(z)
-            for m in chain
-            if m.job < z.job
-            for q in ts.job(m.job).sections[: m.position - 1]
-        )
-        flo = any(
-            o.resource in held(m)
-            for m in chain
-            if m.job > z.job
-            for o in ts.job(z.job).sections[: z.position - 1]
-        )
-        return fho or flo
 
     rng = random.Random(seed)
     ts = random_taskset(seed, jobs=8, resources=6, sections_per_job=4, nesting_depth=3)
@@ -458,12 +440,13 @@ def test_successors_match_the_definitions(seed, fractional):
                     rows = [index.entry(m) for m in chain]
                     for z in ts.job(j).sections:
                         s = index.entry(z)
-                        assert (_obstruction(index, rows, s) is not None) == obstructed(chain, z)
+                        obstructed = fho(ts, chain, None, z) or flo(ts, chain, None, z)
+                        assert (_obstruction(index, rows, s) is not None) == bool(obstructed)
                         if not is_maximal(z, induced) or z.resource in taken:
                             continue
                         extended = chain + (z,)
                         admissible = is_admissible_chain(ts, i, extended).admissible
-                        assert admissible == (_ref_verdict(ts, i, extended) is None)
+                        assert admissible == (chain_verdict(ts, i, extended) is None)
                         if admissible and frozenset(extended) not in generated:
                             expected.append(z)
                 assert list(successors(ts, node, fringe)) == expected
@@ -477,59 +460,6 @@ def test_successors_match_the_definitions(seed, fractional):
             if not children[node.seq]:
                 break
             node = rng.choice(children[node.seq])
-
-
-def _shaped(shape, seed):
-    """A small task set of one of the shapes the pruning argument has to
-    survive: plain random nesting; deep transitive nesting (job j nests
-    R(j+1) inside R(j) and further, so each job's section induces the
-    next resource); twin sections tied in length; zero durations."""
-    import random
-    import re
-    import warnings
-
-    from pipblock import ZeroDurationWarning, parse_taskset, serialize_taskset
-
-    rng = random.Random(seed)
-    if shape == "random":
-        return random_taskset(seed, jobs=7, resources=6, sections_per_job=4, nesting_depth=3)
-    if shape == "zero":
-        text = serialize_taskset(
-            random_taskset(seed, jobs=7, resources=6, sections_per_job=4, nesting_depth=3)
-        )
-        text = re.sub(
-            r"(R\d+: )(\d+)",
-            lambda m: m[1] + ("0" if rng.random() < 0.4 else m[2]),
-            text,
-        )
-    else:
-        lines = []
-        for j in range(1, 8):
-            parts = []
-            if shape == "transitive":
-                depth = rng.randint(1, 3)
-                parts.append(
-                    "".join(f"[R{j + d}: {rng.randint(1, 9)} " for d in range(depth))
-                    + "]" * depth
-                )
-                for _ in range(rng.randint(0, 2)):
-                    parts.append(f"[R{rng.randint(1, 9)}: {rng.randint(1, 9)}]")
-            else:  # twins: each section twice, durations from {1, 2}
-                for _ in range(rng.randint(1, 2)):
-                    outer = rng.randint(1, 5)
-                    section = f"[R{outer}: {rng.randint(1, 2)}"
-                    if rng.random() < 0.5:
-                        section += f" [R{rng.randint(outer + 1, 6)}: {rng.randint(1, 2)}]"
-                    parts += [section + "]"] * 2
-            rng.shuffle(parts)
-            lines.append(f"J{j}: " + " ".join(parts))
-        text = "\n".join(lines)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", ZeroDurationWarning)
-        return parse_taskset(text)
-
-
-SHAPES = st.sampled_from(["random", "transitive", "twins", "zero"])
 
 
 @settings(max_examples=40, deadline=None)
@@ -549,7 +479,7 @@ def test_live_matches_the_definitions(seed, shape):
     from pipblock.admissibility import _obstruction
     from pipblock.taskset import _compiled, _on_inside
 
-    ts = _shaped(shape, seed)
+    ts = shaped(shape, seed)
     index = _compiled(ts)
     for i in range(1, ts.n + 1):
         expanded = []
@@ -583,7 +513,7 @@ def test_live_matches_the_definitions(seed, shape):
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=10**9), shape=SHAPES)
 def test_search_matches_oracle_on_shapes(seed, shape):
-    ts = _shaped(shape, seed)
+    ts = shaped(shape, seed)
     for i in range(1, ts.n + 1):
         result = blocking_time(ts, i)
         assert result.blocking_time == brute_force_blocking_time(ts, i).best_duration
@@ -592,7 +522,7 @@ def test_search_matches_oracle_on_shapes(seed, shape):
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=10**9), shape=SHAPES)
 def test_witnesses_are_admissible_on_shapes(seed, shape):
-    ts = _shaped(shape, seed)
+    ts = shaped(shape, seed)
     for i in range(1, ts.n + 1):
         result = blocking_time(ts, i)
         assert is_admissible_chain(ts, i, result.witness).admissible
@@ -612,7 +542,7 @@ def test_search_leaves_the_shared_kernel_alone(seed, shape):
     def fields(kernel):
         return kernel.a[:], kernel.b[:], kernel.mate[:], kernel.comate[:], kernel.value
 
-    ts = _shaped(shape, seed)
+    ts = shaped(shape, seed)
     index = _compiled(ts)
     for i in range(1, ts.n + 1):
         _, assignment = _bound_stage(ts, i)
@@ -662,7 +592,7 @@ def test_traced_and_untraced_searches_agree(seed, shape):
     # Tracing only keeps records: the value, witness and both counts are
     # the same either way, the traced search keeps one record per
     # expanded node and the untraced one keeps none.
-    ts = _shaped(shape, seed)
+    ts = shaped(shape, seed)
     for i in range(1, ts.n + 1):
         plain = blocking_time(ts, i)
         traced = blocking_time(ts, i, trace=True)
@@ -721,7 +651,7 @@ def test_relaxed_bound_covers_every_completion(seed, shape):
     from pipblock.search import _child
     from pipblock.taskset import _compiled, _relaxed
 
-    ts = _shaped(shape, seed)
+    ts = shaped(shape, seed)
     index = _compiled(ts)
     for i in range(1, ts.n + 1):
         best: dict = {}
@@ -780,7 +710,7 @@ def test_relaxed_bound_is_at_most_the_assignment(seed, shape):
     # remaining resource, each on a relevant one.
     from pipblock.taskset import _compiled, _relaxed
 
-    ts = _shaped(shape, seed)
+    ts = shaped(shape, seed)
     index = _compiled(ts)
     for i in range(1, ts.n + 1):
         roots, created = _created_with_candidates(ts, i)
@@ -797,7 +727,7 @@ def test_relaxed_bound_is_consistent(seed, shape):
     # added section's duration plus M of the child's candidates.
     from pipblock.taskset import _compiled, _relaxed
 
-    ts = _shaped(shape, seed)
+    ts = shaped(shape, seed)
     index = _compiled(ts)
     for i in range(1, ts.n + 1):
         roots, created = _created_with_candidates(ts, i)
@@ -820,7 +750,7 @@ def test_dive_floor_and_the_unpruned_search(seed, shape):
 
     import pipblock.search
 
-    ts = _shaped(shape, seed)
+    ts = shaped(shape, seed)
     scale = pipblock.search._compiled(ts).scale
     for i in range(1, ts.n + 1):
         floors = []
@@ -859,9 +789,9 @@ def test_relaxed_memo_cap_leaves_results_alone(seed, shape):
 
     import pipblock.taskset
 
-    ts = _shaped(shape, seed)
+    ts = shaped(shape, seed)
     kept = [blocking_time(ts, i) for i in range(1, ts.n + 1)]
-    again = _shaped(shape, seed)
+    again = shaped(shape, seed)
     with mock.patch.object(pipblock.taskset, "_RELAXED_CAP", 3):
         assert [blocking_time(again, i) for i in range(1, again.n + 1)] == kept
 

@@ -252,6 +252,12 @@ def test_duration_literals_and_resource_numbers_are_checked():
     assert type(negative.value) is TaskSetError
     with pytest.raises(TaskSetError, match="1-based"):
         parse_taskset("J1: [R0: 1]")
+    # inside a job line, both errors name the line and keep their type
+    with pytest.raises(ParseError, match=r"^line 2: bad duration '1/0'$"):
+        parse_taskset("J1:\nJ2: [R1: 1/0]")
+    with pytest.raises(TaskSetError, match=r"^line 2: .*1-based \(got z1,1 on R0\)$") as zero:
+        parse_taskset("# comment\nJ1: [R0: 1]")
+    assert type(zero.value) is TaskSetError
 
 
 @st.composite
@@ -316,23 +322,19 @@ def test_coded_sets_are_refused_or_in_wait_order(jobs):
 @given(seed=st.integers(min_value=0, max_value=10**9))
 def test_conflict_masks_match_pair_tests(seed):
     # The index builds conflict[m] from per-resource masks without testing
-    # pairs; every pair (m, s) must agree with NBJ, NBR, FHO and FLO as
-    # written on the rows.
+    # pairs; every pair (m, s) must agree with NBJ, NBR, FHO and FLO as the
+    # index-free definitions state them for the one-member chain (m).
+    from pipblock.definitions import fho, flo, nbj, nbr
     from pipblock.taskset import _compiled
 
     ts = random_taskset(seed, jobs=7, resources=6, sections_per_job=6, nesting_depth=4)
     index = _compiled(ts)
     rows = [s for job in index.sections for s in job]
     for m in rows:
-        expected = 0
-        for s in rows:
-            if (
-                s.z.job == m.z.job
-                or s.bit == m.bit
-                or (m.z.job < s.z.job and m.earlier & s.held)
-                or (m.z.job > s.z.job and s.earlier & m.held)
-            ):
-                expected |= 1 << s.key
+        conditions = (nbj, nbr, fho, flo)
+        expected = sum(
+            1 << s.key for s in rows if any(c(ts, (m.z,), None, s.z) for c in conditions)
+        )
         assert index.conflict[m.key] == expected
 
 
